@@ -1,6 +1,5 @@
-//! ABL-MUTEX — contention-scaling matrix over the mutex variant suite:
-//! sleep (default), spin, adaptive, and the queue locks (ticket, MCS,
-//! futex-hybrid).
+//! ABL-MUTEX — contention-scaling matrix over the mutex variants: sleep
+//! (default), spin and adaptive.
 //!
 //! Each cell runs every worker against one lock for a fixed wall-time
 //! window and records, per thread, how many times it got the lock and
@@ -11,8 +10,8 @@
 //!   * throughput/latency — mean enter latency per cell, plus total
 //!     acquisitions/second in the notes;
 //!   * fairness — per-cell acquisition spread `max/min` across workers,
-//!     the starvation measure: a FIFO queue lock pins this near 1.0
-//!     while a barging sleep/spin lock lets one thread monopolize.
+//!     the starvation measure: how far barging lets one thread
+//!     monopolize the lock.
 //!
 //! The matrix crosses worker placement (bound LWPs vs unbound threads
 //! multiplexed over a small pool) with LWP count and critical-section
@@ -23,9 +22,9 @@
 //!   `--json <path>`       write both tables into one JSON document
 //!   `--merge-json <path>` splice both tables into an existing document
 //!
-//! Gate metrics (parsed by `ci/bench_gate.py` from the notes):
-//! `queue_speedup_high`, `queue_fairness_spread`, `sleep_fairness_spread`,
-//! `adaptive_queue_ratio_short`.
+//! Printed metric (in the notes, not gated): `sleep_fairness_spread`.
+//! The queue-lock rows this matrix once carried are frozen in
+//! EXPERIMENTS.md (ABL-MUTEX).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -164,8 +163,8 @@ fn run_bound(
 }
 
 /// One cell with `threads` unbound threads multiplexed over an
-/// `lwps`-wide pool — the M:N placement, where a queue lock's waiters
-/// park on the user-level sleep queue instead of in the kernel.
+/// `lwps`-wide pool — the M:N placement, where waiters park on the
+/// user-level sleep queue instead of in the kernel.
 fn run_unbound(
     variant: &'static str,
     kind: SyncType,
@@ -210,14 +209,7 @@ const VARIANTS: &[(&str, SyncType)] = &[
     ("sleep", SyncType::DEFAULT),
     ("spin", SyncType::SPIN),
     ("adaptive", SyncType::ADAPTIVE),
-    ("ticket", SyncType::TICKET),
-    ("mcs", SyncType::MCS),
-    ("hybrid", SyncType::HYBRID),
 ];
-
-fn is_queue(variant: &str) -> bool {
-    matches!(variant, "ticket" | "mcs" | "hybrid")
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -236,9 +228,6 @@ fn main() {
     } else {
         vec![("bound", 2, 2), ("bound", 4, 4), ("unbound", 8, 2)]
     };
-    // Smoke keeps the non-zero hold: the gated fairness cells are the
-    // max-hold ones, and at hold=0 a pure-spin FIFO's spread is kernel
-    // quantum rotation (noisy), not lock discipline.
     let holds: &[u64] = &[0, 2_000];
 
     let mut cells: Vec<Cell> = Vec::new();
@@ -255,61 +244,16 @@ fn main() {
     }
     sunmt::set_concurrency(0).expect("setconcurrency");
 
-    // ------------------------------------------------------ gate metrics
-    // Highest-contention bound cell group: max LWPs, max hold.
-    let max_lwps = configs
-        .iter()
-        .filter(|(m, ..)| *m == "bound")
-        .map(|&(_, _, l)| l)
-        .max()
-        .unwrap();
+    // The sleep lock's worst acquisition spread over the bound max-hold
+    // cells. An unbound cell's spread measures the user scheduler's
+    // rotation across more threads than LWPs, not the lock; it is in the
+    // table only.
     let max_hold = *holds.iter().max().unwrap();
-    let pick = |variant: &str, mode: &str, lwps: usize, hold_ns: u64| -> &Cell {
-        cells
-            .iter()
-            .find(|c| {
-                c.variant == variant && c.mode == mode && c.lwps == lwps && c.hold_ns == hold_ns
-            })
-            .expect("cell")
-    };
-    let sleep_high = pick("sleep", "bound", max_lwps, max_hold);
-    let best_queue_high = cells
-        .iter()
-        .filter(|c| {
-            is_queue(c.variant) && c.mode == "bound" && c.lwps == max_lwps && c.hold_ns == max_hold
-        })
-        .max_by(|a, b| a.thpt_ops_s.total_cmp(&b.thpt_ops_s))
-        .expect("queue cell");
-    let queue_speedup_high = best_queue_high.thpt_ops_s / sleep_high.thpt_ops_s.max(1.0);
-    // Fairness gates read the bound max-hold cells only. An unbound
-    // cell's spread measures the user scheduler's rotation across more
-    // threads than LWPs (a lock cannot hand off to a thread its
-    // scheduler never runs), and at zero hold on a host with fewer CPUs
-    // than spinners a pure-spin FIFO's grant order is hostage to the
-    // kernel's quantum rotation — the exact pathology the parking
-    // variants exist to fix. Both are reported in the table, not gated.
-    let queue_fairness_spread = cells
-        .iter()
-        .filter(|c| is_queue(c.variant) && c.mode == "bound" && c.hold_ns == max_hold)
-        .map(|c| c.spread)
-        .fold(0.0f64, f64::max);
     let sleep_fairness_spread = cells
         .iter()
         .filter(|c| c.variant == "sleep" && c.mode == "bound" && c.hold_ns == max_hold)
         .map(|c| c.spread)
         .fold(0.0f64, f64::max);
-    // The run-queue decision metric: adaptive vs the best queue lock at
-    // run-queue-like hold times (short sections, bound, max contention).
-    let adaptive_short = pick("adaptive", "bound", max_lwps, 0);
-    let best_queue_short = cells
-        .iter()
-        .filter(|c| {
-            is_queue(c.variant) && c.mode == "bound" && c.lwps == max_lwps && c.hold_ns == 0
-        })
-        .max_by(|a, b| a.thpt_ops_s.total_cmp(&b.thpt_ops_s))
-        .expect("queue cell");
-    let adaptive_queue_ratio_short =
-        adaptive_short.thpt_ops_s / best_queue_short.thpt_ops_s.max(1.0);
 
     // ----------------------------------------------------------- tables
     let mut thpt = PaperTable::new("ABL-MUTEX: mean mutex_enter latency (us) per matrix cell");
@@ -320,10 +264,6 @@ fn main() {
     for c in &cells {
         thpt.note(format!("thpt {} ops_s={:.0}", c.label(), c.thpt_ops_s));
     }
-    thpt.note(format!("metric queue_speedup_high={queue_speedup_high:.3}"));
-    thpt.note(format!(
-        "metric adaptive_queue_ratio_short={adaptive_queue_ratio_short:.3}"
-    ));
     thpt.print();
     println!();
 
@@ -331,9 +271,6 @@ fn main() {
     for c in &cells {
         fair.row(format!("spread {}", c.label()), c.spread);
     }
-    fair.note(format!(
-        "metric queue_fairness_spread={queue_fairness_spread:.3}"
-    ));
     fair.note(format!(
         "metric sleep_fairness_spread={sleep_fairness_spread:.3}"
     ));
@@ -362,8 +299,7 @@ fn main() {
         std::process::exit(2);
     }
 
-    // Shape checks — loose on purpose (1-CPU CI hosts); the numeric
-    // floors/ceilings live in ci/bench_gate.py.
+    // Shape check — loose on purpose (1-CPU CI hosts).
     for c in &cells {
         assert!(
             c.thpt_ops_s > 0.0,
@@ -371,14 +307,8 @@ fn main() {
             c.label()
         );
     }
-    assert!(
-        queue_fairness_spread < 100.0,
-        "shape check failed: a queue lock starved a bound worker \
-         (spread {queue_fairness_spread:.1})"
-    );
     println!(
-        "\nshape check: OK ({} cells; queue spread {queue_fairness_spread:.2}, \
-         sleep spread {sleep_fairness_spread:.2}, queue speedup {queue_speedup_high:.2}x)",
+        "\nshape check: OK ({} cells; sleep spread {sleep_fairness_spread:.2})",
         cells.len()
     );
 }

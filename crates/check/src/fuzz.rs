@@ -191,8 +191,6 @@ mod tests {
             about: "",
             threads: vec![vec![SyncOp::Incr(0)], vec![SyncOp::Incr(0)]],
             mutexes: 0,
-            ticket_mutexes: 0,
-            mcs_mutexes: 0,
             cvs: 0,
             sema_init: vec![],
             rws: 0,

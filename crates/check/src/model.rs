@@ -327,29 +327,6 @@ pub enum SyncOp {
         /// The fd index.
         fd: usize,
     },
-    /// Ticket-mutex `mutex_enter`: take a ticket in one atomic step, then
-    /// atomically check now-serving and park when it has not reached the
-    /// ticket — the futex-hybrid wait path (the pure-spin ticket differs
-    /// only in *where* it waits, not in the protocol the checker probes).
-    TicketEnter(usize),
-    /// Ticket-mutex `mutex_exit`: bump now-serving in one step, wake the
-    /// holder of the newly served ticket in the next (the real
-    /// store-then-futex-wake window).
-    TicketExit(usize),
-    /// MCS `mutex_enter`: swap self in as the queue tail (one atomic
-    /// step), link behind the predecessor (a second, separate step — the
-    /// mid-enqueue window every MCS release must handle), then wait for
-    /// the predecessor's handoff.
-    McsEnter(usize),
-    /// MCS `mutex_exit`: with a linked successor, hand off directly;
-    /// with none, release only after confirming the tail still points at
-    /// self (waiting out a mid-enqueue successor otherwise).
-    McsExit(usize),
-    /// The seeded-buggy MCS exit: sees no linked successor and releases
-    /// *without* the tail check — the classic lost-handoff race. A
-    /// successor that already swapped itself in as tail (but has not yet
-    /// linked) parks forever on a lock nobody holds.
-    McsExitRacy(usize),
     /// A timer tick landing on thread `v` (one atomic step): raises its
     /// preempt flag. `v`'s *next* step runs the safepoint gate — if any
     /// runnable thread outranks it (effective priorities), it is switched
@@ -400,10 +377,6 @@ pub struct Model {
     pub thread_pris: Vec<i32>,
     /// Number of modelled mutexes.
     pub mutexes: usize,
-    /// Number of modelled ticket mutexes (FIFO grant-order oracle).
-    pub ticket_mutexes: usize,
-    /// Number of modelled MCS mutexes (handoff-integrity oracle).
-    pub mcs_mutexes: usize,
     /// Number of modelled condition variables.
     pub cvs: usize,
     /// Initial counts of the modelled semaphores (length = sema count).
@@ -474,39 +447,6 @@ struct MutexSt {
     owner: Option<usize>,
     /// `(thread, resume_micro)`: where the thread continues once woken.
     waiters: VecDeque<(usize, u32)>,
-}
-
-/// The modelled ticket (and futex-hybrid) lock: the two 16-bit halves of
-/// the real packed word kept as separate counters. The oracle is FIFO
-/// grant order — every grant must go to the serving ticket, in sequence.
-struct TicketSt {
-    /// Next ticket to hand out (the packed word's high half).
-    next: u32,
-    /// Now-serving (the packed word's low half).
-    serving: u32,
-    holder: Option<usize>,
-    /// Parked waiters: `(thread, ticket held, resume_micro)`.
-    waiters: VecDeque<(usize, u32, u32)>,
-    /// Every ticket granted, in grant order — an out-of-order grant
-    /// convicts the FIFO protocol.
-    granted: Vec<u32>,
-}
-
-/// The modelled MCS lock: the tail word, per-thread queue-node `next`
-/// links, and the parked waiters awaiting direct handoff. The oracle is
-/// handoff integrity — a releaser must never miss a successor that has
-/// swapped itself in as tail but not yet linked.
-struct McsSt {
-    /// The thread whose queue node the lock word's tail tag names.
-    tail: Option<usize>,
-    holder: Option<usize>,
-    /// Per-thread successor link (each thread's node `next` pointer).
-    next: Vec<Option<usize>>,
-    /// Parked waiters awaiting handoff: `(thread, resume_micro)`.
-    waiters: VecDeque<(usize, u32)>,
-    /// A releaser waiting out a mid-enqueue successor's link store:
-    /// `(thread, resume_micro)`.
-    link_waiter: Option<(usize, u32)>,
 }
 
 struct CvSt {
@@ -612,11 +552,6 @@ struct ThreadSt {
 pub enum BlockedOn {
     /// Parked on a mutex.
     Mutex(usize),
-    /// Parked on a ticket (or futex-hybrid) mutex.
-    Ticket(usize),
-    /// Parked on an MCS mutex — as a queued waiter awaiting handoff, or
-    /// as a releaser waiting out a mid-enqueue successor's link.
-    Mcs(usize),
     /// Parked on a condition variable.
     Cv(usize),
     /// Parked on a semaphore.
@@ -648,8 +583,6 @@ enum NextStep {
 pub struct World {
     variant: Variant,
     mutexes: Vec<MutexSt>,
-    tickets: Vec<TicketSt>,
-    mcs: Vec<McsSt>,
     cvs: Vec<CvSt>,
     semas: Vec<SemaSt>,
     rws: Vec<RwSt>,
@@ -686,24 +619,6 @@ impl World {
                     word: 0,
                     owner: None,
                     waiters: VecDeque::new(),
-                })
-                .collect(),
-            tickets: (0..model.ticket_mutexes)
-                .map(|_| TicketSt {
-                    next: 0,
-                    serving: 0,
-                    holder: None,
-                    waiters: VecDeque::new(),
-                    granted: Vec::new(),
-                })
-                .collect(),
-            mcs: (0..model.mcs_mutexes)
-                .map(|_| McsSt {
-                    tail: None,
-                    holder: None,
-                    next: vec![None; model.threads.len()],
-                    waiters: VecDeque::new(),
-                    link_waiter: None,
                 })
                 .collect(),
             cvs: (0..model.cvs)
@@ -803,21 +718,6 @@ impl World {
                 .iter()
                 .position(|m| m.waiters.iter().any(|(w, _)| *w == t))
                 .map(BlockedOn::Mutex)
-                .or_else(|| {
-                    self.tickets
-                        .iter()
-                        .position(|k| k.waiters.iter().any(|(w, _, _)| *w == t))
-                        .map(BlockedOn::Ticket)
-                })
-                .or_else(|| {
-                    self.mcs
-                        .iter()
-                        .position(|q| {
-                            q.waiters.iter().any(|(w, _)| *w == t)
-                                || q.link_waiter.is_some_and(|(w, _)| w == t)
-                        })
-                        .map(BlockedOn::Mcs)
-                })
                 .or_else(|| {
                     self.cvs
                         .iter()
@@ -1346,253 +1246,6 @@ impl World {
             SyncOp::IoFlush { shard } => self.io_service_machine(t, shard, false, wakes),
             SyncOp::IoSteal { victim } => self.io_service_machine(t, victim, true, wakes),
             SyncOp::IoEvent { fd } => self.io_event_machine(t, fd, wakes),
-            SyncOp::TicketEnter(k) => self.ticket_enter_machine(t, k),
-            SyncOp::TicketExit(k) => self.ticket_exit_machine(t, k, wakes),
-            SyncOp::McsEnter(q) => self.mcs_enter_machine(t, q, wakes),
-            SyncOp::McsExit(q) => self.mcs_exit_machine(t, q, false, wakes),
-            SyncOp::McsExitRacy(q) => self.mcs_exit_machine(t, q, true, wakes),
-        }
-    }
-
-    /// The ticket-mutex `mutex_enter` machine. Micro 0 is the enter-side
-    /// `fetch_add`: take a ticket and check now-serving in one atomic
-    /// step (an uncontended enter is a single atomic in the real lock
-    /// too). Micro 1 is the futex-shaped atomic check-then-park; a wake
-    /// resumes it there and it re-checks — the hybrid's re-check after a
-    /// wake-all. The pure-spin ticket's wait differs only in *where* it
-    /// waits, so one machine covers both.
-    fn ticket_enter_machine(&mut self, t: usize, k: usize) -> NextStep {
-        match self.threads[t].micro {
-            0 => {
-                if self.variant == Variant::Debug && self.tickets[k].holder == Some(t) {
-                    self.fail(
-                        t,
-                        format!("DEBUG: recursive mutex_enter of ticket mutex {k}"),
-                    );
-                    return NextStep::Yield;
-                }
-                let my = self.tickets[k].next;
-                self.tickets[k].next += 1;
-                self.threads[t].scratch = my as u64;
-                if self.tickets[k].serving == my {
-                    self.grant_ticket(t, k, my);
-                    self.advance(t);
-                } else {
-                    let ahead = (my - self.tickets[k].serving) as u64;
-                    self.push_event(t, Tag::MutexQueueWait, k as u64, ahead);
-                    self.threads[t].micro = 1;
-                }
-                NextStep::Yield
-            }
-            _ => {
-                let my = self.threads[t].scratch as u32;
-                if self.tickets[k].serving == my {
-                    self.grant_ticket(t, k, my);
-                    self.advance(t);
-                    NextStep::Yield
-                } else {
-                    // Atomic check-then-park (futex `wait(word, expected)`).
-                    self.push_event(t, Tag::MutexBlock, k as u64, 0);
-                    self.tickets[k].waiters.push_back((t, my, 1));
-                    self.park(t, None)
-                }
-            }
-        }
-    }
-
-    /// Records a ticket grant and runs the FIFO oracle: grants must land
-    /// in strict ticket order, or the queue discipline is broken.
-    fn grant_ticket(&mut self, t: usize, k: usize, my: u32) {
-        if let Some(&last) = self.tickets[k].granted.last() {
-            if my != last + 1 {
-                self.fail(
-                    t,
-                    format!("ticket mutex {k} FIFO violated: granted ticket {my} after {last}"),
-                );
-                return;
-            }
-        } else if my != 0 {
-            self.fail(
-                t,
-                format!("ticket mutex {k} FIFO violated: first grant was ticket {my}"),
-            );
-            return;
-        }
-        self.tickets[k].holder = Some(t);
-        self.tickets[k].granted.push(my);
-        self.push_event(t, Tag::MutexAcquire, k as u64, t as u64);
-    }
-
-    /// The ticket-mutex `mutex_exit` machine: bump now-serving in one
-    /// step, wake the newly served waiter in the next — the real
-    /// store-then-futex-wake window. A successor that has taken its
-    /// ticket but not yet parked is not woken here; its own atomic
-    /// check-then-park sees the new serving value, so nothing is lost.
-    fn ticket_exit_machine(&mut self, t: usize, k: usize, wakes: &mut Vec<usize>) -> NextStep {
-        if self.threads[t].micro == 0 {
-            if self.variant == Variant::Debug && self.tickets[k].holder != Some(t) {
-                self.fail(
-                    t,
-                    format!("DEBUG: mutex_exit of ticket mutex {k} by non-owner"),
-                );
-                return NextStep::Yield;
-            }
-            if self.tickets[k].holder == Some(t) {
-                self.tickets[k].holder = None;
-            }
-            self.tickets[k].serving += 1;
-            self.push_event(t, Tag::MutexRelease, k as u64, t as u64);
-            let serving = self.tickets[k].serving;
-            if self.tickets[k]
-                .waiters
-                .iter()
-                .any(|(_, tk, _)| *tk == serving)
-            {
-                self.threads[t].micro = 1;
-            } else {
-                self.advance(t);
-            }
-        } else {
-            let serving = self.tickets[k].serving;
-            if let Some(pos) = self.tickets[k]
-                .waiters
-                .iter()
-                .position(|(_, tk, _)| *tk == serving)
-            {
-                let (w, _, resume) = self.tickets[k].waiters.remove(pos).unwrap();
-                self.push_event(t, Tag::MutexHandoff, k as u64, 1);
-                self.wake(w, resume, wakes);
-            }
-            self.advance(t);
-        }
-        NextStep::Yield
-    }
-
-    /// The MCS `mutex_enter` machine. Micro 0 is the tail swap (one
-    /// atomic); micro 1 is the *separate* link store behind the
-    /// predecessor — the mid-enqueue window every MCS release must
-    /// handle; micro 2 is the atomic granted-check-then-park on the own
-    /// node's state word. The link store also wakes a releaser spinning
-    /// out the window (modelled as a wait so the explorer stays finite).
-    fn mcs_enter_machine(&mut self, t: usize, q: usize, wakes: &mut Vec<usize>) -> NextStep {
-        match self.threads[t].micro {
-            0 => {
-                if self.variant == Variant::Debug && self.mcs[q].holder == Some(t) {
-                    self.fail(t, format!("DEBUG: recursive mutex_enter of mcs mutex {q}"));
-                    return NextStep::Yield;
-                }
-                let prev = self.mcs[q].tail;
-                self.mcs[q].tail = Some(t);
-                self.mcs[q].next[t] = None;
-                match prev {
-                    None => {
-                        self.mcs[q].holder = Some(t);
-                        self.push_event(t, Tag::MutexAcquire, q as u64, t as u64);
-                        self.advance(t);
-                    }
-                    Some(p) => {
-                        self.threads[t].scratch = p as u64;
-                        self.push_event(t, Tag::MutexQueueWait, q as u64, p as u64);
-                        self.threads[t].micro = 1;
-                    }
-                }
-                NextStep::Yield
-            }
-            1 => {
-                let p = self.threads[t].scratch as usize;
-                self.mcs[q].next[p] = Some(t);
-                if let Some((w, resume)) = self.mcs[q].link_waiter.take() {
-                    if w == p {
-                        self.wake(w, resume, wakes);
-                    } else {
-                        self.mcs[q].link_waiter = Some((w, resume));
-                    }
-                }
-                self.threads[t].micro = 2;
-                NextStep::Yield
-            }
-            _ => {
-                if self.mcs[q].holder == Some(t) {
-                    // The predecessor handed the lock off node-to-node.
-                    self.push_event(t, Tag::MutexAcquire, q as u64, t as u64);
-                    self.advance(t);
-                    NextStep::Yield
-                } else {
-                    // Atomic announce-then-park on the own node's state.
-                    self.push_event(t, Tag::MutexBlock, q as u64, 0);
-                    self.mcs[q].waiters.push_back((t, 2));
-                    self.park(t, None)
-                }
-            }
-        }
-    }
-
-    /// The MCS `mutex_exit` machine. With a linked successor the lock is
-    /// handed off node-to-node (micro 1). With none, the correct release
-    /// confirms the tail still names this node before clearing it; a
-    /// successor that swapped the tail mid-enqueue forces the releaser
-    /// to wait out its link store. The `racy` variant is the seeded bug:
-    /// it skips the tail confirmation and releases anyway, stranding the
-    /// mid-enqueue successor — the classic MCS lost handoff.
-    fn mcs_exit_machine(
-        &mut self,
-        t: usize,
-        q: usize,
-        racy: bool,
-        wakes: &mut Vec<usize>,
-    ) -> NextStep {
-        if self.threads[t].micro == 0 {
-            if self.variant == Variant::Debug && self.mcs[q].holder != Some(t) {
-                self.fail(
-                    t,
-                    format!("DEBUG: mutex_exit of mcs mutex {q} by non-owner"),
-                );
-                return NextStep::Yield;
-            }
-            if self.mcs[q].next[t].is_some() {
-                self.threads[t].micro = 1;
-                return NextStep::Yield;
-            }
-            if racy {
-                // Seeded bug: no successor linked, so release without
-                // confirming the tail. A successor that already swapped
-                // itself in as tail parks forever on a lock nobody holds.
-                if self.mcs[q].holder == Some(t) {
-                    self.mcs[q].holder = None;
-                }
-                if self.mcs[q].tail == Some(t) {
-                    self.mcs[q].tail = None;
-                }
-                self.push_event(t, Tag::MutexRelease, q as u64, t as u64);
-                self.advance(t);
-                return NextStep::Yield;
-            }
-            if self.mcs[q].tail == Some(t) {
-                // The tail CAS: still the tail, so nobody is queued.
-                self.mcs[q].tail = None;
-                self.mcs[q].holder = None;
-                self.push_event(t, Tag::MutexRelease, q as u64, t as u64);
-                self.advance(t);
-                NextStep::Yield
-            } else {
-                // A successor swapped the tail but has not linked yet:
-                // wait out its link store (the real lock spins here).
-                self.mcs[q].link_waiter = Some((t, 0));
-                self.park(t, None)
-            }
-        } else {
-            let succ = self.mcs[q].next[t].expect("handoff step requires a linked successor");
-            self.mcs[q].holder = Some(succ);
-            self.push_event(t, Tag::MutexRelease, q as u64, t as u64);
-            if let Some(pos) = self.mcs[q].waiters.iter().position(|(w, _)| *w == succ) {
-                let (w, resume) = self.mcs[q].waiters.remove(pos).unwrap();
-                self.push_event(t, Tag::MutexHandoff, q as u64, 1);
-                self.wake(w, resume, wakes);
-            } else {
-                self.push_event(t, Tag::MutexHandoff, q as u64, 0);
-            }
-            self.advance(t);
-            NextStep::Yield
         }
     }
 
@@ -2778,33 +2431,6 @@ fn classify(model: &Model, world: &World) -> Option<String> {
                 }
             }
         }
-        // A thread parked on a queue lock that nobody holds is the lost
-        // handoff signature: the wake it was owed was dropped (an MCS
-        // release that missed a mid-enqueue successor, or a ticket
-        // serving the waiter's number while it sleeps).
-        for (t, on) in &blocked {
-            if let BlockedOn::Mcs(q) = on {
-                if world.mcs[*q].holder.is_none() {
-                    return Some(format!(
-                        "lost handoff: thread {t} parked on mcs mutex {q}, which nobody holds"
-                    ));
-                }
-            }
-            if let BlockedOn::Ticket(k) = on {
-                let tk = &world.tickets[*k];
-                if tk.holder.is_none()
-                    && tk
-                        .waiters
-                        .iter()
-                        .any(|(w, ticket, _)| w == t && *ticket == tk.serving)
-                {
-                    return Some(format!(
-                        "lost handoff: thread {t} holds the serving ticket for ticket \
-                         mutex {k} but parks"
-                    ));
-                }
-            }
-        }
         let desc: Vec<String> = blocked
             .iter()
             .map(|(t, on)| format!("thread {t} on {on:?}"))
@@ -2872,8 +2498,6 @@ mod tests {
             ],
             thread_pris: vec![],
             mutexes: 1,
-            ticket_mutexes: 0,
-            mcs_mutexes: 0,
             cvs: 0,
             sema_init: vec![],
             rws: 0,

@@ -19,8 +19,6 @@ fn base(name: &'static str, about: &'static str, threads: Vec<Vec<SyncOp>>) -> M
         threads,
         thread_pris: vec![],
         mutexes: 0,
-        ticket_mutexes: 0,
-        mcs_mutexes: 0,
         cvs: 0,
         sema_init: vec![],
         rws: 0,
@@ -337,62 +335,6 @@ pub fn catalogue() -> Vec<Model> {
                         CritExit(0),
                         RwExit(0),
                     ],
-                ],
-            )
-        },
-        // ------------------------------------------------- queue locks
-        Model {
-            ticket_mutexes: 1,
-            counters: 1,
-            crits: 1,
-            final_counters: vec![(0, 3)],
-            preemption_bound: Some(3),
-            min_schedules: 400,
-            ..base(
-                "mutex_ticket",
-                "three threads contend a ticket lock; the FIFO oracle convicts any \
-                 out-of-order grant",
-                vec![
-                    vec![
-                        TicketEnter(0),
-                        CritEnter(0),
-                        Incr(0),
-                        CritExit(0),
-                        TicketExit(0),
-                    ],
-                    vec![
-                        TicketEnter(0),
-                        CritEnter(0),
-                        Incr(0),
-                        CritExit(0),
-                        TicketExit(0),
-                    ],
-                    vec![
-                        TicketEnter(0),
-                        CritEnter(0),
-                        Incr(0),
-                        CritExit(0),
-                        TicketExit(0),
-                    ],
-                ],
-            )
-        },
-        Model {
-            mcs_mutexes: 1,
-            counters: 1,
-            crits: 1,
-            final_counters: vec![(0, 3)],
-            preemption_bound: Some(3),
-            min_schedules: 400,
-            variants: vec![Variant::Default, Variant::Debug],
-            ..base(
-                "mutex_mcs",
-                "three threads contend an MCS lock; every release must hand off to the \
-                 linked successor, including one still mid-enqueue",
-                vec![
-                    vec![McsEnter(0), CritEnter(0), Incr(0), CritExit(0), McsExit(0)],
-                    vec![McsEnter(0), CritEnter(0), Incr(0), CritExit(0), McsExit(0)],
-                    vec![McsEnter(0), CritEnter(0), Incr(0), CritExit(0), McsExit(0)],
                 ],
             )
         },
@@ -784,22 +726,6 @@ pub fn catalogue() -> Vec<Model> {
             )
         },
         Model {
-            mcs_mutexes: 1,
-            counters: 1,
-            final_counters: vec![(0, 2)],
-            variants: vec![Variant::Default],
-            expect: Expect::FailContaining("lost handoff"),
-            ..base(
-                "neg_mcs_lost_handoff",
-                "buggy MCS exit skips the tail check: a mid-enqueue successor parks \
-                 forever on a lock nobody holds",
-                vec![
-                    vec![McsEnter(0), Incr(0), McsExitRacy(0)],
-                    vec![McsEnter(0), Incr(0), McsExit(0)],
-                ],
-            )
-        },
-        Model {
             // The same inversion triangle as `mutex_adaptive_pi`, with the
             // boost compiled out of the waiter's park. Some schedules
             // reach the convicted state: holder (pri 10) preempted by the
@@ -954,12 +880,6 @@ mod tests {
                         }
                         SyncOp::IoEvent { fd } => {
                             assert!(fd < m.io_fds, "{}: io fd {fd}", m.name)
-                        }
-                        SyncOp::TicketEnter(i) | SyncOp::TicketExit(i) => {
-                            assert!(i < m.ticket_mutexes, "{}: ticket mutex {i}", m.name)
-                        }
-                        SyncOp::McsEnter(i) | SyncOp::McsExit(i) | SyncOp::McsExitRacy(i) => {
-                            assert!(i < m.mcs_mutexes, "{}: mcs mutex {i}", m.name)
                         }
                         SyncOp::Work(_) | SyncOp::AssertTimedOut(_) | SyncOp::SleepFor(_) => {}
                     }

@@ -10,6 +10,7 @@
 
 use std::sync::atomic::Ordering;
 
+use crate::runq::unpoisoned;
 use crate::sched;
 use crate::types::{CreateFlags, ThreadId, ThreadState};
 
@@ -59,10 +60,7 @@ fn info_of(t: &std::sync::Arc<crate::thread::Thread>) -> ThreadInfo {
 /// space of a program" — this reads them out, which is exactly what a
 /// debugger attached via `/proc` would do with the library's cooperation.
 pub fn threads_snapshot() -> Vec<ThreadInfo> {
-    let mut out: Vec<ThreadInfo> = sched::mt()
-        .threads
-        .lock()
-        .expect("thread registry poisoned")
+    let mut out: Vec<ThreadInfo> = unpoisoned(&sched::mt().threads)
         .values()
         .map(info_of)
         .collect();
@@ -74,12 +72,7 @@ pub fn threads_snapshot() -> Vec<ThreadInfo> {
 /// the full snapshot, so a debugger polling one thread doesn't pay O(n)
 /// per probe.
 pub fn thread_info(id: ThreadId) -> Option<ThreadInfo> {
-    sched::mt()
-        .threads
-        .lock()
-        .expect("thread registry poisoned")
-        .get(&id.0)
-        .map(info_of)
+    unpoisoned(&sched::mt().threads).get(&id.0).map(info_of)
 }
 
 #[cfg(test)]

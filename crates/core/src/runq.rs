@@ -41,8 +41,9 @@ pub const FAIR_EVERY: usize = 61;
 /// sections that do not call user code, so a panic while holding one of
 /// these locks cannot leave the structure half-updated in a way later
 /// operations would trip over — but `Mutex` poisoning would still wedge
-/// every *other* LWP's dispatch path forever. All scheduler lock sites go
-/// through this accessor instead of `expect("... poisoned")`.
+/// every *other* LWP's dispatch path forever. Every `std::sync::Mutex` in
+/// this crate (run queues, sleep queues, the thread registry, zombie list,
+/// handler table and TLS layout) is locked through this accessor.
 pub fn unpoisoned<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }

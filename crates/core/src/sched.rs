@@ -352,10 +352,7 @@ pub(crate) fn current_thread() -> Arc<Thread> {
     let _ = sunmt_lwp::current();
     t.dispatch_cpu0_ns
         .store(sunmt_lwp::cpu_time().as_nanos() as u64, Ordering::Relaxed);
-    m.threads
-        .lock()
-        .expect("thread registry poisoned")
-        .insert(id.0, Arc::clone(&t));
+    unpoisoned(&m.threads).insert(id.0, Arc::clone(&t));
     CURRENT.with(|c| *c.borrow_mut() = Some(Arc::clone(&t)));
     ADOPTED.with(|a| a.store(true, Ordering::Relaxed));
     t
@@ -418,10 +415,7 @@ pub(crate) fn create_thread(
                 ThreadState::Running
             },
         );
-        m.threads
-            .lock()
-            .expect("thread registry poisoned")
-            .insert(id.0, Arc::clone(&t));
+        unpoisoned(&m.threads).insert(id.0, Arc::clone(&t));
         let t2 = Arc::clone(&t);
         let lwp = Lwp::spawn_named("sunmt-bound".to_string(), move || bound_main(t2, f))
             .map_err(MtError::SpawnFailed)?;
@@ -462,10 +456,7 @@ pub(crate) fn create_thread(
             )
         }
     };
-    m.threads
-        .lock()
-        .expect("thread registry poisoned")
-        .insert(id.0, Arc::clone(&t));
+    unpoisoned(&m.threads).insert(id.0, Arc::clone(&t));
     if flags.contains(CreateFlags::NEW_LWP) {
         m.pool_target.fetch_add(1, Ordering::SeqCst);
         add_pool_lwp();
@@ -871,7 +862,7 @@ pub(crate) fn finish_thread_common(t: &Arc<Thread>) {
     probe!(Tag::ThreadExit, t.id.0);
     if t.flags.contains(CreateFlags::WAIT) {
         t.set_state(ThreadState::Zombie);
-        let zombies = m.zombies.lock().expect("zombie list poisoned");
+        let zombies = unpoisoned(&m.zombies);
         if t.claimed.load(Ordering::SeqCst) {
             drop(zombies);
             t.exit_sema.v();
@@ -883,10 +874,7 @@ pub(crate) fn finish_thread_common(t: &Arc<Thread>) {
         }
     } else {
         t.set_state(ThreadState::Dead);
-        m.threads
-            .lock()
-            .expect("thread registry poisoned")
-            .remove(&t.id.0);
+        unpoisoned(&m.threads).remove(&t.id.0);
         if !t.bound {
             crate::magazine::retire_thread(m, Arc::clone(t));
         }
@@ -897,9 +885,7 @@ pub(crate) fn finish_thread_common(t: &Arc<Thread>) {
 // Waiting (thread_wait / waitid).
 
 pub(crate) fn lookup(id: ThreadId) -> Result<Arc<Thread>> {
-    mt().threads
-        .lock()
-        .expect("thread registry poisoned")
+    unpoisoned(&mt().threads)
         .get(&id.0)
         .cloned()
         .ok_or(MtError::UnknownThread(id))
@@ -907,10 +893,7 @@ pub(crate) fn lookup(id: ThreadId) -> Result<Arc<Thread>> {
 
 fn finish_reap(t: &Arc<Thread>) {
     let m = mt();
-    m.threads
-        .lock()
-        .expect("thread registry poisoned")
-        .remove(&t.id.0);
+    unpoisoned(&m.threads).remove(&t.id.0);
     m.waitable.fetch_sub(1, Ordering::SeqCst);
     if !t.bound {
         crate::magazine::retire_thread(m, Arc::clone(t));
@@ -932,7 +915,7 @@ pub(crate) fn wait_specific(id: ThreadId) -> Result<ThreadId> {
         return Err(MtError::CurrentThread);
     }
     {
-        let mut zombies = mt().zombies.lock().expect("zombie list poisoned");
+        let mut zombies = unpoisoned(&mt().zombies);
         if t.claimed.swap(true, Ordering::SeqCst) {
             return Err(MtError::AlreadyWaited(id));
         }
@@ -954,18 +937,15 @@ pub(crate) fn wait_any() -> Result<ThreadId> {
     let m = mt();
     loop {
         {
-            let zombies = m.zombies.lock().expect("zombie list poisoned");
+            let zombies = unpoisoned(&m.zombies);
             if zombies.is_empty() && m.waitable.load(Ordering::SeqCst) == 0 {
                 return Err(MtError::NothingToWait);
             }
         }
         m.anywait.p();
-        let popped = m.zombies.lock().expect("zombie list poisoned").pop_front();
+        let popped = unpoisoned(&m.zombies).pop_front();
         if let Some(id) = popped {
-            let t = m
-                .threads
-                .lock()
-                .expect("thread registry poisoned")
+            let t = unpoisoned(&m.threads)
                 .get(&id.0)
                 .cloned()
                 .expect("zombie must still be registered");

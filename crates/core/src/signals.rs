@@ -30,6 +30,7 @@
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
+use crate::runq::unpoisoned;
 use crate::sched;
 use crate::types::{MtError, Result, ThreadId, ThreadState};
 
@@ -102,19 +103,12 @@ pub fn is_trap(signo: SigNo) -> bool {
 /// `signal()` and variants: installs the process-wide disposition.
 pub fn set_disposition(signo: SigNo, disp: Disposition) -> Result<()> {
     validate(signo)?;
-    sched::mt()
-        .handlers
-        .lock()
-        .expect("handler table poisoned")
-        .insert(signo, disp);
+    unpoisoned(&sched::mt().handlers).insert(signo, disp);
     Ok(())
 }
 
 fn disposition_of(signo: SigNo) -> Disposition {
-    sched::mt()
-        .handlers
-        .lock()
-        .expect("handler table poisoned")
+    unpoisoned(&sched::mt().handlers)
         .get(&signo)
         .cloned()
         .unwrap_or(Disposition::Default)
@@ -185,13 +179,8 @@ pub fn thread_kill(id: ThreadId, signo: SigNo) -> Result<()> {
 /// `sigsend(P_THREAD_ALL)`: sends `signo` to every thread in the process.
 pub fn sigsend_all(signo: SigNo) -> Result<()> {
     let bit = validate(signo)?;
-    let threads: Vec<Arc<crate::thread::Thread>> = sched::mt()
-        .threads
-        .lock()
-        .expect("thread registry poisoned")
-        .values()
-        .cloned()
-        .collect();
+    let threads: Vec<Arc<crate::thread::Thread>> =
+        unpoisoned(&sched::mt().threads).values().cloned().collect();
     for t in threads {
         if !matches!(t.state(), ThreadState::Zombie | ThreadState::Dead) {
             t.pending.fetch_or(bit, Ordering::SeqCst);
@@ -209,13 +198,8 @@ pub fn sigsend_all(signo: SigNo) -> Result<()> {
 /// pends on the process.
 pub fn send_interrupt(signo: SigNo) -> Result<()> {
     let bit = validate(signo)?;
-    let threads: Vec<Arc<crate::thread::Thread>> = sched::mt()
-        .threads
-        .lock()
-        .expect("thread registry poisoned")
-        .values()
-        .cloned()
-        .collect();
+    let threads: Vec<Arc<crate::thread::Thread>> =
+        unpoisoned(&sched::mt().threads).values().cloned().collect();
     // Prefer a thread that will reach a delivery point soon.
     let pick = threads
         .iter()

@@ -15,6 +15,8 @@
 use std::marker::PhantomData;
 use std::sync::Mutex;
 
+use crate::runq::unpoisoned;
+
 /// Types that may live in thread-local storage.
 ///
 /// # Safety
@@ -92,7 +94,7 @@ impl<T: Zeroable> Unshared<T> {
     /// restriction prevents the size of thread-local storage from changing
     /// once a thread is started".
     pub fn register() -> Result<Unshared<T>, TlsFrozen> {
-        let mut layout = LAYOUT.lock().expect("TLS layout poisoned");
+        let mut layout = unpoisoned(&LAYOUT);
         if layout.frozen {
             return Err(TlsFrozen);
         }
@@ -134,14 +136,14 @@ impl<T: Zeroable> Unshared<T> {
 
 /// Freezes the layout (first thread creation) and returns the block size.
 pub(crate) fn freeze_and_len() -> usize {
-    let mut layout = LAYOUT.lock().expect("TLS layout poisoned");
+    let mut layout = unpoisoned(&LAYOUT);
     layout.frozen = true;
     layout.size
 }
 
 /// Whether the layout is already frozen (diagnostic).
 pub fn is_frozen() -> bool {
-    LAYOUT.lock().expect("TLS layout poisoned").frozen
+    unpoisoned(&LAYOUT).frozen
 }
 
 /// The paper's worked example: a per-thread `errno`.

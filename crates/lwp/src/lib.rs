@@ -336,17 +336,6 @@ mod tests {
     }
 
     #[test]
-    fn spawn_registers_with_the_global_registry() {
-        let before = registry::global().counts().total;
-        let lwp = Lwp::spawn(|| {
-            std::thread::sleep(Duration::from_millis(30));
-        })
-        .expect("spawn");
-        assert!(registry::global().counts().total > before);
-        lwp.join();
-    }
-
-    #[test]
     fn running_hint_tracks_parked_state() {
         // Hint 0 (no hint) must read as "running" — the conservative
         // default that keeps an uninstrumented owner spin-worthy.

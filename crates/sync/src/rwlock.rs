@@ -138,12 +138,17 @@ impl RwLock {
     }
 
     fn enter_writer(&self) {
-        self.wrwait.fetch_add(1, Ordering::Relaxed);
+        // Waiter half of the handshake with `exit` (which clears `state`,
+        // then reads `wrwait`): announce in `wrwait`, then read `state`.
+        // All four accesses are `SeqCst`, so either the releaser sees the
+        // announcement and wakes `wrseq`, or this writer sees the cleared
+        // state and never parks.
+        self.wrwait.fetch_add(1, Ordering::SeqCst);
         let mut t0 = 0u64;
         loop {
             if self
                 .state
-                .compare_exchange(0, WRITER, Ordering::Acquire, Ordering::Relaxed)
+                .compare_exchange(0, WRITER, Ordering::SeqCst, Ordering::SeqCst)
                 .is_ok()
             {
                 self.wrwait.fetch_sub(1, Ordering::Relaxed);
@@ -151,7 +156,7 @@ impl RwLock {
                 return;
             }
             let seq = self.wrseq.load(Ordering::Acquire);
-            if self.state.load(Ordering::Relaxed) == 0 {
+            if self.state.load(Ordering::SeqCst) == 0 {
                 continue;
             }
             sunmt_trace::probe!(
@@ -199,15 +204,18 @@ impl RwLock {
         let s = self.state.load(Ordering::Relaxed);
         if s & WRITER != 0 {
             debug_assert_eq!(s, WRITER, "writer hold must exclude all readers");
-            self.state.store(0, Ordering::Release);
+            // A swap, not a store: the release must be ordered before the
+            // `wrwait` read below (see `enter_writer`), and a plain store
+            // may still sit in the store buffer when that load runs.
+            self.state.swap(0, Ordering::SeqCst);
             self.wake_after_release(shared);
         } else {
             debug_assert_ne!(s & COUNT_MASK, 0, "rw_exit with no readers");
-            let prev = self.state.fetch_sub(1, Ordering::Release);
+            let prev = self.state.fetch_sub(1, Ordering::SeqCst);
             let remaining = prev - 1;
             if remaining & COUNT_MASK == 0 {
                 // Last reader gone; writers (if any) can now enter.
-                if self.wrwait.load(Ordering::Relaxed) > 0 {
+                if self.wrwait.load(Ordering::SeqCst) > 0 {
                     self.wrseq.fetch_add(1, Ordering::Release);
                     strategy::unpark(&self.wrseq, 1, shared);
                 }
@@ -222,7 +230,7 @@ impl RwLock {
     }
 
     fn wake_after_release(&self, shared: bool) {
-        if self.wrwait.load(Ordering::Relaxed) > 0 {
+        if self.wrwait.load(Ordering::SeqCst) > 0 {
             self.wrseq.fetch_add(1, Ordering::Release);
             strategy::unpark(&self.wrseq, 1, shared);
         } else {

@@ -133,31 +133,23 @@ pub enum Tag {
     /// A poller shard applied its coalesced epoll_ctl batch (`a` = shard
     /// index, `b` = ops applied).
     IoBatchFlush = 49,
-    /// A queue-lock (ticket/MCS/hybrid) enter missed the uncontended grant
-    /// and joined the FIFO queue (`a` = lock word address, `b` = tickets
-    /// ahead for the ticket protocols, predecessor node tag for MCS).
-    MutexQueueWait = 50,
-    /// An MCS release handed the lock directly to its successor (`a` =
-    /// lock word address, `b` = 1 if the successor was parked and a futex
-    /// wake was issued, 0 if it was handed to a spinner).
-    MutexHandoff = 51,
     /// A timer tick forced the running thread off the CPU because a
     /// higher-priority thread was runnable (`a` = preempted thread id,
     /// `b` = the effective priority it was preempted at).
-    Preempt = 52,
+    Preempt = 50,
     /// A tick decayed the running thread's timeshare priority (`a` =
     /// thread id, `b` = the new effective priority).
-    PrioDecay = 53,
+    PrioDecay = 51,
     /// A blocked waiter inherited its priority to the mutex holder's LWP
     /// (`a` = lock address, `b` = the priority pushed to the owner).
-    PiBoost = 54,
+    PiBoost = 52,
     /// A mutex release stripped the inherited priority from the former
     /// owner's LWP (`a` = lock address, `b` = the boost removed).
-    PiStrip = 55,
+    PiStrip = 53,
 }
 
 /// Number of distinct tags (length of [`Tag::ALL`]).
-pub const NTAGS: usize = 56;
+pub const NTAGS: usize = 54;
 
 impl Tag {
     /// Every tag, indexed by discriminant.
@@ -212,8 +204,6 @@ impl Tag {
         Tag::SelectWake,
         Tag::IoShardSteal,
         Tag::IoBatchFlush,
-        Tag::MutexQueueWait,
-        Tag::MutexHandoff,
         Tag::Preempt,
         Tag::PrioDecay,
         Tag::PiBoost,
@@ -278,8 +268,6 @@ impl Tag {
             Tag::SelectWake => "select-wake",
             Tag::IoShardSteal => "io-shard-steal",
             Tag::IoBatchFlush => "io-batch-flush",
-            Tag::MutexQueueWait => "mutex-queue-wait",
-            Tag::MutexHandoff => "mutex-handoff",
             Tag::Preempt => "preempt",
             Tag::PrioDecay => "prio-decay",
             Tag::PiBoost => "pi-boost",

@@ -1,6 +1,9 @@
 //! FIG4 conformance: every function in the paper's Figure 4 exists under
 //! its original name and behaves as specified. This test is the index the
 //! DESIGN.md experiment table points at for Figure 4.
+//!
+//! `thread_wait(NULL)` is in `tests/any_wait.rs`: it reaps any waitable
+//! thread in the process, so it cannot share one with the tests here.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
@@ -252,20 +255,6 @@ fn rwlock_functions_by_paper_name() {
     rw_enter(&l, RwType::Writer);
     assert!(!rw_tryenter(&l, RwType::Reader));
     rw_exit(&l);
-}
-
-#[test]
-fn waitid_style_any_wait() {
-    // "P_THREAD_ALL: waitid() waits for any thread marked THREAD_WAIT."
-    let id = thread_create(CreateFlags::WAIT, || {}).expect("thread_create");
-    let got = thread_wait(None).expect("thread_wait(NULL)");
-    // Some WAIT thread was reaped (possibly ours, possibly a concurrent
-    // test's); the returned id must be valid-but-now-unusable.
-    assert!(
-        thread_wait(Some(got)).is_err(),
-        "reaped id must be unusable"
-    );
-    let _ = id;
 }
 
 #[test]

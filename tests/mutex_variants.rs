@@ -1,23 +1,30 @@
-//! Queue-lock conformance: every `SyncType` mutex variant round-trips
-//! `init`/`enter`/`exit`/`destroy` under real contention, on bound and
-//! unbound threads, and the `DEBUG` bit catches unlock-by-non-owner for
-//! the queued protocols exactly as it does for the three-state word.
+//! Mutex variant conformance: every combination of the paper's variant
+//! bits round-trips `init`/`enter`/`exit`/`destroy` under real contention,
+//! on bound and unbound threads, and the `DEBUG` bit catches unlock by a
+//! non-owner. (A broadcast morphing onto an `ADAPTIVE` mutex, whose
+//! condition-variable reacquire runs the same slow path as `mutex_enter`,
+//! is a case of `tests/wake_morph.rs`.)
 //!
-//! The cross-*process* leg (SYNC_SHARED ticket lock in a `MAP_SHARED`
-//! file) lives in `crates/shm`'s test suite next to the other
-//! cooperating-process tests.
+//! Cross-*process* exclusion of the `SHARED` variants is
+//! `tests/cross_process.rs::cross_process_mutex_excludes`.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use sunos_mt::sync::{api, Mutex, SyncType};
 use sunos_mt::threads::{self, CreateFlags, ThreadBuilder};
 
-const VARIANTS: &[(SyncType, &str)] = &[
-    (SyncType::TICKET, "ticket"),
-    (SyncType::MCS, "mcs"),
-    (SyncType::HYBRID, "hybrid"),
-];
+fn variants() -> [(SyncType, &'static str); 7] {
+    [
+        (SyncType::DEFAULT, "default"),
+        (SyncType::SPIN, "spin"),
+        (SyncType::ADAPTIVE, "adaptive"),
+        (SyncType::DEBUG, "debug"),
+        (SyncType::ADAPTIVE | SyncType::DEBUG, "adaptive|debug"),
+        (SyncType::SHARED, "shared"),
+        (SyncType::SPIN | SyncType::SHARED, "spin|shared"),
+    ]
+}
 
 /// Hammers one mutex from `workers` threads spawned with `flags`,
 /// checking mutual exclusion the classic way: a non-atomic read-modify-
@@ -58,105 +65,59 @@ fn hammer(kind: SyncType, flags: CreateFlags, workers: usize, iters: usize) {
 }
 
 #[test]
-fn queue_variants_exclude_on_bound_threads() {
-    for &(kind, name) in VARIANTS {
+fn every_variant_excludes_on_bound_threads() {
+    for (kind, name) in variants() {
         hammer(kind, CreateFlags::WAIT | CreateFlags::BIND_LWP, 4, 2_000);
-        // Same again with the DEBUG bookkeeping on: the owner word must
-        // follow every handoff or the exits start panicking.
-        hammer(
-            kind | SyncType::DEBUG,
-            CreateFlags::WAIT | CreateFlags::BIND_LWP,
-            4,
-            1_000,
-        );
         eprintln!("bound ok: {name}");
     }
 }
 
 #[test]
-fn queue_variants_exclude_on_unbound_threads() {
+fn every_variant_excludes_on_unbound_threads() {
     // More unbound threads than pool LWPs, so enters genuinely park the
-    // user thread and exits resume a different one mid-queue.
-    for &(kind, name) in VARIANTS {
+    // user thread and exits resume a different one.
+    for (kind, name) in variants() {
         hammer(kind, CreateFlags::WAIT, 8, 1_000);
         eprintln!("unbound ok: {name}");
     }
 }
 
 #[test]
-fn queue_variants_round_trip_destroy_and_reinit() {
-    // One storage slot cycling through every queue protocol: the word
-    // layouts are all different, so destroy+init must fully reset the
-    // lock (including the MCS holder-node stash) or the next protocol
+fn every_variant_round_trips_destroy_and_reinit() {
+    // One storage slot cycling through every variant: destroy+init must
+    // fully reset the lock (the holder word included) or the next variant
     // misreads leftover state.
     let m = Mutex::new(SyncType::DEFAULT);
-    for &(kind, _) in VARIANTS {
-        for &debug in &[SyncType::DEFAULT, SyncType::DEBUG] {
-            api::mutex_init(&m, kind | debug);
-            for _ in 0..3 {
-                api::mutex_enter(&m);
-                assert!(!api::mutex_tryenter(&m), "tryenter on a held lock");
-                api::mutex_exit(&m);
-                assert!(api::mutex_tryenter(&m), "tryenter on a free lock");
-                api::mutex_exit(&m);
-            }
-            api::mutex_destroy(&m);
+    for (kind, _) in variants() {
+        api::mutex_init(&m, kind);
+        for _ in 0..3 {
+            api::mutex_enter(&m);
+            assert!(!api::mutex_tryenter(&m), "tryenter on a held lock");
+            api::mutex_exit(&m);
+            assert!(api::mutex_tryenter(&m), "tryenter on a free lock");
+            api::mutex_exit(&m);
         }
+        api::mutex_destroy(&m);
     }
 }
 
 #[test]
-fn shared_ticket_round_trips_in_process() {
-    // SYNC_SHARED switches the park path to kernel futexes keyed for
-    // cross-process use; within one process it must still be a correct
-    // FIFO lock. (The two-process leg is crates/shm's test.)
-    hammer(
-        SyncType::TICKET | SyncType::SHARED,
-        CreateFlags::WAIT | CreateFlags::BIND_LWP,
-        4,
-        2_000,
-    );
-}
-
-/// Spawns a helper that acquires `m` and parks forever *holding it*,
-/// then returns once the acquisition is visible. The caller's
-/// subsequent `exit` is an unlock-by-non-owner.
-fn held_by_someone_else(m: &'static Mutex) {
-    let entered = Arc::new(AtomicUsize::new(0));
+#[should_panic(expected = "mutex_exit by a non-holder")]
+fn debug_catches_exit_by_non_owner() {
+    let m: &'static Mutex = Box::leak(Box::new(Mutex::new(SyncType::ADAPTIVE | SyncType::DEBUG)));
+    // A helper acquires `m` and parks forever *holding it*; the thread
+    // (and the lock) die with the process.
+    let entered = Arc::new(AtomicBool::new(false));
     let flag = Arc::clone(&entered);
     std::thread::spawn(move || {
         m.enter();
-        flag.store(1, Ordering::Release);
-        // Keep holding; the thread (and the lock) die with the process.
+        flag.store(true, Ordering::Release);
         loop {
             std::thread::park();
         }
     });
-    while entered.load(Ordering::Acquire) == 0 {
+    while !entered.load(Ordering::Acquire) {
         std::thread::yield_now();
     }
-}
-
-#[test]
-#[should_panic(expected = "mutex_exit by a non-holder")]
-fn debug_ticket_catches_exit_by_non_owner() {
-    let m: &'static Mutex = Box::leak(Box::new(Mutex::new(SyncType::TICKET | SyncType::DEBUG)));
-    held_by_someone_else(m);
-    m.exit();
-}
-
-#[test]
-#[should_panic(expected = "mutex_exit by a non-holder")]
-fn debug_mcs_catches_exit_by_non_owner() {
-    let m: &'static Mutex = Box::leak(Box::new(Mutex::new(SyncType::MCS | SyncType::DEBUG)));
-    held_by_someone_else(m);
-    m.exit();
-}
-
-#[test]
-#[should_panic(expected = "mutex_exit by a non-holder")]
-fn debug_hybrid_catches_exit_by_non_owner() {
-    let m: &'static Mutex = Box::leak(Box::new(Mutex::new(SyncType::HYBRID | SyncType::DEBUG)));
-    held_by_someone_else(m);
     m.exit();
 }

@@ -180,8 +180,14 @@ fn overflow_spill_keeps_the_total_exact() {
     assert_eq!(q.len(), 0);
 }
 
+/// The two tests that run threads on the real library take turns: the
+/// first asserts the process-wide runnable count, which the second's
+/// yield loop keeps above zero.
+static LIBRARY: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 #[test]
 fn scheduler_runnable_count_settles_to_zero_across_shards() {
+    let _serial = LIBRARY.lock().unwrap_or_else(|e| e.into_inner());
     // Through the real library: a burst of unbound creates exercises the
     // sharded dispatch path (the injection counter moves — creates come
     // from a context without a home shard or from other LWPs' shards),
@@ -216,6 +222,7 @@ fn scheduler_runnable_count_settles_to_zero_across_shards() {
 
 #[test]
 fn injected_work_is_not_starved_by_a_yield_loop() {
+    let _serial = LIBRARY.lock().unwrap_or_else(|e| e.into_inner());
     // Regression: a thread in a yield loop re-queues to its LWP's own
     // shard on every dispatch, so the shard never empties; creates from
     // this adopted (non-pool) context arrive via the injection queue and

@@ -9,6 +9,20 @@ use std::time::Duration;
 use sunos_mt::threads::signals::{self, sig, Disposition, MaskHow};
 use sunos_mt::threads::{self, CreateFlags, ThreadBuilder};
 
+/// Every test starts here. The thread registry and the process-pending
+/// set are process-global, and `send_interrupt` may pick *any* registered
+/// thread that leaves the signal unmasked — a sibling test's helper, or the
+/// stale entry of a harness thread whose test already finished. So the
+/// tests take turns, and each masks `SIGALRM` (the signal whose
+/// process-wide pending state is asserted below) in its own thread before
+/// creating any other; created threads inherit the mask.
+fn isolated() -> std::sync::MutexGuard<'static, ()> {
+    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    let guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    signals::thread_sigsetmask(MaskHow::Block, 1u64 << sig::SIGALRM);
+    guard
+}
+
 fn install_counter(signo: u32) -> Arc<AtomicUsize> {
     let hits = Arc::new(AtomicUsize::new(0));
     let h = Arc::clone(&hits);
@@ -24,6 +38,7 @@ fn install_counter(signo: u32) -> Arc<AtomicUsize> {
 
 #[test]
 fn thread_kill_reaches_only_the_target() {
+    let _serial = isolated();
     let hits = install_counter(sig::SIGIO);
     let target_ran = Arc::new(AtomicU32::new(0));
     let release = Arc::new(AtomicU32::new(0));
@@ -57,6 +72,7 @@ fn thread_kill_reaches_only_the_target() {
 
 #[test]
 fn interrupt_pends_on_process_while_all_threads_mask_it() {
+    let _serial = isolated();
     let hits = install_counter(sig::SIGALRM);
     let bit = 1u64 << sig::SIGALRM;
     // Mask in this thread; helper threads also mask, then one unmasks.
@@ -77,10 +93,14 @@ fn interrupt_pends_on_process_while_all_threads_mask_it() {
     let before = hits.load(Ordering::SeqCst);
     signals::send_interrupt(sig::SIGALRM).expect("send_interrupt");
     std::thread::sleep(Duration::from_millis(20));
-    // Nobody can take it yet (this thread and the helper mask it; other
-    // tests' threads are not guaranteed, so only assert the unmask path).
-    // "If all threads mask a signal, it will pend on the process until a
-    // thread unmasks that signal."
+    // Nobody can take it yet: every thread in the registry masks it (see
+    // `isolated`). "If all threads mask a signal, it will pend on the
+    // process until a thread unmasks that signal."
+    assert_eq!(
+        hits.load(Ordering::SeqCst),
+        before,
+        "a masked interrupt must not be delivered"
+    );
     signals::thread_sigsetmask(MaskHow::Unblock, bit);
     assert!(
         hits.load(Ordering::SeqCst) > before,
@@ -93,6 +113,7 @@ fn interrupt_pends_on_process_while_all_threads_mask_it() {
 
 #[test]
 fn sigsend_all_reaches_every_thread() {
+    let _serial = isolated();
     let hits = install_counter(sig::SIGVTALRM);
     const N: usize = 4;
     let running = Arc::new(AtomicUsize::new(0));
@@ -135,6 +156,7 @@ fn sigsend_all_reaches_every_thread() {
 
 #[test]
 fn traps_stay_with_the_causing_thread() {
+    let _serial = isolated();
     let hits = install_counter(sig::SIGFPE);
     let which = Arc::new(AtomicU32::new(0));
     let w = Arc::clone(&which);
@@ -155,6 +177,7 @@ fn traps_stay_with_the_causing_thread() {
 
 #[test]
 fn per_thread_masks_are_independent_and_inherited() {
+    let _serial = isolated();
     let bit = 1u64 << sig::SIGINT;
     let old = signals::thread_sigsetmask(MaskHow::Block, bit);
     let child_mask = Arc::new(AtomicU32::new(0));

@@ -11,6 +11,10 @@ use sunmt_bench::rng::SmallRng;
 use sunos_mt::sync::{Mutex, Sema, SyncType};
 use sunos_mt::threads::{self, CreateFlags, ThreadBuilder, ThreadId};
 
+/// `threads::wait(None)` reaps *any* waitable thread in the process, so the
+/// any-wait test would steal the other tests' workers: the tests take turns.
+static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 struct World {
     counter_lock: Mutex,
     counter: AtomicUsize,
@@ -47,6 +51,7 @@ fn worker(w: Arc<World>, seed: u64) -> impl FnOnce() + Send + 'static {
 
 #[test]
 fn randomized_thread_soup() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     const SEED: u64 = 0xC0FFEE;
     const WORKERS: usize = 48;
     let mut rng = SmallRng::seed_from_u64(SEED);
@@ -109,6 +114,7 @@ fn randomized_thread_soup() {
 
 #[test]
 fn randomized_soup_is_reproducible_in_outcome() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     // Two rounds of a smaller soup: totals must match across rounds (the
     // schedule may differ, the work must not).
     let run = || {
@@ -136,6 +142,7 @@ fn randomized_soup_is_reproducible_in_outcome() {
 
 #[test]
 fn interleaved_any_and_specific_waits() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let gate = Arc::new(AtomicU32::new(0));
     let mut specific = Vec::new();
     for i in 0..12 {

@@ -27,9 +27,9 @@ struct Monitor {
 }
 
 impl Monitor {
-    fn new() -> Monitor {
+    fn new(mutex_kind: SyncType) -> Monitor {
         Monitor {
-            m: Mutex::new(SyncType::DEFAULT),
+            m: Mutex::new(mutex_kind),
             cv: Condvar::new(SyncType::DEFAULT),
             go: AtomicBool::new(false),
             entered: AtomicUsize::new(0),
@@ -57,9 +57,18 @@ impl Monitor {
 #[test]
 fn broadcast_morphs_instead_of_thundering() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    // The adaptive mutex too: its condition-variable reacquire runs the
+    // same contended path as `mutex_enter` (spin, then sleep) and must
+    // still leave the word contended for the rest of the morphed chain.
+    for kind in [SyncType::DEFAULT, SyncType::ADAPTIVE] {
+        broadcast_morphs(kind);
+    }
+}
+
+fn broadcast_morphs(mutex_kind: SyncType) {
     trace::enable();
 
-    let mon = Arc::new(Monitor::new());
+    let mon = Arc::new(Monitor::new(mutex_kind));
     let mut ids = Vec::new();
     for _ in 0..WAITERS {
         let s = Arc::clone(&mon);
@@ -108,7 +117,7 @@ fn broadcast_morphs_instead_of_thundering() {
 fn deadline_during_morph_is_still_a_signal() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
 
-    let mon = Arc::new(Monitor::new());
+    let mon = Arc::new(Monitor::new(SyncType::DEFAULT));
     let s = Arc::clone(&mon);
     let id = ThreadBuilder::new()
         .flags(CreateFlags::WAIT)
