@@ -4,8 +4,8 @@
 //! Modes:
 //!   `--cell <conns> <lwps> <rounds>`  run ONE matrix cell in this
 //!       process and print its result line (spawned by the sweep; the
-//!       fresh process is what lets `SUNMT_IO_SHARDS` pin the shard
-//!       count per cell)
+//!       fresh process is what lets each cell's LWP count fix its shard
+//!       count)
 //!   `--smoke`                sweep 1k connections x {1,2,4} LWPs (CI)
 //!   `--connections a,b,..`   override the connection axis
 //!   `--lwps a,b,..`          override the LWP axis
@@ -82,7 +82,7 @@ fn main() {
     for c in &top {
         assert_eq!(
             c.shards, c.lwps,
-            "shape check failed: SUNMT_IO_SHARDS must pin one shard per LWP"
+            "shape check failed: the poller must derive one shard per pool LWP"
         );
         assert!(
             c.thpt_ops_s > 0.0 && c.p99_us > 0.0,

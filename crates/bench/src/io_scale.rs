@@ -6,19 +6,19 @@
 //! what the sharded poller buys: with one poller shard per pool LWP,
 //! echo throughput should scale with the LWP count at high connection
 //! counts instead of serializing behind a single poller, wake latency
-//! should stay bounded, and batched `epoll_ctl` submission should keep
-//! the kernel entries per operation flat.
+//! should stay bounded, and the `epoll_ctl` calls per operation should
+//! stay flat.
 //!
 //! Each matrix cell runs in a **fresh subprocess** (`--cell C L`): the
-//! poller's shard count is fixed at first use, so a cell must start its
-//! own process with `SUNMT_IO_SHARDS=L` to get exactly L shards. Inside
-//! a cell: C socketpair connections, one unbound echo thread per
-//! connection on an L-LWP pool, a rotating active window of clients
-//! driving bursts (the "mostly idle" window-server shape), and a
-//! single-op round-trip phase sampling wake latency. The cell raises
-//! `RLIMIT_NOFILE` itself (2 fds per connection) — the 100k sweep also
-//! needs `vm.max_map_count` raised for the per-thread stacks, which the
-//! nightly CI job does.
+//! poller's shard count is the pool size at its first use, so a cell
+//! must start its own process and `set_concurrency(L)` before any I/O
+//! to get exactly L shards. Inside a cell: C socketpair connections, one
+//! unbound echo thread per connection on an L-LWP pool, a rotating
+//! active window of clients driving bursts (the "mostly idle"
+//! window-server shape), and a single-op round-trip phase sampling wake
+//! latency. The cell raises `RLIMIT_NOFILE` itself (2 fds per
+//! connection) — the 100k sweep also needs `vm.max_map_count` raised for
+//! the per-thread stacks, which the nightly CI job does.
 
 use sunmt::{CreateFlags, ThreadBuilder};
 use sunmt_sys::time::monotonic_now;
@@ -53,17 +53,12 @@ pub struct CellResult {
     pub lwps: usize,
     /// Poller shards actually created (sanity: must equal `lwps`).
     pub shards: usize,
-    /// Backend the poller selected (`epoll` or `uring`).
-    pub backend: String,
     /// Echo operations per second over the burst phase.
     pub thpt_ops_s: f64,
     /// p99 single-op round-trip (wake) latency, microseconds.
     pub p99_us: f64,
-    /// Kernel entries spent on `epoll_ctl` traffic per echo operation
-    /// (batched submission drives this below the 2-per-op naive cost).
+    /// `epoll_ctl` calls per echo operation.
     pub ctl_syscalls_per_op: f64,
-    /// Ctl batches flushed by an idle sibling shard.
-    pub steals: u64,
     /// Ctl batches applied in total.
     pub batch_flushes: u64,
 }
@@ -177,11 +172,9 @@ pub fn run_cell(conns: usize, lwps: usize, rounds: usize) -> CellResult {
         conns,
         lwps,
         shards: io.shards,
-        backend: sunmt_io::backend_name().to_string(),
         thpt_ops_s: ops as f64 / elapsed.as_secs_f64().max(1e-9),
         p99_us,
         ctl_syscalls_per_op: (io1.ctl_syscalls - io0.ctl_syscalls) as f64 / ops.max(1) as f64,
-        steals: io.steals,
         batch_flushes: io.batch_flushes,
     }
 }
@@ -199,17 +192,9 @@ fn read_exact(fd: i32, want: usize) {
 /// Renders a cell result as the one-line wire format the parent parses.
 pub fn render_cell(c: &CellResult) -> String {
     format!(
-        "abl_io_scale_cell conns={} lwps={} shards={} backend={} thpt={:.1} p99_us={:.1} \
-         ctl_per_op={:.4} steals={} flushes={}",
-        c.conns,
-        c.lwps,
-        c.shards,
-        c.backend,
-        c.thpt_ops_s,
-        c.p99_us,
-        c.ctl_syscalls_per_op,
-        c.steals,
-        c.batch_flushes
+        "abl_io_scale_cell conns={} lwps={} shards={} thpt={:.1} p99_us={:.1} \
+         ctl_per_op={:.4} flushes={}",
+        c.conns, c.lwps, c.shards, c.thpt_ops_s, c.p99_us, c.ctl_syscalls_per_op, c.batch_flushes
     )
 }
 
@@ -228,19 +213,15 @@ pub fn parse_cell(stdout: &str) -> Option<CellResult> {
         conns: kv.get("conns")?.parse().ok()?,
         lwps: kv.get("lwps")?.parse().ok()?,
         shards: kv.get("shards")?.parse().ok()?,
-        backend: (*kv.get("backend")?).to_string(),
         thpt_ops_s: kv.get("thpt")?.parse().ok()?,
         p99_us: kv.get("p99_us")?.parse().ok()?,
         ctl_syscalls_per_op: kv.get("ctl_per_op")?.parse().ok()?,
-        steals: kv.get("steals")?.parse().ok()?,
         batch_flushes: kv.get("flushes")?.parse().ok()?,
     })
 }
 
 /// Spawns one `--cell` subprocess per matrix cell and collects results.
-/// `exe` is this binary (`/proc/self/exe`); each child gets
-/// `SUNMT_IO_SHARDS` pinned to its LWP count and inherits
-/// `SUNMT_IO_BACKEND`, so one sweep tests whatever backend CI selected.
+/// `exe` is this binary (`/proc/self/exe`).
 pub fn run_matrix(
     exe: &std::path::Path,
     conns_list: &[usize],
@@ -257,7 +238,6 @@ pub fn run_matrix(
                     &l.to_string(),
                     &rounds.to_string(),
                 ])
-                .env("SUNMT_IO_SHARDS", l.to_string())
                 .output()
                 .expect("spawn cell subprocess");
             let stdout = String::from_utf8_lossy(&r.stdout);
@@ -303,9 +283,7 @@ pub fn paper_table(cells: &[CellResult]) -> PaperTable {
         .fold(0.0, f64::max);
 
     let mut t = PaperTable::new(format!(
-        "ABL-IO-SCALE: echo matrix to {max_conns} connections, sharded poller, \
-         backend={} (us/op)",
-        best.backend
+        "ABL-IO-SCALE: echo matrix to {max_conns} connections, sharded poller (us/op)"
     ));
     for c in cells {
         t.row(
@@ -313,20 +291,16 @@ pub fn paper_table(cells: &[CellResult]) -> PaperTable {
             1e6 / c.thpt_ops_s.max(1e-9),
         );
     }
-    t.note(format!(
-        "scale_conns={max_conns} scale_lwps={} backend={}",
-        best.lwps, best.backend
-    ))
-    .note(format!(
-        "scale_thpt_per_lwp={thpt_per_lwp:.1} scale_speedup={speedup:.2}"
-    ))
-    .note(format!("scale_p99_wake_us={p99:.1}"))
-    .note(format!("scale_syscalls_per_op={ctl_per_op:.4}"))
-    .note(format!(
-        "scale_steals={} scale_batch_flushes={}",
-        cells.iter().map(|c| c.steals).sum::<u64>(),
-        cells.iter().map(|c| c.batch_flushes).sum::<u64>()
-    ));
+    t.note(format!("scale_conns={max_conns} scale_lwps={}", best.lwps))
+        .note(format!(
+            "scale_thpt_per_lwp={thpt_per_lwp:.1} scale_speedup={speedup:.2}"
+        ))
+        .note(format!("scale_p99_wake_us={p99:.1}"))
+        .note(format!("scale_syscalls_per_op={ctl_per_op:.4}"))
+        .note(format!(
+            "scale_batch_flushes={}",
+            cells.iter().map(|c| c.batch_flushes).sum::<u64>()
+        ));
     t
 }
 
@@ -340,17 +314,14 @@ mod tests {
             conns: 1000,
             lwps: 4,
             shards: 4,
-            backend: "uring".into(),
             thpt_ops_s: 12345.6,
             p99_us: 789.2,
             ctl_syscalls_per_op: 0.25,
-            steals: 3,
             batch_flushes: 42,
         };
         let parsed = parse_cell(&format!("noise\n{}\nmore", render_cell(&c))).unwrap();
         assert_eq!(parsed.conns, 1000);
         assert_eq!(parsed.lwps, 4);
-        assert_eq!(parsed.backend, "uring");
         assert!((parsed.ctl_syscalls_per_op - 0.25).abs() < 1e-9);
         assert_eq!(parsed.batch_flushes, 42);
     }
@@ -361,11 +332,9 @@ mod tests {
             conns,
             lwps,
             shards: lwps,
-            backend: "epoll".into(),
             thpt_ops_s: thpt,
             p99_us: p99,
             ctl_syscalls_per_op: 0.5,
-            steals: 0,
             batch_flushes: 1,
         };
         let cells = vec![

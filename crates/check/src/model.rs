@@ -314,13 +314,6 @@ pub enum SyncOp {
         /// The shard whose own batch this flusher drains.
         shard: usize,
     },
-    /// An idle sibling shard stealing one pending ctl op from a loaded
-    /// victim's batch — the same service machine as [`SyncOp::IoFlush`]
-    /// plus the steal accounting.
-    IoSteal {
-        /// The victim shard.
-        victim: usize,
-    },
     /// The driver: raise readiness on an fd (one step) and let the poller
     /// deliver it if armed (the next) — the kernel's epoll_wait report.
     IoEvent {
@@ -515,7 +508,7 @@ struct ChanSt {
 /// the thread that registered for it parks forever.
 struct IoSt {
     /// Per-shard pending ctl ops (fd indices), flushed by the shard's
-    /// own poller LWP or stolen by an idle sibling.
+    /// own poller LWP.
     batches: Vec<VecDeque<usize>>,
     /// fd -> the kernel is watching it (the arm op was applied).
     armed: Vec<bool>,
@@ -527,11 +520,9 @@ struct IoSt {
     /// The fd table: registered I/O waiters as `(thread, fd,
     /// resume_micro)`.
     waiters: VecDeque<(usize, usize, u32)>,
-    /// Parked flushers/stealers waiting for batch work: `(thread, shard
-    /// watched, resume_micro)`.
+    /// Parked flushers waiting for batch work: `(thread, shard watched,
+    /// resume_micro)`.
     svc_waiters: VecDeque<(usize, usize, u32)>,
-    /// Cross-shard batch steals performed.
-    steals: u64,
 }
 
 struct ThreadSt {
@@ -564,8 +555,8 @@ pub enum BlockedOn {
     Chan(usize),
     /// Parked in the poller's fd table waiting for readiness on this fd.
     Io(usize),
-    /// An idle poller flusher/stealer parked waiting for ctl work on
-    /// this shard's batch.
+    /// An idle poller flusher parked waiting for ctl work on this
+    /// shard's batch.
     IoSvc(usize),
     /// Switched out by a timer preemption, waiting to outrank the
     /// runnable field again.
@@ -671,7 +662,6 @@ impl World {
                 dropped: vec![false; model.io_fds],
                 waiters: VecDeque::new(),
                 svc_waiters: VecDeque::new(),
-                steals: 0,
             },
             threads: model
                 .threads
@@ -1243,8 +1233,7 @@ impl World {
             SyncOp::ChanSelectRacy { a, b } => self.chan_select_machine(t, a, b, true, wakes),
             SyncOp::IoWait { shard, fd } => self.io_wait_machine(t, shard, fd, false, wakes),
             SyncOp::IoWaitRacy { shard, fd } => self.io_wait_machine(t, shard, fd, true, wakes),
-            SyncOp::IoFlush { shard } => self.io_service_machine(t, shard, false, wakes),
-            SyncOp::IoSteal { victim } => self.io_service_machine(t, victim, true, wakes),
+            SyncOp::IoFlush { shard } => self.io_service_machine(t, shard, wakes),
             SyncOp::IoEvent { fd } => self.io_event_machine(t, fd, wakes),
         }
     }
@@ -2071,15 +2060,14 @@ impl World {
     // `sunmt-io`'s poller: a waiter inserts itself into the fd table and
     // appends the arm op to the shard's ctl batch under one lock (a
     // single atomic micro-step here), kicks the shard's eventfd, and
-    // parks on its wait word; the shard LWP (or an idle sibling stealing
-    // the batch) pops ctl ops, arms the fd, and delivers readiness to
-    // every registered waiter. A delivery that finds no registered
-    // waiter consumes the readiness with nobody to give it to — the
-    // lost wakeup the single-lock registration prevents and the oracle
-    // convicts.
+    // parks on its wait word; the shard's own LWP pops ctl ops, arms the
+    // fd, and delivers readiness to every registered waiter. A delivery
+    // that finds no registered waiter consumes the readiness with nobody
+    // to give it to — the lost wakeup the single-lock registration
+    // prevents and the oracle convicts.
 
-    /// Kicks shard `shard`'s parked flushers/stealers (the eventfd
-    /// write a batch's empty→non-empty edge performs).
+    /// Kicks shard `shard`'s parked flusher (the eventfd write a batch's
+    /// empty→non-empty edge performs).
     fn io_kick(&mut self, shard: usize, wakes: &mut Vec<usize>) {
         let mut kicked = Vec::new();
         self.io.svc_waiters.retain(|&(w, s, resume)| {
@@ -2172,30 +2160,19 @@ impl World {
         }
     }
 
-    /// One poller-shard service step (`IoFlush` on the own batch,
-    /// `IoSteal` on a victim's): micro 0 atomically pops one pending ctl
-    /// op and arms the fd — or, when the batch is empty, registers as a
-    /// shard waiter and parks (pop-or-park under "the batch lock";
-    /// the enqueue side's atomic append+kick closes the gap). Micro 1
-    /// delivers any readiness the arm uncovered — the level-triggered
-    /// re-report of an fd that was ready before it was armed.
-    fn io_service_machine(
-        &mut self,
-        t: usize,
-        shard: usize,
-        steal: bool,
-        wakes: &mut Vec<usize>,
-    ) -> NextStep {
+    /// One poller-shard service step (`IoFlush` on the shard's own
+    /// batch): micro 0 atomically pops one pending ctl op and arms the
+    /// fd — or, when the batch is empty, registers as a shard waiter and
+    /// parks (pop-or-park under "the batch lock"; the enqueue side's
+    /// atomic append+kick closes the gap). Micro 1 delivers any readiness
+    /// the arm uncovered — the level-triggered re-report of an fd that
+    /// was ready before it was armed.
+    fn io_service_machine(&mut self, t: usize, shard: usize, wakes: &mut Vec<usize>) -> NextStep {
         if self.threads[t].micro == 0 {
             match self.io.batches[shard].pop_front() {
                 Some(fd) => {
                     self.io.armed[fd] = true;
-                    if steal {
-                        self.io.steals += 1;
-                        self.push_event(t, Tag::IoShardSteal, shard as u64, 1);
-                    } else {
-                        self.push_event(t, Tag::IoBatchFlush, shard as u64, 1);
-                    }
+                    self.push_event(t, Tag::IoBatchFlush, shard as u64, 1);
                     self.threads[t].scratch = fd as u64;
                     self.threads[t].micro = 1;
                     NextStep::Yield

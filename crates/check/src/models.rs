@@ -513,13 +513,13 @@ pub fn catalogue() -> Vec<Model> {
             variants: vec![Variant::Default],
             ..base(
                 "io_shard",
-                "two waiters register on separate poller shards; an owner flush and a \
-                 sibling steal arm them, kernel events deliver both wakeups",
+                "two waiters register on separate poller shards; each shard's own \
+                 flusher arms its fd, kernel events deliver both wakeups",
                 vec![
                     vec![IoWait { shard: 0, fd: 0 }],
                     vec![IoWait { shard: 1, fd: 1 }],
                     vec![IoFlush { shard: 0 }],
-                    vec![IoSteal { victim: 1 }],
+                    vec![IoFlush { shard: 1 }],
                     vec![IoEvent { fd: 0 }, IoEvent { fd: 1 }],
                 ],
             )
@@ -875,8 +875,8 @@ mod tests {
                                 m.name
                             )
                         }
-                        SyncOp::IoFlush { shard: i } | SyncOp::IoSteal { victim: i } => {
-                            assert!(i < m.io_shards, "{}: io shard {i}", m.name)
+                        SyncOp::IoFlush { shard } => {
+                            assert!(shard < m.io_shards, "{}: io shard {shard}", m.name)
                         }
                         SyncOp::IoEvent { fd } => {
                             assert!(fd < m.io_fds, "{}: io fd {fd}", m.name)

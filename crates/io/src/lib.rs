@@ -8,11 +8,12 @@
 //!
 //! * An **unbound thread** calling [`read`] on a nonblocking fd that would
 //!   block registers interest with its pool LWP's *poller shard*
-//!   (`crates/io/src/poller.rs` — one epoll set per pool LWP, batched
-//!   `epoll_ctl` at park boundaries, idle shards stealing loaded
-//!   siblings' batches) and parks on the user-level sleep queue — its LWP
-//!   immediately runs other threads, and no `SIGWAITING` pool growth is
-//!   needed.
+//!   (`crates/io/src/poller.rs` — one epoll set per pool LWP, its
+//!   `epoll_ctl` traffic batched and applied by that shard's own poller
+//!   LWP at its park boundary) and parks on the user-level sleep queue —
+//!   its LWP immediately runs other threads, and no `SIGWAITING` pool
+//!   growth is needed. The shard count is the pool size when the poller
+//!   first runs (the `set_concurrency` level).
 //! * A **bound thread**, an adopted host thread, or a caller that has never
 //!   touched the threads library falls through to a plain blocking wait
 //!   (`poll(2)` + retry), blocking only its own LWP — "much like locking
@@ -238,11 +239,12 @@ pub struct IoStats {
     pub batch_flushes: u64,
     /// Control operations carried by those batches.
     pub batched_ops: u64,
-    /// Kernel entries spent applying them (`epoll_ctl` calls, or
-    /// `io_uring_enter` calls on the batched backend — the number the
-    /// scaling bench divides by ops to report syscalls per op).
+    /// `epoll_ctl` calls spent applying them, fallback retries included
+    /// (the number the scaling bench divides by ops to report syscalls
+    /// per op).
     pub ctl_syscalls: u64,
-    /// Batches flushed by an idle sibling instead of the owning shard.
+    /// Always 0: every batch is flushed by its own shard. Kept so
+    /// existing readers of the field still build.
     pub steals: u64,
     /// Threads currently waiting on I/O readiness.
     pub pending_waiters: usize,
@@ -265,20 +267,17 @@ pub fn stats() -> IoStats {
                 batch_flushes: t.batch_flushes,
                 batched_ops: t.batched_ops,
                 ctl_syscalls: t.ctl_syscalls,
-                steals: t.steals,
+                steals: 0,
                 pending_waiters: t.pending_waiters,
             }
         }
     }
 }
 
-/// The control-plane backend the poller selected: `"epoll"` (one
-/// `epoll_ctl` per operation) or `"uring"` (one `io_uring_enter` per
-/// batch). Starts the poller on first call. Selection honours
-/// `SUNMT_IO_BACKEND=epoll|uring`; the default probes io_uring and falls
-/// back to epoll where it is masked.
+/// The poller's control-plane backend: always `"epoll"` (one `epoll_ctl`
+/// per operation). A constant; it does not start the poller.
 pub fn backend_name() -> &'static str {
-    poller::global().backend_name()
+    "epoll"
 }
 
 #[cfg(test)]

@@ -8,10 +8,11 @@
 //! stream, and one LWP's attention. This version shards the poller the
 //! same way `ShardedRunQueue` shards the dispatcher:
 //!
-//! * **One shard per pool LWP** (capped, `SUNMT_IO_SHARDS` overrides): a
-//!   shard owns an epoll set, a wakeup eventfd, a descriptor table, and a
-//!   pending batch of `epoll_ctl` operations. An unbound thread arms its
-//!   fd on the shard of the LWP it is running on
+//! * **One shard per pool LWP** (capped at [`MAX_SHARDS`]; the count is
+//!   the pool size when the poller first runs, i.e. the `set_concurrency`
+//!   level): a shard owns an epoll set, a wakeup eventfd, a descriptor
+//!   table, and a pending batch of `epoll_ctl` operations. An unbound
+//!   thread arms its fd on the shard of the LWP it is running on
 //!   ([`sunmt::current_shard`]), so register/ready/unpark traffic stays
 //!   LWP-local exactly like owner-side run-queue push/pop; callers off the
 //!   pool fall back to round-robin, the run queue's injection discipline.
@@ -19,21 +20,16 @@
 //!   appends the operation to the shard's pending batch (under the fd
 //!   table lock, so two racing waiters' ADD/MOD ops cannot reorder against
 //!   the table's armed-mask bookkeeping) and kicks the shard's eventfd
-//!   only on the empty→non-empty transition. The shard's poller LWP
-//!   flushes the whole batch at its park boundary — after processing
-//!   events, before re-entering `epoll_wait` — so a burst of N arms costs
-//!   one flush, not N system calls. With the io_uring backend the flush
-//!   itself is **one** kernel entry (`IORING_OP_EPOLL_CTL`); with the
-//!   epoll backend it is a tight `epoll_ctl` loop. Level-triggered
-//!   registration makes the deferral safe: readiness that exists at flush
-//!   time is reported by the very next `epoll_wait`.
-//! * **Steal/inject discipline**: an idle shard poller that finds its own
-//!   batch empty scans its siblings and flushes a loaded victim's batch
-//!   against the *victim's* epoll set ([`Tag::IoShardSteal`]). `epoll_ctl`
-//!   is legal from any LWP, and the victim's backend mutex serializes
-//!   batch take + apply, so stolen flushes keep the per-shard FIFO order
+//!   only on the empty→non-empty transition. The shard's poller LWP — the
+//!   batch's only flusher — applies the whole batch with a plain
+//!   `epoll_ctl` loop at its park boundary, after processing events and
+//!   before re-entering `epoll_wait`. That keeps the control system calls
+//!   off the pool LWP the waiter was running on. The flush swaps the batch
+//!   out under its lock, so operations reach the kernel in enqueue order
 //!   (a close-enqueued `DEL` can never leapfrog the `ADD` of a reused fd
-//!   number).
+//!   number). Level-triggered registration makes the deferral safe:
+//!   readiness that exists at flush time is reported by the very next
+//!   `epoll_wait`.
 //!
 //! Deferred arming moves failure reporting off the caller: a bad
 //! descriptor is discovered at flush time, so each waiter carries an error
@@ -43,21 +39,21 @@
 //! errors out every parked waiter on the fd *before* `close(2)` runs.
 //!
 //! Lock order: a shard's fd table lock is taken before its batch lock
-//! (waiter enqueue path); a flusher takes the shard's backend lock, then
-//! the batch lock (swap only), then — for error delivery — the fd table
-//! lock. The table and batch locks are leaves with respect to park,
-//! unpark, and `epoll_wait`; no lock is held across any of those.
+//! (waiter enqueue path). The flusher takes the batch lock only to swap
+//! the batch out and the fd table lock only to deliver an arm failure,
+//! never both at once. No lock is held across park, unpark, `epoll_ctl`
+//! or `epoll_wait`.
 
 use core::sync::atomic::{AtomicI32, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use core::time::Duration;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, Once, OnceLock};
 
+use sunmt::runq::unpoisoned;
 use sunmt_lwp::{registry, Lwp};
 use sunmt_sync::strategy;
 use sunmt_sys::fd::{self, EpollEvent};
 use sunmt_sys::time::monotonic_now;
-use sunmt_sys::uring::{EpollCtl, Uring};
 use sunmt_sys::Errno;
 use sunmt_trace::{probe, Tag};
 
@@ -130,12 +126,14 @@ impl FdEntry {
     }
 }
 
-/// How a shard applies its coalesced `epoll_ctl` batch.
-enum Backend {
-    /// One `epoll_ctl(2)` per operation (always available).
-    Epoll,
-    /// One `io_uring_enter(2)` per batch (`IORING_OP_EPOLL_CTL`).
-    Uring(Uring),
+/// One queued `epoll_ctl` operation of a shard's batch.
+#[derive(Clone, Copy)]
+struct CtlOp {
+    /// `EPOLL_CTL_ADD` / `EPOLL_CTL_MOD` / `EPOLL_CTL_DEL`.
+    op: i32,
+    fd: i32,
+    /// Requested event mask (ignored for `EPOLL_CTL_DEL`).
+    events: u32,
 }
 
 /// Per-shard monotonic counters, exported through the `"io"` stat source.
@@ -150,7 +148,6 @@ struct ShardCounters {
     batch_flushes: AtomicU64,
     batched_ops: AtomicU64,
     ctl_syscalls: AtomicU64,
-    steals: AtomicU64,
     pending: AtomicUsize,
 }
 
@@ -165,16 +162,13 @@ struct Shard {
     evfd: i32,
     fds: Mutex<HashMap<i32, FdEntry>>,
     /// Coalesced `epoll_ctl` operations awaiting a flush. Appended under
-    /// the `fds` lock; drained by [`Shard::flush`].
-    batch: Mutex<Vec<EpollCtl>>,
-    /// Serializes batch take + apply so owner flushes and stolen flushes
-    /// hit the kernel in enqueue order (FIFO across flushers).
-    backend: Mutex<Backend>,
+    /// the `fds` lock; drained only by this shard's LWP ([`Shard::flush`]).
+    batch: Mutex<Vec<CtlOp>>,
     n: ShardCounters,
 }
 
 impl Shard {
-    fn new(index: usize, backend: Backend) -> Shard {
+    fn new(index: usize) -> Shard {
         let epfd = fd::epoll_create1(fd::EPOLL_CLOEXEC).expect("epoll_create1 failed");
         let evfd = fd::eventfd2(0, fd::EFD_NONBLOCK | fd::EFD_CLOEXEC).expect("eventfd2 failed");
         let ev = EpollEvent {
@@ -189,7 +183,6 @@ impl Shard {
             evfd,
             fds: Mutex::new(HashMap::new()),
             batch: Mutex::new(Vec::new()),
-            backend: Mutex::new(backend),
             n: ShardCounters::default(),
         }
     }
@@ -198,9 +191,9 @@ impl Shard {
     /// shard LWP on the empty→non-empty transition. Call with the fd
     /// table locked — that is what keeps two racing waiters' operations
     /// in the same order as their `armed`-mask updates.
-    fn enqueue_ctl_locked(&self, op: EpollCtl) {
+    fn enqueue_ctl_locked(&self, op: CtlOp) {
         let was_empty = {
-            let mut batch = self.batch.lock().expect("ctl batch poisoned");
+            let mut batch = unpoisoned(&self.batch);
             let was_empty = batch.is_empty();
             batch.push(op);
             was_empty
@@ -224,7 +217,7 @@ impl Shard {
         } else {
             fd::EPOLL_CTL_MOD
         };
-        self.enqueue_ctl_locked(EpollCtl {
+        self.enqueue_ctl_locked(CtlOp {
             op,
             fd: io_fd,
             events: want,
@@ -246,123 +239,70 @@ impl Shard {
         }
     }
 
-    /// Takes and applies the pending batch; returns how many operations
-    /// were applied. `thief` distinguishes a sibling's steal-flush from
-    /// the owner's park-boundary flush (for the trace stream and the
-    /// steal gauge).
-    fn flush(&self, thief: Option<usize>) -> usize {
-        let mut backend = self.backend.lock().expect("backend poisoned");
-        let ops = std::mem::take(&mut *self.batch.lock().expect("ctl batch poisoned"));
+    /// Takes and applies the pending batch. Called only from this shard's
+    /// own LWP.
+    fn flush(&self) {
+        let ops = std::mem::take(&mut *unpoisoned(&self.batch));
         if ops.is_empty() {
-            return 0;
+            return;
         }
-        let results = self.apply(&mut backend, &ops);
-        drop(backend);
         self.n.batch_flushes.fetch_add(1, Ordering::Relaxed);
         self.n
             .batched_ops
             .fetch_add(ops.len() as u64, Ordering::Relaxed);
-        match thief {
-            None => probe!(Tag::IoBatchFlush, self.index as u64, ops.len() as u64),
-            Some(_) => {
-                self.n.steals.fetch_add(1, Ordering::Relaxed);
-                probe!(Tag::IoShardSteal, self.index as u64, ops.len() as u64);
-            }
-        }
-        // Deliver deferred arm failures: the waiters of a failed ADD/MOD
-        // would otherwise park forever on a descriptor the kernel refused
-        // to watch.
-        let mut errored: Vec<(Arc<Waiter>, i32)> = Vec::new();
-        for (op, res) in ops.iter().zip(&results) {
-            if *res == 0 || op.op == fd::EPOLL_CTL_DEL {
+        probe!(Tag::IoBatchFlush, self.index as u64, ops.len() as u64);
+        for op in &ops {
+            let Err(e) = self.apply(*op) else {
+                continue;
+            };
+            if op.op == fd::EPOLL_CTL_DEL {
                 continue;
             }
-            let mut fds = self.fds.lock().expect("fd table poisoned");
-            if let Some(mut entry) = fds.remove(&op.fd) {
-                for w in entry.take_waiters() {
-                    errored.push((w, *res));
-                }
+            // Deliver a deferred arm failure: the waiters of a failed
+            // ADD/MOD would otherwise park forever on a descriptor the
+            // kernel refused to watch.
+            let entry = unpoisoned(&self.fds).remove(&op.fd);
+            for w in entry.map(|mut e| e.take_waiters()).unwrap_or_default() {
+                self.wake(&w, op.fd, e.raw());
             }
         }
-        for (w, raw) in errored {
-            w.err.store(-raw, Ordering::SeqCst);
-            w.word.store(READY, Ordering::SeqCst);
-            self.n.unparks.fetch_add(1, Ordering::Relaxed);
-            strategy::unpark(&w.word, u32::MAX, false);
-        }
-        results.len()
     }
 
-    /// Applies `ops` against this shard's epoll set through its backend.
-    /// Returns one result per op: 0 or a negated errno, after the
+    /// Applies one operation against this shard's epoll set, with the
     /// EEXIST→MOD / ENOENT→ADD memo-loss fallbacks (a dup'd or recycled
     /// descriptor can make the kernel's view diverge from the table's).
-    fn apply(&self, backend: &mut Backend, ops: &[EpollCtl]) -> Vec<i32> {
-        let mut results = match backend {
-            Backend::Epoll => {
-                self.n
-                    .ctl_syscalls
-                    .fetch_add(ops.len() as u64, Ordering::Relaxed);
-                ops.iter().map(|op| self.apply_one(*op)).collect()
-            }
-            Backend::Uring(ring) => {
-                self.n.ctl_syscalls.fetch_add(
-                    ops.len().div_ceil(ring.capacity()) as u64,
-                    Ordering::Relaxed,
-                );
-                match ring.submit_epoll_ctl(self.epfd, ops) {
-                    Ok(results) => results,
-                    // A wholesale submission failure (can't happen short of
-                    // ring teardown): degrade to the direct path.
-                    Err(_) => ops.iter().map(|op| self.apply_one(*op)).collect(),
-                }
-            }
+    fn apply(&self, op: CtlOp) -> Result<(), Errno> {
+        let retry = match (op.op, self.epoll_ctl(op)) {
+            (_, Ok(())) => return Ok(()),
+            (fd::EPOLL_CTL_ADD, Err(Errno::EEXIST)) => fd::EPOLL_CTL_MOD,
+            (fd::EPOLL_CTL_MOD, Err(Errno::ENOENT)) => fd::EPOLL_CTL_ADD,
+            // The fd was closed (the kernel auto-removed it) or never
+            // armed; either way "not watched" is what DEL wanted.
+            (fd::EPOLL_CTL_DEL, Err(Errno::ENOENT | Errno::EBADF)) => return Ok(()),
+            (_, Err(e)) => return Err(e),
         };
-        for (op, res) in ops.iter().zip(results.iter_mut()) {
-            if *res == 0 {
-                continue;
-            }
-            let e = Errno::from_raw(-*res);
-            let retried = match (op.op, e) {
-                (fd::EPOLL_CTL_ADD, Errno::EEXIST) => Some(EpollCtl {
-                    op: fd::EPOLL_CTL_MOD,
-                    ..*op
-                }),
-                (fd::EPOLL_CTL_MOD, Errno::ENOENT) => Some(EpollCtl {
-                    op: fd::EPOLL_CTL_ADD,
-                    ..*op
-                }),
-                // The fd was closed (the kernel auto-removed it) or never
-                // armed; either way "not watched" is what DEL wanted.
-                (fd::EPOLL_CTL_DEL, Errno::ENOENT | Errno::EBADF) => {
-                    *res = 0;
-                    None
-                }
-                _ => None,
-            };
-            if let Some(r) = retried {
-                self.n.ctl_syscalls.fetch_add(1, Ordering::Relaxed);
-                *res = self.apply_one(r);
-            }
-        }
-        results
+        self.epoll_ctl(CtlOp { op: retry, ..op })
     }
 
-    /// One direct `epoll_ctl(2)`, result in CQE convention (0 / -errno).
-    fn apply_one(&self, op: EpollCtl) -> i32 {
+    /// One direct `epoll_ctl(2)`.
+    fn epoll_ctl(&self, op: CtlOp) -> Result<(), Errno> {
+        self.n.ctl_syscalls.fetch_add(1, Ordering::Relaxed);
         let ev = EpollEvent {
             events: op.events,
             data: op.fd as u64,
         };
-        let arg = if op.op == fd::EPOLL_CTL_DEL {
-            None
-        } else {
-            Some(&ev)
-        };
-        match fd::epoll_ctl(self.epfd, op.op, op.fd, arg) {
-            Ok(()) => 0,
-            Err(e) => -e.raw(),
-        }
+        let arg = (op.op != fd::EPOLL_CTL_DEL).then_some(&ev);
+        fd::epoll_ctl(self.epfd, op.op, op.fd, arg)
+    }
+
+    /// Hands a claimed waiter its verdict (`err` = 0 for readiness, else
+    /// a raw errno) and unparks it.
+    fn wake(&self, w: &Waiter, io_fd: i32, err: i32) {
+        w.err.store(err, Ordering::SeqCst);
+        w.word.store(READY, Ordering::SeqCst);
+        probe!(Tag::IoUnpark, io_fd as u64);
+        self.n.unparks.fetch_add(1, Ordering::Relaxed);
+        strategy::unpark(&w.word, u32::MAX, false);
     }
 }
 
@@ -371,74 +311,27 @@ impl Shard {
 pub(crate) struct Poller {
     shards: Box<[Shard]>,
     rr: AtomicUsize,
-    /// `"epoll"` or `"uring"`, for diagnostics.
-    backend_name: &'static str,
 }
 
 static POLLER: OnceLock<Poller> = OnceLock::new();
 static START: Once = Once::new();
 
-fn want_uring() -> Option<bool> {
-    match std::env::var("SUNMT_IO_BACKEND").as_deref() {
-        Ok("uring") => Some(true),
-        Ok("epoll") => Some(false),
-        _ => None, // auto: probe
-    }
-}
-
-fn shard_count() -> usize {
-    if let Ok(v) = std::env::var("SUNMT_IO_SHARDS") {
-        if let Ok(n) = v.parse::<usize>() {
-            return n.clamp(1, MAX_SHARDS);
-        }
-    }
-    sunmt::concurrency().clamp(1, MAX_SHARDS)
-}
-
-fn make_backend(force: Option<bool>) -> (Backend, &'static str) {
-    if force == Some(false) {
-        return (Backend::Epoll, "epoll");
-    }
-    match Uring::new(64) {
-        Ok(mut ring) => {
-            if ring.self_test() {
-                (Backend::Uring(ring), "uring")
-            } else {
-                (Backend::Epoll, "epoll")
-            }
-        }
-        // Forced uring on a kernel without it still has to work: CI runs
-        // the uring-forced job on runners that may mask io_uring.
-        Err(_) => (Backend::Epoll, "epoll"),
-    }
-}
-
 /// The poller singleton, spawning one shard LWP per pool LWP on first use.
 pub(crate) fn global() -> &'static Poller {
     let p = POLLER.get_or_init(|| {
-        let force = want_uring();
-        let nshards = shard_count();
-        let mut backend_name = "epoll";
-        let shards: Vec<Shard> = (0..nshards)
-            .map(|i| {
-                let (backend, name) = make_backend(force);
-                backend_name = name;
-                Shard::new(i, backend)
-            })
-            .collect();
+        let nshards = sunmt::concurrency().clamp(1, MAX_SHARDS);
         Poller {
-            shards: shards.into_boxed_slice(),
+            shards: (0..nshards).map(Shard::new).collect(),
             rr: AtomicUsize::new(0),
-            backend_name,
         }
     });
-    sunmt_stat::register_source("io", io_stat_source);
     // The LWPs are spawned outside get_or_init: their loops touch the
     // singleton, and re-entering a OnceLock initializer deadlocks.
     START.call_once(|| {
+        sunmt_stat::register_source("io", io_stat_source);
         for i in 0..p.shards.len() {
             let lwp = Lwp::spawn_named(format!("sunmt-io-shard-{i}"), move || {
-                shard_loop(global(), i)
+                shard_loop(&global().shards[i])
             })
             .expect("failed to spawn a poller shard LWP");
             drop(lwp); // Detached; it serves the whole process lifetime.
@@ -454,8 +347,7 @@ pub(crate) fn maybe_global() -> Option<&'static Poller> {
 
 /// The `"io"` gauge source `sunmt-stat` snapshots: process-wide totals
 /// plus per-shard rows, so the lockstat report shows whether arm/ready
-/// traffic actually spread across the shards. All zeros until the poller
-/// first runs (the source reads, never spawns).
+/// traffic actually spread across the shards.
 fn io_stat_source() -> Vec<(String, u64)> {
     let Some(p) = maybe_global() else {
         return Vec::new();
@@ -472,7 +364,6 @@ fn io_stat_source() -> Vec<(String, u64)> {
         ("batch_flushes".to_string(), t.batch_flushes),
         ("batched_ops".to_string(), t.batched_ops),
         ("ctl_syscalls".to_string(), t.ctl_syscalls),
-        ("steals".to_string(), t.steals),
         ("pending".to_string(), t.pending_waiters as u64),
     ];
     for s in p.shards.iter() {
@@ -488,10 +379,6 @@ fn io_stat_source() -> Vec<(String, u64)> {
         rows.push((
             format!("shard{i}_flushes"),
             s.n.batch_flushes.load(Ordering::Relaxed),
-        ));
-        rows.push((
-            format!("shard{i}_steals"),
-            s.n.steals.load(Ordering::Relaxed),
         ));
         rows.push((
             format!("shard{i}_pending"),
@@ -512,7 +399,6 @@ pub(crate) struct Totals {
     pub batch_flushes: u64,
     pub batched_ops: u64,
     pub ctl_syscalls: u64,
-    pub steals: u64,
     pub pending_waiters: usize,
 }
 
@@ -533,10 +419,6 @@ impl Poller {
         self.shards.len()
     }
 
-    pub(crate) fn backend_name(&self) -> &'static str {
-        self.backend_name
-    }
-
     pub(crate) fn totals(&self) -> Totals {
         let mut t = Totals {
             registrations: 0,
@@ -548,7 +430,6 @@ impl Poller {
             batch_flushes: 0,
             batched_ops: 0,
             ctl_syscalls: 0,
-            steals: 0,
             pending_waiters: 0,
         };
         for s in self.shards.iter() {
@@ -561,7 +442,6 @@ impl Poller {
             t.batch_flushes += s.n.batch_flushes.load(Ordering::Relaxed);
             t.batched_ops += s.n.batched_ops.load(Ordering::Relaxed);
             t.ctl_syscalls += s.n.ctl_syscalls.load(Ordering::Relaxed);
-            t.steals += s.n.steals.load(Ordering::Relaxed);
             t.pending_waiters += s.n.pending.load(Ordering::Relaxed);
         }
         t
@@ -582,7 +462,7 @@ impl Poller {
         let shard = self.pick();
         let w = Waiter::new();
         {
-            let mut fds = shard.fds.lock().expect("fd table poisoned");
+            let mut fds = unpoisoned(&shard.fds);
             let entry = fds.entry(io_fd).or_default();
             match dir {
                 Dir::Read => entry.read.push(Arc::clone(&w)),
@@ -627,7 +507,7 @@ impl Poller {
                 Some(d) => {
                     let now = monotonic_now();
                     if now >= d {
-                        let mut fds = shard.fds.lock().expect("fd table poisoned");
+                        let mut fds = unpoisoned(&shard.fds);
                         if let Some(entry) = fds.get_mut(&io_fd) {
                             let list = match dir {
                                 Dir::Read => &mut entry.read,
@@ -670,7 +550,7 @@ impl Poller {
     pub(crate) fn cancel_fd(&self, io_fd: i32) {
         for shard in self.shards.iter() {
             let woken = {
-                let mut fds = shard.fds.lock().expect("fd table poisoned");
+                let mut fds = unpoisoned(&shard.fds);
                 let Some(mut entry) = fds.remove(&io_fd) else {
                     continue;
                 };
@@ -679,7 +559,7 @@ impl Poller {
                     // the flusher ignores; enqueueing (FIFO) rather than
                     // calling keeps it ordered before any re-registration
                     // of a recycled fd number on this shard.
-                    shard.enqueue_ctl_locked(EpollCtl {
+                    shard.enqueue_ctl_locked(CtlOp {
                         op: fd::EPOLL_CTL_DEL,
                         fd: io_fd,
                         events: 0,
@@ -688,38 +568,21 @@ impl Poller {
                 entry.take_waiters()
             };
             for w in woken {
-                w.err.store(Errno::EBADF.raw(), Ordering::SeqCst);
-                w.word.store(READY, Ordering::SeqCst);
-                probe!(Tag::IoUnpark, io_fd as u64);
-                shard.n.unparks.fetch_add(1, Ordering::Relaxed);
-                strategy::unpark(&w.word, u32::MAX, false);
+                shard.wake(&w, io_fd, Errno::EBADF.raw());
             }
         }
     }
 }
 
 /// One shard's poller loop: flush the pending control batch at the park
-/// boundary, sleep in `epoll_wait`, wake/steal, repeat.
-fn shard_loop(p: &'static Poller, index: usize) {
-    let shard = &p.shards[index];
+/// boundary, sleep in `epoll_wait`, wake the ready fds' waiters, repeat.
+fn shard_loop(shard: &Shard) {
     let mut events = [EpollEvent { events: 0, data: 0 }; 64];
     loop {
         // Park boundary: apply this shard's coalesced epoll_ctl traffic
         // before sleeping (level-triggered ⇒ anything already ready is
         // reported by the epoll_wait below; nothing is lost to deferral).
-        if shard.flush(None) == 0 {
-            // Idle with no control work of our own: steal a loaded
-            // sibling's batch, the run queue's help-first discipline.
-            for victim in p.shards.iter() {
-                if victim.index == index {
-                    continue;
-                }
-                let loaded = victim.batch.lock().map(|b| !b.is_empty()).unwrap_or(false);
-                if loaded {
-                    victim.flush(Some(index));
-                }
-            }
-        }
+        shard.flush();
         shard.n.epoll_waits.fetch_add(1, Ordering::Relaxed);
         // A shard LWP's wait is the canonical "indefinite, external wait"
         // of the paper's SIGWAITING accounting.
@@ -745,7 +608,7 @@ fn shard_loop(p: &'static Poller, index: usize) {
             probe!(Tag::IoReady, io_fd as u64, mask as u64);
             shard.n.readies.fetch_add(1, Ordering::Relaxed);
             let woken = {
-                let mut fds = shard.fds.lock().expect("fd table poisoned");
+                let mut fds = unpoisoned(&shard.fds);
                 let Some(entry) = fds.get_mut(&io_fd) else {
                     // Every waiter timed out (or the fd was cancelled)
                     // between the kernel queueing this event and us
@@ -765,10 +628,7 @@ fn shard_loop(p: &'static Poller, index: usize) {
                 woken
             };
             for w in woken {
-                w.word.store(READY, Ordering::SeqCst);
-                probe!(Tag::IoUnpark, io_fd as u64);
-                shard.n.unparks.fetch_add(1, Ordering::Relaxed);
-                strategy::unpark(&w.word, u32::MAX, false);
+                shard.wake(&w, io_fd, 0);
             }
         }
     }

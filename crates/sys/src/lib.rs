@@ -23,6 +23,5 @@ pub mod resource;
 pub mod syscall;
 pub mod task;
 pub mod time;
-pub mod uring;
 
 pub use errno::Errno;

@@ -40,8 +40,6 @@ pub mod nr {
     pub const EPOLL_CREATE1: usize = 291;
     pub const PIPE2: usize = 293;
     pub const PRLIMIT64: usize = 302;
-    pub const IO_URING_SETUP: usize = 425;
-    pub const IO_URING_ENTER: usize = 426;
 }
 
 /// Converts a raw kernel return value into a `Result`.

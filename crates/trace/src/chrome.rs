@@ -74,7 +74,6 @@ fn render_class(tag: Tag) -> RenderClass {
         | Tag::ChanRecv
         | Tag::ChanPark
         | Tag::SelectWake
-        | Tag::IoShardSteal
         | Tag::IoBatchFlush
         | Tag::Preempt
         | Tag::PrioDecay

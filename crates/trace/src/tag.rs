@@ -127,29 +127,26 @@ pub enum Tag {
     /// A select wait was woken by one of its registered channels (`a` =
     /// channel address that fired, `b` = waiter's wait-word address).
     SelectWake = 47,
-    /// An idle poller shard flushed a loaded sibling's pending epoll_ctl
-    /// batch (`a` = victim shard index, `b` = ops applied).
-    IoShardSteal = 48,
     /// A poller shard applied its coalesced epoll_ctl batch (`a` = shard
     /// index, `b` = ops applied).
-    IoBatchFlush = 49,
+    IoBatchFlush = 48,
     /// A timer tick forced the running thread off the CPU because a
     /// higher-priority thread was runnable (`a` = preempted thread id,
     /// `b` = the effective priority it was preempted at).
-    Preempt = 50,
+    Preempt = 49,
     /// A tick decayed the running thread's timeshare priority (`a` =
     /// thread id, `b` = the new effective priority).
-    PrioDecay = 51,
+    PrioDecay = 50,
     /// A blocked waiter inherited its priority to the mutex holder's LWP
     /// (`a` = lock address, `b` = the priority pushed to the owner).
-    PiBoost = 52,
+    PiBoost = 51,
     /// A mutex release stripped the inherited priority from the former
     /// owner's LWP (`a` = lock address, `b` = the boost removed).
-    PiStrip = 53,
+    PiStrip = 52,
 }
 
 /// Number of distinct tags (length of [`Tag::ALL`]).
-pub const NTAGS: usize = 54;
+pub const NTAGS: usize = 53;
 
 impl Tag {
     /// Every tag, indexed by discriminant.
@@ -202,7 +199,6 @@ impl Tag {
         Tag::ChanRecv,
         Tag::ChanPark,
         Tag::SelectWake,
-        Tag::IoShardSteal,
         Tag::IoBatchFlush,
         Tag::Preempt,
         Tag::PrioDecay,
@@ -266,7 +262,6 @@ impl Tag {
             Tag::ChanRecv => "chan-recv",
             Tag::ChanPark => "chan-park",
             Tag::SelectWake => "select-wake",
-            Tag::IoShardSteal => "io-shard-steal",
             Tag::IoBatchFlush => "io-batch-flush",
             Tag::Preempt => "preempt",
             Tag::PrioDecay => "prio-decay",

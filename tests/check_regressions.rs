@@ -101,12 +101,12 @@ const CORPUS: &[(&str, &str)] = &[
         "v1/neg_io_lost_wakeup/default/1.1.0.0.0.0.0.1",
         "lost wakeup",
     ),
-    // Adversarial passing schedule through the sharded poller: shard 1's
-    // batch is stolen by the idle sibling, shard 0's flusher parks empty
-    // and is kicked awake by the registration, and one fd's readiness
-    // fires *before* its arm — the level-triggered re-report still
-    // delivers both wakeups.
-    ("v1/io_shard/default/1.1.1.1.1.1.1.1.1.1.1.1", ""),
+    // Adversarial passing schedule through the sharded poller: both
+    // shards' own flushers park on empty batches, each is kicked awake by
+    // the registration on its shard, and fd 0's readiness fires *before*
+    // its arm — the level-triggered re-report still delivers both
+    // wakeups.
+    ("v1/io_shard/default/3.2.3.0.1.1.0.1", ""),
     // The unbounded priority inversion: the tick preempts the low-priority
     // lock holder while the high-priority waiter is already parked on its
     // mutex, and the middle-priority hog stays runnable — without priority

@@ -8,13 +8,14 @@
 //!    closed fd from its epoll sets, so a missed sweep means a thread
 //!    asleep forever on an fd that can never fire.
 //!
-//! 2. **Timer liveness under batch stealing.** `cv_timedwait` deadlines
-//!    are serviced independently of the poller; churning registrations
-//!    across shards (arming, flushing, stealing ctl batches) must not
-//!    starve or stretch them.
+//! 2. **Timer liveness under cross-shard churn.** `cv_timedwait`
+//!    deadlines are serviced independently of the poller; churning
+//!    registrations on several shards at once (arming, flushing, waking)
+//!    must not starve or stretch them.
 //!
 //! Everything lives in ONE `#[test]`: the shard count is process-global
-//! (fixed at first poller use), and pool accounting is process-wide.
+//! (the pool size at first poller use), and pool accounting is
+//! process-wide.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -32,9 +33,9 @@ const TIMEOUT: Duration = Duration::from_millis(40);
 
 #[test]
 fn close_errors_parked_waiters_and_timedwait_survives_shard_churn() {
-    // Multiple shards before the poller's first use, so waiters spread
-    // across several epoll sets and close() has to find the right one.
-    std::env::set_var("SUNMT_IO_SHARDS", "4");
+    // Four pool LWPs before the poller's first use give it four shards,
+    // so waiters spread across several epoll sets and close() has to find
+    // the right one.
     threads::init();
     threads::set_concurrency(4).expect("pin the pool at 4 LWPs");
 
@@ -75,10 +76,10 @@ fn close_errors_parked_waiters_and_timedwait_survives_shard_churn() {
         threads::yield_now();
         std::thread::sleep(Duration::from_millis(1));
     }
-    assert!(
-        sunmt_io::stats().shards >= 2,
-        "test needs a sharded poller, got {} shard(s)",
-        sunmt_io::stats().shards
+    assert_eq!(
+        sunmt_io::stats().shards,
+        4,
+        "the shard count must follow the pool's LWP count"
     );
 
     for &(r, w) in &pipes {
@@ -93,9 +94,9 @@ fn close_errors_parked_waiters_and_timedwait_survives_shard_churn() {
     // --- Phase 2: cv_timedwait deadlines under cross-shard churn. ------
     // Blocking echo ping-pong between thread pairs: each side parks in
     // `read` until its peer responds, so every round trip is two poller
-    // registrations (arming, flushing, and — when one LWP lags —
-    // stealing siblings' ctl batches), and the parked threads keep the
-    // pool LWPs free for the timed waiter.
+    // registrations on whichever shards the pair's LWPs own (arming,
+    // flushing, waking), and the parked threads keep the pool LWPs free
+    // for the timed waiter.
     let stop = Arc::new(AtomicBool::new(false));
     let mut churners = Vec::new();
     for i in 0..CHURN_PAIRS {
