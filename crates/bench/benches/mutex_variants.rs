@@ -43,6 +43,22 @@ fn main() {
             rw.exit();
         })
     });
+    // A lock's life when it is read once: a private lock allocates its
+    // reader slots under the writer bit on the first read and frees them on
+    // drop; a SHARED lock counts in its state word and allocates nothing.
+    for (name, kind) in [
+        ("rw_new_first_read_drop", SyncType::DEFAULT),
+        ("rw_new_first_read_drop_shared", SyncType::SHARED),
+    ] {
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                let l = RwLock::new(kind);
+                l.enter(RwType::Reader);
+                l.exit();
+                l
+            })
+        });
+    }
 
     let cv = Condvar::new(SyncType::DEFAULT);
     g.bench_function("cv_signal_no_waiter", |b| b.iter(|| cv.signal()));

@@ -180,6 +180,39 @@ pub enum SyncOp {
     /// `rw_tryupgrade`, falling back to release-and-`rw_enter(write)` when
     /// the atomic upgrade loses the race.
     RwTryupgradeOrWrite(usize),
+    /// `rw_enter(Reader)` on a private lock's reader slots, as `rwlock.rs`
+    /// does it: check, publish (`slot += 1`), check again; on conflict back
+    /// off (`slot -= 1`), run the gated drain wake, and wait for the
+    /// writer's release.
+    RwSlotRead {
+        /// The readers/writer lock.
+        rw: usize,
+        /// The reader slot the caller's LWP names.
+        slot: usize,
+    },
+    /// The seeded-buggy slot read: checks for a writer *before* publishing
+    /// and never after, so a writer that claims the lock and sums the slots
+    /// in between lets the reader in beside it.
+    RwSlotReadRacy {
+        /// The readers/writer lock.
+        rw: usize,
+        /// The reader slot the caller's LWP names.
+        slot: usize,
+    },
+    /// `rw_enter(Writer)` on reader slots: announce, claim the writer bit
+    /// (or park until released), then drain — sum the slots, arm the drain
+    /// word, sum again, park while armed — and mark the hold drained.
+    RwSlotWrite(usize),
+    /// `rw_exit` on reader slots: the drained mark says whether the caller
+    /// is the writer (release, wake) or a reader (`slot -= 1`, then the
+    /// gated drain wake). A reader may leave through another slot than it
+    /// entered by, as an unbound reader that migrated LWPs does.
+    RwSlotExit {
+        /// The readers/writer lock.
+        rw: usize,
+        /// The reader slot the caller's LWP names at exit.
+        slot: usize,
+    },
     /// Non-atomic read-modify-write of a counter (load then store — torn
     /// by design, so unprotected access is *observable*).
     Incr(usize),
@@ -451,11 +484,26 @@ struct SemaSt {
     waiters: VecDeque<(usize, u32)>,
 }
 
+/// Reader slots per modelled lock in the `RwSlot*` protocol.
+pub const RW_SLOTS: usize = 2;
+
 struct RwSt {
     readers: Vec<usize>,
+    /// Holder of the writer bit (in the slot protocol: also while draining).
     writer: Option<usize>,
     /// `(thread, wants_write, resume_micro)`.
     waiters: VecDeque<(usize, bool, u32)>,
+    /// Slot protocol: the signed per-slot reader counts.
+    slots: [i64; RW_SLOTS],
+    /// Slot protocol: writers announced and not yet holding the bit.
+    wrwait: u32,
+    /// Slot protocol: the writer bit's holder has drained the slots.
+    drained: bool,
+    /// Slot protocol: the drain word (the drainer is armed to park).
+    armed: bool,
+    /// Slot protocol: the drainer parked on the drain word, with its
+    /// resume point.
+    drainer: Option<(usize, u32)>,
 }
 
 impl RwSt {
@@ -630,6 +678,11 @@ impl World {
                     readers: Vec::new(),
                     writer: None,
                     waiters: VecDeque::new(),
+                    slots: [0; RW_SLOTS],
+                    wrwait: 0,
+                    drained: false,
+                    armed: false,
+                    drainer: None,
                 })
                 .collect(),
             counters: vec![0; model.counters],
@@ -723,7 +776,10 @@ impl World {
                 .or_else(|| {
                     self.rws
                         .iter()
-                        .position(|r| r.waiters.iter().any(|(w, _, _)| *w == t))
+                        .position(|r| {
+                            r.waiters.iter().any(|(w, _, _)| *w == t)
+                                || r.drainer.is_some_and(|(w, _)| w == t)
+                        })
                         .map(BlockedOn::Rw)
                 })
                 .or_else(|| {
@@ -1115,6 +1171,12 @@ impl World {
                     self.rw_enter_machine(t, rw, true, 2)
                 }
             }
+            SyncOp::RwSlotRead { rw, slot } => self.rw_slot_read_machine(t, rw, slot, false, wakes),
+            SyncOp::RwSlotReadRacy { rw, slot } => {
+                self.rw_slot_read_machine(t, rw, slot, true, wakes)
+            }
+            SyncOp::RwSlotWrite(rw) => self.rw_slot_write_machine(t, rw),
+            SyncOp::RwSlotExit { rw, slot } => self.rw_slot_exit_machine(t, rw, slot, wakes),
             SyncOp::Incr(c) => {
                 if self.threads[t].micro == 0 {
                     self.threads[t].scratch = self.counters[c];
@@ -1485,6 +1547,218 @@ impl World {
                 }
             }
         }
+    }
+
+    // -----------------------------------------------------------------
+    // The reader-slot machines: the protocol `rwlock.rs` runs for private
+    // locks, one shared access per micro-step, so the publish/check pair
+    // and the drain's sum can interleave at every point the hardware
+    // allows. The slots exist from the start; the one-time switch to them
+    // happens under the writer bit and is not modelled.
+
+    /// Whether a slot reader may enter: no writer bit, no announced writer.
+    fn rw_slot_may_read(&self, rw: usize) -> bool {
+        self.rws[rw].writer.is_none() && self.rws[rw].wrwait == 0
+    }
+
+    fn rw_slot_acquired(&mut self, t: usize, rw: usize, write: bool) {
+        self.push_event(t, Tag::RwAcquire, rw as u64, u64::from(write));
+        self.advance(t);
+    }
+
+    /// One micro-step of the gated drain wake a reader runs after backing
+    /// off or leaving, at `micro - base`: `0` load the state and the drain
+    /// word (go on only if a drainer is armed and not done), `1..=RW_SLOTS`
+    /// sum the slots, then disarm and wake if the sum was 0 and the drain
+    /// word was still armed. Returns whether the gate is done.
+    fn rw_slot_gate(&mut self, t: usize, rw: usize, base: u32, wakes: &mut Vec<usize>) -> bool {
+        let step = (self.threads[t].micro - base) as usize;
+        let r = &self.rws[rw];
+        if step == 0 {
+            if r.writer.is_none() || r.drained || !r.armed {
+                return true;
+            }
+            self.threads[t].scratch = 0;
+        } else if step <= RW_SLOTS {
+            let sum = self.threads[t].scratch as i64 + r.slots[step - 1];
+            self.threads[t].scratch = sum as u64;
+        } else {
+            if self.threads[t].scratch == 0 && self.rws[rw].armed {
+                self.rws[rw].armed = false;
+                if let Some((w, resume)) = self.rws[rw].drainer.take() {
+                    self.wake(w, resume, wakes);
+                }
+            }
+            return true;
+        }
+        self.threads[t].micro += 1;
+        false
+    }
+
+    /// `RwSlotRead` and the seeded `RwSlotReadRacy`. Micro-states of the
+    /// correct machine: `0` check, `1` publish, `2` check again (in, or:)
+    /// `3` back off, `4..` the gate, then an atomic check-then-park on the
+    /// writer's release, resuming at `0`. The racy machine checks at `0`,
+    /// publishes at `1`, and is in.
+    fn rw_slot_read_machine(
+        &mut self,
+        t: usize,
+        rw: usize,
+        slot: usize,
+        racy: bool,
+        wakes: &mut Vec<usize>,
+    ) -> NextStep {
+        const GATE: u32 = 4;
+        const WAIT: u32 = GATE + RW_SLOTS as u32 + 2;
+        match self.threads[t].micro {
+            0 => self.threads[t].micro = if self.rw_slot_may_read(rw) { 1 } else { WAIT },
+            1 => {
+                self.rws[rw].slots[slot] += 1;
+                if racy {
+                    self.rw_slot_acquired(t, rw, false);
+                } else {
+                    self.threads[t].micro = 2;
+                }
+            }
+            2 if self.rw_slot_may_read(rw) => self.rw_slot_acquired(t, rw, false),
+            2 => self.threads[t].micro = 3,
+            3 => {
+                self.rws[rw].slots[slot] -= 1;
+                self.threads[t].micro = GATE;
+            }
+            m if m < WAIT => {
+                if self.rw_slot_gate(t, rw, GATE, wakes) {
+                    self.threads[t].micro = WAIT;
+                }
+            }
+            _ if self.rw_slot_may_read(rw) => self.threads[t].micro = 0,
+            _ => {
+                self.push_event(t, Tag::RwBlock, rw as u64, 0);
+                self.rws[rw].waiters.push_back((t, false, 0));
+                return self.park(t, None);
+            }
+        }
+        NextStep::Yield
+    }
+
+    /// `RwSlotWrite`. Micro-states: `0` announce, `1` claim the writer bit,
+    /// `2` atomic check-then-park on the holder's release (resuming at
+    /// `1`), then the drain: sum the slots one per step, arm the drain
+    /// word, sum again, park while still armed (resuming at the first
+    /// sum), and finally disarm and mark the hold drained.
+    fn rw_slot_write_machine(&mut self, t: usize, rw: usize) -> NextStep {
+        const N: u32 = RW_SLOTS as u32;
+        const SUM: u32 = 3;
+        const ARM: u32 = SUM + N;
+        const RESUM: u32 = ARM + 1;
+        const PARK: u32 = RESUM + N;
+        let m = self.threads[t].micro;
+        match m {
+            0 => {
+                self.rws[rw].wrwait += 1;
+                self.threads[t].micro = 1;
+            }
+            1 if self.rws[rw].writer.is_none() => {
+                self.rws[rw].writer = Some(t);
+                self.rws[rw].wrwait -= 1;
+                self.threads[t].micro = SUM;
+            }
+            1 => self.threads[t].micro = 2,
+            2 if self.rws[rw].writer.is_none() => self.threads[t].micro = 1,
+            2 => {
+                self.push_event(t, Tag::RwBlock, rw as u64, 1);
+                self.rws[rw].waiters.push_back((t, true, 1));
+                return self.park(t, None);
+            }
+            ARM => {
+                self.rws[rw].armed = true;
+                self.threads[t].micro = RESUM;
+            }
+            PARK if self.rws[rw].armed => {
+                self.push_event(t, Tag::RwBlock, rw as u64, 1);
+                self.rws[rw].drainer = Some((t, SUM));
+                return self.park(t, None);
+            }
+            PARK => self.threads[t].micro = SUM,
+            _ if m < PARK => {
+                let i = (if m < ARM { m - SUM } else { m - RESUM }) as usize;
+                let before = if i == 0 {
+                    0
+                } else {
+                    self.threads[t].scratch as i64
+                };
+                let sum = before + self.rws[rw].slots[i];
+                self.threads[t].scratch = sum as u64;
+                self.threads[t].micro = if i + 1 < RW_SLOTS {
+                    m + 1
+                } else if sum == 0 {
+                    PARK + 1
+                } else if m < ARM {
+                    ARM
+                } else {
+                    PARK
+                };
+            }
+            _ => {
+                self.rws[rw].armed = false;
+                self.rws[rw].drained = true;
+                self.rw_slot_acquired(t, rw, true);
+            }
+        }
+        NextStep::Yield
+    }
+
+    /// `RwSlotExit`. Micro-states: `0` load the state; the drained mark
+    /// sends the writer to `1` (release) and `2` (wake one announced writer,
+    /// else every parked reader), a reader to `3` (leave the slot) and the
+    /// gate from `4`.
+    fn rw_slot_exit_machine(
+        &mut self,
+        t: usize,
+        rw: usize,
+        slot: usize,
+        wakes: &mut Vec<usize>,
+    ) -> NextStep {
+        const GATE: u32 = 4;
+        match self.threads[t].micro {
+            0 => self.threads[t].micro = if self.rws[rw].drained { 1 } else { 3 },
+            1 => {
+                self.rws[rw].writer = None;
+                self.rws[rw].drained = false;
+                self.push_event(t, Tag::RwRelease, rw as u64, 1);
+                self.threads[t].micro = 2;
+            }
+            2 => {
+                let r = &mut self.rws[rw];
+                let woken: Vec<(usize, bool, u32)> = if r.wrwait > 0 {
+                    let first = r.waiters.iter().position(|(_, w, _)| *w);
+                    first
+                        .and_then(|i| r.waiters.remove(i))
+                        .into_iter()
+                        .collect()
+                } else {
+                    let (rd, wr): (VecDeque<_>, VecDeque<_>) =
+                        r.waiters.drain(..).partition(|(_, w, _)| !*w);
+                    r.waiters = wr;
+                    rd.into()
+                };
+                for (w, _, resume) in woken {
+                    self.wake(w, resume, wakes);
+                }
+                self.advance(t);
+            }
+            3 => {
+                self.rws[rw].slots[slot] -= 1;
+                self.push_event(t, Tag::RwRelease, rw as u64, 0);
+                self.threads[t].micro = GATE;
+            }
+            _ => {
+                if self.rw_slot_gate(t, rw, GATE, wakes) {
+                    self.advance(t);
+                }
+            }
+        }
+        NextStep::Yield
     }
 
     /// The adaptive `mutex_enter` machine. Micro-states: `0` read the

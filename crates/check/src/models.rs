@@ -338,6 +338,42 @@ pub fn catalogue() -> Vec<Model> {
                 ],
             )
         },
+        Model {
+            // The per-LWP reader-slot protocol of private locks. Reader 1
+            // enters on slot 0 and leaves through slot 1 (an unbound reader
+            // that migrated), so the slots are only right as a sum, and the
+            // writer's drain must neither pass a reader nor sleep through
+            // the last one's exit.
+            rws: 1,
+            counters: 1,
+            final_counters: vec![(0, 2)],
+            preemption_bound: Some(3),
+            min_schedules: 200,
+            variants: vec![Variant::Default],
+            ..base(
+                "rw_slots",
+                "reader slots: publish, check, back off, drain, gated wake; one reader \
+                 leaves through the other's slot",
+                vec![
+                    vec![
+                        RwSlotRead { rw: 0, slot: 0 },
+                        ReadStable(0),
+                        RwSlotExit { rw: 0, slot: 1 },
+                    ],
+                    vec![
+                        RwSlotRead { rw: 0, slot: 1 },
+                        ReadStable(0),
+                        RwSlotExit { rw: 0, slot: 1 },
+                    ],
+                    vec![
+                        RwSlotWrite(0),
+                        Incr(0),
+                        Incr(0),
+                        RwSlotExit { rw: 0, slot: 0 },
+                    ],
+                ],
+            )
+        },
         // ----------------------------------------------- adaptive mutex
         Model {
             mutexes: 1,
@@ -751,6 +787,26 @@ pub fn catalogue() -> Vec<Model> {
             )
         },
         Model {
+            rws: 1,
+            counters: 1,
+            preemption_bound: Some(3),
+            variants: vec![Variant::Default],
+            expect: Expect::FailContaining("torn read"),
+            ..base(
+                "neg_rw_check_before_publish",
+                "slot reader checks for a writer before publishing its slot: the writer's \
+                 drain sums past it and it reads beside the writer",
+                vec![
+                    vec![
+                        RwSlotReadRacy { rw: 0, slot: 0 },
+                        ReadStable(0),
+                        RwSlotExit { rw: 0, slot: 0 },
+                    ],
+                    vec![RwSlotWrite(0), Incr(0), RwSlotExit { rw: 0, slot: 0 }],
+                ],
+            )
+        },
+        Model {
             mutexes: 1,
             expect: Expect::FailContaining("recursive"),
             variants: vec![Variant::Debug],
@@ -781,6 +837,7 @@ pub fn by_name<'a>(models: &'a [Model], name: &str) -> Option<&'a Model> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::RW_SLOTS;
 
     #[test]
     fn names_are_unique_and_wellformed() {
@@ -833,8 +890,14 @@ mod tests {
                         SyncOp::RwEnter { rw, .. }
                         | SyncOp::RwExit(rw)
                         | SyncOp::RwDowngrade(rw)
-                        | SyncOp::RwTryupgradeOrWrite(rw) => {
+                        | SyncOp::RwTryupgradeOrWrite(rw)
+                        | SyncOp::RwSlotWrite(rw) => {
                             assert!(rw < m.rws, "{}: rw {rw}", m.name)
+                        }
+                        SyncOp::RwSlotRead { rw, slot }
+                        | SyncOp::RwSlotReadRacy { rw, slot }
+                        | SyncOp::RwSlotExit { rw, slot } => {
+                            assert!(rw < m.rws && slot < RW_SLOTS, "{}: rw {rw}", m.name)
                         }
                         SyncOp::Incr(i) | SyncOp::ReadStable(i) => {
                             assert!(i < m.counters, "{}: counter {i}", m.name)

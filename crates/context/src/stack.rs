@@ -9,7 +9,7 @@
 //! "a default stack that is cached by the threads package" —
 //! [`StackCache`] is that cache.
 
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use sunmt_sys::mem::{self, Prot, PAGE_SIZE};
 use sunmt_sys::Errno;
@@ -153,6 +153,14 @@ struct CacheInner {
     advised: usize,
 }
 
+/// Locks `m`, ignoring poison: the cache's critical sections only move
+/// `Stack` values between vectors and never call user code, so a panic
+/// elsewhere cannot leave it half-updated, while a poisoned lock would
+/// fail every later thread create and exit.
+fn unpoisoned<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// A free list of default-sized stacks.
 ///
 /// Thread exit returns the stack here; thread creation takes one without
@@ -180,7 +188,7 @@ impl StackCache {
     /// Takes a cached default stack, or maps a fresh one.
     pub fn take(&self) -> Result<Stack, Errno> {
         let popped = {
-            let mut c = self.inner.lock().expect("stack cache poisoned");
+            let mut c = unpoisoned(&self.inner);
             let s = c.free.pop();
             c.advised = c.advised.min(c.free.len());
             s
@@ -193,7 +201,7 @@ impl StackCache {
 
     /// Takes up to `n` cached default stacks (possibly none); never maps.
     pub fn take_batch(&self, n: usize) -> Vec<Stack> {
-        let mut c = self.inner.lock().expect("stack cache poisoned");
+        let mut c = unpoisoned(&self.inner);
         let at = c.free.len() - n.min(c.free.len());
         let batch = c.free.split_off(at);
         c.advised = c.advised.min(c.free.len());
@@ -211,7 +219,7 @@ impl StackCache {
 
     /// Returns a batch of stacks under one lock hold; see [`Self::put`].
     pub fn put_batch(&self, stacks: impl IntoIterator<Item = Stack>) {
-        let mut c = self.inner.lock().expect("stack cache poisoned");
+        let mut c = unpoisoned(&self.inner);
         for stack in stacks {
             if stack.is_owned() && stack.usable() == DEFAULT_STACK_SIZE {
                 c.free.push(stack);
@@ -230,17 +238,13 @@ impl StackCache {
         for _ in 0..n {
             v.push(Stack::new(DEFAULT_STACK_SIZE)?);
         }
-        self.inner
-            .lock()
-            .expect("stack cache poisoned")
-            .free
-            .extend(v);
+        unpoisoned(&self.inner).free.extend(v);
         Ok(())
     }
 
     /// Number of stacks currently cached.
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("stack cache poisoned").free.len()
+        unpoisoned(&self.inner).free.len()
     }
 
     /// Whether the cache is empty.
@@ -324,5 +328,17 @@ mod tests {
         let cache = StackCache::new();
         cache.put(s);
         assert!(cache.is_empty());
+    }
+
+    #[test]
+    fn a_poisoned_cache_still_serves() {
+        let cache = StackCache::new();
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _held = cache.inner.lock();
+            panic!("poison the cache lock");
+        }));
+        assert!(result.is_err() && cache.inner.is_poisoned());
+        cache.put(cache.take().expect("stack"));
+        assert_eq!(cache.len(), 1);
     }
 }

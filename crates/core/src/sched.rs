@@ -290,12 +290,10 @@ pub(crate) fn preempt_check() {
 
 /// Number of run-queue shards: one per hardware context (more would only
 /// lengthen steal scans, fewer would re-serialize dispatch). LWPs beyond
-/// this share shards round-robin.
+/// this share shards round-robin. The same count sizes a private
+/// `RwLock`'s reader slots, which a pool LWP picks by its home shard.
 fn default_shards() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .clamp(1, 64)
+    sunmt_sync::strategy::processors()
 }
 
 /// Ensures the library is initialized (idempotent). Called implicitly by
@@ -354,20 +352,36 @@ pub(crate) fn current_thread() -> Arc<Thread> {
         .store(sunmt_lwp::cpu_time().as_nanos() as u64, Ordering::Relaxed);
     unpoisoned(&m.threads).insert(id.0, Arc::clone(&t));
     CURRENT.with(|c| *c.borrow_mut() = Some(Arc::clone(&t)));
-    ADOPTED.with(|a| a.store(true, Ordering::Relaxed));
+    // `try_with`: a host thread touching the library from a late TLS
+    // destructor keeps an entry rather than panicking.
+    let _ = ADOPTED.try_with(|a| a.0.set(Some(id)));
     t
 }
 
+/// The adopted identity of this host thread, if it has one. Its drop at
+/// host-thread exit takes the entry out of `mt().threads`, so the registry
+/// never offers a dead host thread to `send_interrupt` or `stats()`.
+struct Adopted(std::cell::Cell<Option<ThreadId>>);
+
+impl Drop for Adopted {
+    fn drop(&mut self) {
+        if let Some(id) = self.0.get() {
+            if let Some(t) = unpoisoned(&mt().threads).remove(&id.0) {
+                t.set_state(ThreadState::Dead);
+            }
+        }
+    }
+}
+
 thread_local! {
-    static ADOPTED: std::sync::atomic::AtomicBool =
-        const { std::sync::atomic::AtomicBool::new(false) };
+    static ADOPTED: Adopted = const { Adopted(std::cell::Cell::new(None)) };
 }
 
 /// Whether `t` is an adopted host thread (the initial thread or a test
 /// harness thread) rather than a library-created one.
 pub(crate) fn is_adopted(t: &Arc<Thread>) -> bool {
     maybe_current().is_some_and(|c| Arc::ptr_eq(&c, t))
-        && ADOPTED.with(|a| a.load(Ordering::Relaxed))
+        && ADOPTED.try_with(|a| a.0.get().is_some()).unwrap_or(false)
 }
 
 fn alloc_id(m: &Mt) -> ThreadId {
@@ -1276,7 +1290,8 @@ pub struct SchedStats {
     pub pool_lwps: usize,
     /// Pool LWPs currently parked idle.
     pub idle_lwps: usize,
-    /// Registered thread objects (incl. zombies and adopted threads).
+    /// Registered thread objects (incl. zombies and adopted host threads
+    /// that are still running).
     pub live_threads: usize,
     /// Total user-level dispatches since library init.
     pub dispatches: u64,

@@ -149,6 +149,14 @@ impl BlockStrategy for MtStrategy {
         sunmt_lwp::current().running_hint()
     }
 
+    fn reader_slot(&self) -> Option<usize> {
+        // A pool LWP's home run-queue shard: shards are one per processor
+        // and handed out round-robin, so LWPs of a pool no bigger than the
+        // processor count never share one. Off the pool, the lock's own
+        // per-kernel-thread index serves.
+        sched::my_shard()
+    }
+
     fn lwp_running(&self, hint: u32) -> bool {
         sunmt_lwp::hint_is_running(hint)
     }

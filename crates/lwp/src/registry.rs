@@ -11,7 +11,7 @@
 //! blocks, the registered `SIGWAITING` hook fires.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Statistics snapshot of a registry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -20,6 +20,13 @@ pub struct LwpCounts {
     pub total: usize,
     /// LWPs currently inside an indefinite-wait region.
     pub waiting: usize,
+}
+
+/// Locks `m`, ignoring poison: a hook that panicked has already run, and
+/// the slot it lives in stays whole, so a poisoned lock must not turn every
+/// later all-LWPs-waiting event into a panic as well.
+fn unpoisoned<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Tracks the LWPs of one "process" and detects the all-waiting condition.
@@ -56,12 +63,12 @@ impl LwpRegistry {
     /// default handling for SIGWAITING is to ignore it" — with no hook
     /// installed, the condition is merely counted.
     pub fn set_sigwaiting_hook(&self, f: impl Fn() + Send + Sync + 'static) {
-        *self.hook.lock().expect("sigwaiting hook poisoned") = Some(Box::new(f));
+        *unpoisoned(&self.hook) = Some(Box::new(f));
     }
 
     /// Removes the hook (used by ablations comparing SIGWAITING on/off).
     pub fn clear_sigwaiting_hook(&self) {
-        *self.hook.lock().expect("sigwaiting hook poisoned") = None;
+        *unpoisoned(&self.hook) = None;
     }
 
     /// How many times the all-LWPs-waiting condition has occurred.
@@ -88,7 +95,7 @@ impl LwpRegistry {
         let waiting = self.waiting.fetch_add(1, Ordering::SeqCst) + 1;
         if waiting >= self.total.load(Ordering::SeqCst) {
             self.sigwaiting_sent.fetch_add(1, Ordering::SeqCst);
-            let hook = self.hook.lock().expect("sigwaiting hook poisoned");
+            let hook = unpoisoned(&self.hook);
             if let Some(h) = hook.as_ref() {
                 h();
             }
@@ -187,6 +194,20 @@ mod tests {
         }));
         assert!(result.is_err());
         assert_eq!(r.counts().waiting, 0);
+    }
+
+    #[test]
+    fn a_panicking_hook_does_not_wedge_the_registry() {
+        let r = LwpRegistry::new();
+        r.lwp_started();
+        r.set_sigwaiting_hook(|| panic!("hook"));
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            r.indefinite_wait(|| ());
+        }));
+        assert!(result.is_err());
+        r.clear_sigwaiting_hook();
+        r.indefinite_wait(|| ());
+        assert_eq!(r.sigwaiting_count(), 2);
     }
 
     #[test]

@@ -114,7 +114,11 @@ impl SharedFile {
     /// * `offset + size_of::<T>()` must be within the mapping and `offset`
     ///   must satisfy `T`'s alignment.
     /// * `T` must be valid for any bit pattern the file may contain — the
-    ///   `sunmt-sync` variable types (atomics-only, zero-valid) qualify.
+    ///   `sunmt-sync` variable types (atomics-only, zero-valid) qualify,
+    ///   except `RwLock`: a private one keeps a process-local pointer to its
+    ///   reader slots, so its bytes must be all-zero or `SHARED`-initialised
+    ///   (`init(SyncType::SHARED)`, which discards that pointer unread)
+    ///   before its first use.
     /// * All processes mapping the file must agree on the layout, and any
     ///   `T` whose operations block must use its `SHARED` variant.
     pub unsafe fn sync_var<T>(&self, offset: usize) -> &T {

@@ -15,9 +15,11 @@
 //!   initialization: default (sleep), spin, or adaptive locks, and the
 //!   [`SyncType::SHARED`] bit (`THREAD_SYNC_SHARED` in the paper) for
 //!   variables shared between processes.
-//! * **Position independence.** Variables carry no process-local pointers,
-//!   so they "may be shared between processes even though they are mapped at
-//!   different virtual addresses".
+//! * **Position independence.** A `SHARED` variable carries no
+//!   process-local pointer, so it "may be shared between processes even
+//!   though they are mapped at different virtual addresses". (The one
+//!   pointer in the suite is a private `RwLock`'s reader slots, which a
+//!   `SHARED` lock never allocates or reads.)
 //! * **Two-level blocking.** Blocking goes through a process-global
 //!   [`strategy::BlockStrategy`]. The default strategy blocks the calling
 //!   LWP in the kernel (futex). The threads library installs a strategy that

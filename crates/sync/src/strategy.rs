@@ -116,6 +116,14 @@ pub trait BlockStrategy: Sync {
         0
     }
 
+    /// The caller's reader slot in a private `RwLock`, when the backend can
+    /// name one that no other LWP of a pool no bigger than the processor
+    /// count uses. `None` (the default, which knows no LWPs) makes the lock
+    /// fall back to a per-kernel-thread index.
+    fn reader_slot(&self) -> Option<usize> {
+        None
+    }
+
     /// Whether the LWP behind a [`Self::lwp_hint`] value is believed to be
     /// on a processor right now — the paper's "spin only while the owner is
     /// running" query. Must err toward `true` (spin) when it cannot tell;
@@ -259,6 +267,26 @@ pub fn self_id() -> u32 {
 #[inline]
 pub fn lwp_hint() -> u32 {
     current().lwp_hint()
+}
+
+/// The caller's reader slot, if the strategy names one (see
+/// [`BlockStrategy::reader_slot`]).
+#[inline]
+pub fn reader_slot() -> Option<usize> {
+    current().reader_slot()
+}
+
+/// Hardware contexts the process may run on, clamped to 1..=64 (4 when
+/// unknown). The threads library makes one run-queue shard per context and
+/// a private `RwLock` one reader slot per context; both read this one
+/// value, so a pool LWP's home shard always names a slot of its own.
+pub fn processors() -> usize {
+    static N: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *N.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map_or(4, |n| n.get())
+            .clamp(1, 64)
+    })
 }
 
 /// Whether the hinted LWP is running (see [`BlockStrategy::lwp_running`]).

@@ -38,6 +38,17 @@ const CORPUS: &[(&str, &str)] = &[
     ("v1/mutex_basic/default/1.1.1.1.1.1.1.1.1", ""),
     ("v1/cv_pingpong/shared/1.1.0.1", ""),
     ("v1/rw_tryupgrade/default/1.1.1.1.1", ""),
+    // Reader slots: reader 0 enters on slot 0, the writer claims the lock,
+    // sums the slots, arms the drain word and parks; reader 0 then leaves
+    // through slot 1, sees the slots sum to 0 and wakes the drainer.
+    ("v1/rw_slots/default/0.2.2.0", ""),
+    // Check before publish: the racy reader sees no writer, the writer
+    // claims the lock and sums empty slots, the reader publishes and reads
+    // while the writer increments. Found by the exhaustive sweep.
+    (
+        "v1/neg_rw_check_before_publish/default/0.0.1.1.0.1.0",
+        "torn read",
+    ),
     // The lockless-steal negative: both thieves peek shard 0's head
     // before either removes it, and the same item dispatches twice.
     // Found by the exhaustive sweep.

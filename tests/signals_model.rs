@@ -12,10 +12,10 @@ use sunos_mt::threads::{self, CreateFlags, ThreadBuilder};
 /// Every test starts here. The thread registry and the process-pending
 /// set are process-global, and `send_interrupt` may pick *any* registered
 /// thread that leaves the signal unmasked — a sibling test's helper, or the
-/// stale entry of a harness thread whose test already finished. So the
-/// tests take turns, and each masks `SIGALRM` (the signal whose
-/// process-wide pending state is asserted below) in its own thread before
-/// creating any other; created threads inherit the mask.
+/// harness thread running a sibling test. So the tests take turns, and each
+/// masks `SIGALRM` (the signal whose process-wide pending state is asserted
+/// below) in its own thread before creating any other; created threads
+/// inherit the mask.
 fn isolated() -> std::sync::MutexGuard<'static, ()> {
     static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
     let guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
