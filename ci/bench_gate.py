@@ -23,10 +23,6 @@ Gated metrics:
 * `BENCH_check.json` / `schedules_per_sec` — aggregate throughput of
   the model-checking sweep. Wall-clock on a shared runner, so it gets a
   wide tolerance: fresh must stay within 4x of the committed rate.
-* `BENCH_wake.json` / `morph_speedup_32` — virtual-CPU cost of a
-  32-waiter broadcast drain, waking the herd over wait morphing.
-  Deterministic simulation, gated against an absolute floor of 1.5x:
-  morphing must keep beating the thundering herd by at least that much.
 * `BENCH_fig5.json` / `unbound_creates_per_ms` — steady-state unbound
   thread creation rate, the magazine-fed Figure 5 hot path. Wall-clock
   on a shared runner, so like the checker it gets the wide 4x band.
@@ -110,13 +106,6 @@ GATES = [
         "schedules_per_sec",
         tolerance=0.75,
         why="the schedule-exploration checker got dramatically slower",
-    ),
-    Gate(
-        "BENCH_wake.json",
-        "morph_speedup_32",
-        floor=1.5,
-        tolerance=0.0,
-        why="wait morphing no longer beats waking the whole herd",
     ),
     Gate(
         "BENCH_fig5.json",

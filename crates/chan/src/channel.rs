@@ -421,7 +421,7 @@ impl<T: Send> Chan<T> {
 
     pub(crate) fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
         let t0 = sunmt_stat::tick();
-        let deadline = sunmt_sys::time::monotonic_now() + timeout;
+        let deadline = sunmt_sys::time::monotonic_now().saturating_add(timeout);
         loop {
             match self.try_recv() {
                 Ok(v) => {

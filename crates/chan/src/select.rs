@@ -109,7 +109,7 @@ impl<'a> Select<'a> {
     pub fn wait_timeout(&mut self, timeout: Duration) -> Option<usize> {
         assert!(!self.ports.is_empty(), "select with no ports");
         SELECT_WAITS.fetch_add(1, SeqCst);
-        let deadline = sunmt_sys::time::monotonic_now() + timeout;
+        let deadline = sunmt_sys::time::monotonic_now().saturating_add(timeout);
         let ev = self.event();
         loop {
             let seen = ev.word.load(SeqCst);

@@ -127,41 +127,10 @@ pub enum SyncOp {
         /// Virtual-time deadline for each wait.
         timeout: u64,
     },
-    /// The seeded-buggy [`SyncOp::TimedWaitUntilFlag`]: its deadline path
-    /// reports a timeout without checking whether a broadcast already
-    /// morphed the waiter onto the mutex queue — the `cv_timedwait`
-    /// requeue race the library's `remove_thread_at(cv_addr, ..)` check
-    /// exists to close.
-    TimedWaitUntilFlagRacy {
-        /// Predicate flag.
-        flag: usize,
-        /// The condition variable.
-        cv: usize,
-        /// The mutex held around the predicate.
-        mutex: usize,
-        /// Virtual-time deadline for each wait.
-        timeout: u64,
-    },
     /// `cv_signal`: wake one waiter (records whether one was present).
     CvSignal(usize),
     /// `cv_broadcast`: wake every waiter.
     CvBroadcast(usize),
-    /// Wait-morphing `cv_broadcast`: wake *one* waiter and transfer the
-    /// rest onto `mutex`'s wait queue still asleep, in one atomic step
-    /// (the single `FUTEX_CMP_REQUEUE` / two-shard sleep-queue transfer).
-    /// When the mutex is free there is nothing to morph onto — requeueing
-    /// would strand the waiters — so it falls back to waking everyone,
-    /// exactly like the library's `requeue_target` guard.
-    CvBroadcastMorph {
-        /// The condition variable.
-        cv: usize,
-        /// The mutex whose queue absorbs the unwoken waiters.
-        mutex: usize,
-    },
-    /// Sleep for `us` virtual microseconds while holding whatever the
-    /// thread holds (models a long critical section, so deadlines can
-    /// fire while waiters sit morphed on a held mutex).
-    SleepFor(u64),
     /// `sema_p`: decrement or park.
     SemaP(usize),
     /// `sema_v`: increment, then wake one waiter.
@@ -971,27 +940,21 @@ impl World {
                 NextStep::Yield
             }
             SyncOp::CvWaitOnce { cv, mutex } => {
-                let step = self.cv_wait_machine(t, cv, mutex, None, 0, false, wakes);
+                let step = self.cv_wait_machine(t, cv, mutex, None, 0, wakes);
                 if self.threads[t].micro == 5 {
                     self.advance(t);
                 }
                 step
             }
             SyncOp::WaitUntilFlag { flag, cv, mutex } => {
-                self.flag_wait_machine(t, flag, cv, mutex, None, false, wakes)
+                self.flag_wait_machine(t, flag, cv, mutex, None, wakes)
             }
             SyncOp::TimedWaitUntilFlag {
                 flag,
                 cv,
                 mutex,
                 timeout,
-            } => self.flag_wait_machine(t, flag, cv, mutex, Some(timeout), false, wakes),
-            SyncOp::TimedWaitUntilFlagRacy {
-                flag,
-                cv,
-                mutex,
-                timeout,
-            } => self.flag_wait_machine(t, flag, cv, mutex, Some(timeout), true, wakes),
+            } => self.flag_wait_machine(t, flag, cv, mutex, Some(timeout), wakes),
             SyncOp::CvSignal(cv) => {
                 if let Some((w, resume)) = self.cvs[cv].waiters.pop_front() {
                     self.push_event(t, Tag::CvSignal, cv as u64, 1);
@@ -1014,43 +977,6 @@ impl World {
                 self.push_event(t, Tag::CvBroadcast, cv as u64, n);
                 self.advance(t);
                 NextStep::Yield
-            }
-            SyncOp::CvBroadcastMorph { cv, mutex } => {
-                let n = self.cvs[cv].waiters.len() as u64;
-                if self.mutexes[mutex].word == 0 {
-                    // Mutex free: no queue to morph onto (`requeue_target`
-                    // declines) — wake everyone, the pre-morph behaviour.
-                    while let Some((w, resume)) = self.cvs[cv].waiters.pop_front() {
-                        self.wake(w, resume, wakes);
-                    }
-                    self.push_event(t, Tag::CvBroadcast, cv as u64, n);
-                } else {
-                    if let Some((w, resume)) = self.cvs[cv].waiters.pop_front() {
-                        self.wake(w, resume, wakes);
-                    }
-                    // Transfer the rest, still asleep, onto the mutex's
-                    // queue; their recorded resume point is already the
-                    // mutex re-acquire, so a later `mutex_exit` wake drops
-                    // them straight into the contended-enter retry loop.
-                    let mut moved = 0u64;
-                    while let Some(e) = self.cvs[cv].waiters.pop_front() {
-                        self.mutexes[mutex].waiters.push_back(e);
-                        moved += 1;
-                    }
-                    self.push_event(t, Tag::CvBroadcast, cv as u64, n);
-                    self.push_event(t, Tag::CvRequeue, cv as u64, moved);
-                }
-                self.advance(t);
-                NextStep::Yield
-            }
-            SyncOp::SleepFor(us) => {
-                if self.threads[t].micro == 0 {
-                    self.threads[t].micro = 1;
-                    NextStep::BlockTimed(us)
-                } else {
-                    self.advance(t);
-                    NextStep::Yield
-                }
             }
             SyncOp::SemaP(s) => {
                 if self.semas[s].count > 0 {
@@ -1397,13 +1323,9 @@ impl World {
     /// signal landing between enqueue and park is consumed, not lost —
     /// the `cv_wait` atomicity guarantee. A timer wake finds the thread
     /// still queued (`parked` set, micro still `base+1`): it dequeues
-    /// itself and reports the timeout — but only after checking *which*
-    /// queue it sleeps on: a morphing broadcast may have moved it onto the
-    /// mutex, in which case the wakeup is already committed to it and the
-    /// deadline is void (the library's `remove_thread_at(cv_addr, ..)`
-    /// failing). `racy` selects the seeded-buggy machine that skips that
-    /// check and reports ETIME anyway.
-    #[allow(clippy::too_many_arguments)] // One knob per modelled race window.
+    /// itself and reports the timeout. A thread leaves the cv's queue only
+    /// through a signal or its own deadline, so a parked thread whose timer
+    /// fires is always still on it.
     fn cv_wait_machine(
         &mut self,
         t: usize,
@@ -1411,7 +1333,6 @@ impl World {
         m: usize,
         timeout: Option<u64>,
         base: u32,
-        racy: bool,
         wakes: &mut Vec<usize>,
     ) -> NextStep {
         match self.threads[t].micro - base {
@@ -1437,29 +1358,13 @@ impl World {
             }
             1 => {
                 if self.threads[t].parked {
-                    // The deadline fired while we were still queued
-                    // somewhere. Where, exactly, decides everything.
+                    // The deadline fired while we were still on the cv: no
+                    // wakeup ever picked us — a true timeout. Dequeue and
+                    // report it.
                     self.threads[t].parked = false;
-                    let on_cv = self.cvs[cv].waiters.iter().any(|(w, _)| *w == t);
-                    if on_cv {
-                        // Still on the cv: no wakeup ever picked us — a
-                        // true timeout. Dequeue and report it.
-                        self.cvs[cv].waiters.retain(|(w, _)| *w != t);
-                        self.threads[t].timed_out = true;
-                        self.push_event(t, Tag::SleepTimeout, cv as u64, t as u64);
-                    } else {
-                        // A broadcast morphed us onto the mutex before the
-                        // deadline fired: that wakeup is committed to us.
-                        // The correct machine voids the timeout and leaves
-                        // through the normal contended-enter path; the
-                        // seeded-racy one claims ETIME anyway, having
-                        // consumed a wakeup it now denies receiving.
-                        self.mutexes[m].waiters.retain(|(w, _)| *w != t);
-                        if racy {
-                            self.threads[t].timed_out = true;
-                            self.push_event(t, Tag::SleepTimeout, cv as u64, t as u64);
-                        }
-                    }
+                    self.cvs[cv].waiters.retain(|(w, _)| *w != t);
+                    self.threads[t].timed_out = true;
+                    self.push_event(t, Tag::SleepTimeout, cv as u64, t as u64);
                     self.threads[t].micro = base + 2;
                     NextStep::Yield
                 } else {
@@ -1477,7 +1382,6 @@ impl World {
     ///
     /// Micro-states: `0` predicate check; `1..=5` the wait machine
     /// (base 1); `6` post-wait re-check.
-    #[allow(clippy::too_many_arguments)] // One knob per modelled race window.
     fn flag_wait_machine(
         &mut self,
         t: usize,
@@ -1485,7 +1389,6 @@ impl World {
         cv: usize,
         m: usize,
         timeout: Option<u64>,
-        racy: bool,
         wakes: &mut Vec<usize>,
     ) -> NextStep {
         if self.threads[t].micro == 0 {
@@ -1500,7 +1403,7 @@ impl World {
             }
             return NextStep::Yield;
         }
-        let step = self.cv_wait_machine(t, cv, m, timeout, 1, racy, wakes);
+        let step = self.cv_wait_machine(t, cv, m, timeout, 1, wakes);
         if self.threads[t].micro == 6 {
             // Re-acquired after a wake: re-check the predicate under the
             // mutex, or give up if the deadline fired.

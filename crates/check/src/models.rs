@@ -443,46 +443,7 @@ pub fn catalogue() -> Vec<Model> {
                 ],
             )
         },
-        // --------------------------------------------- wait morphing
-        Model {
-            mutexes: 1,
-            cvs: 1,
-            flags: 1,
-            preemption_bound: Some(3),
-            min_schedules: 1_000,
-            variants: vec![Variant::Default],
-            ..base(
-                "cv_morph",
-                "broadcast under the mutex wakes one waiter and morphs the rest onto it",
-                vec![
-                    vec![
-                        MutexEnter(0),
-                        WaitUntilFlag {
-                            flag: 0,
-                            cv: 0,
-                            mutex: 0,
-                        },
-                        MutexExit(0),
-                    ],
-                    vec![
-                        MutexEnter(0),
-                        WaitUntilFlag {
-                            flag: 0,
-                            cv: 0,
-                            mutex: 0,
-                        },
-                        MutexExit(0),
-                    ],
-                    vec![
-                        Work(1),
-                        MutexEnter(0),
-                        SetFlag(0),
-                        CvBroadcastMorph { cv: 0, mutex: 0 },
-                        MutexExit(0),
-                    ],
-                ],
-            )
-        },
+        // ------------------------------------------ hashed sleep queues
         Model {
             mutexes: 2,
             cvs: 2,
@@ -492,7 +453,7 @@ pub fn catalogue() -> Vec<Model> {
             variants: vec![Variant::Default],
             ..base(
                 "sleepq_shard",
-                "two independent monitors morph concurrently on separate sleep-queue shards",
+                "two independent monitors broadcast concurrently on separate sleep-queue shards",
                 vec![
                     vec![
                         MutexEnter(0),
@@ -515,11 +476,11 @@ pub fn catalogue() -> Vec<Model> {
                     vec![
                         MutexEnter(0),
                         SetFlag(0),
-                        CvBroadcastMorph { cv: 0, mutex: 0 },
+                        CvBroadcast(0),
                         MutexExit(0),
                         MutexEnter(1),
                         SetFlag(1),
-                        CvBroadcastMorph { cv: 1, mutex: 1 },
+                        CvBroadcast(1),
                         MutexExit(1),
                     ],
                 ],
@@ -655,51 +616,6 @@ pub fn catalogue() -> Vec<Model> {
                         MutexEnter(0),
                         MutexExit(0),
                         MutexExit(1),
-                    ],
-                ],
-            )
-        },
-        Model {
-            mutexes: 1,
-            cvs: 1,
-            flags: 1,
-            preemption_bound: Some(3),
-            expect: Expect::FailContaining("timed_out=true"),
-            variants: vec![Variant::Default],
-            ..base(
-                "neg_cv_morph_timeout",
-                "cv_timedwait reports ETIME after a broadcast already morphed it onto the mutex",
-                vec![
-                    vec![
-                        MutexEnter(0),
-                        WaitUntilFlag {
-                            flag: 0,
-                            cv: 0,
-                            mutex: 0,
-                        },
-                        MutexExit(0),
-                    ],
-                    // The racy timed waiter: its deadline (100) can only
-                    // fire once everything is blocked — i.e. after the
-                    // broadcast morphed it onto the mutex the sleeper
-                    // below still holds.
-                    vec![
-                        MutexEnter(0),
-                        TimedWaitUntilFlagRacy {
-                            flag: 0,
-                            cv: 0,
-                            mutex: 0,
-                            timeout: 100,
-                        },
-                        AssertTimedOut(false),
-                        MutexExit(0),
-                    ],
-                    vec![
-                        MutexEnter(0),
-                        SetFlag(0),
-                        CvBroadcastMorph { cv: 0, mutex: 0 },
-                        SleepFor(1_000),
-                        MutexExit(0),
                     ],
                 ],
             )
@@ -876,9 +792,7 @@ mod tests {
                         }
                         SyncOp::CvWaitOnce { cv, mutex }
                         | SyncOp::WaitUntilFlag { cv, mutex, .. }
-                        | SyncOp::TimedWaitUntilFlag { cv, mutex, .. }
-                        | SyncOp::TimedWaitUntilFlagRacy { cv, mutex, .. }
-                        | SyncOp::CvBroadcastMorph { cv, mutex } => {
+                        | SyncOp::TimedWaitUntilFlag { cv, mutex, .. } => {
                             assert!(cv < m.cvs && mutex < m.mutexes, "{}", m.name)
                         }
                         SyncOp::CvSignal(i) | SyncOp::CvBroadcast(i) => {
@@ -944,7 +858,7 @@ mod tests {
                         SyncOp::IoEvent { fd } => {
                             assert!(fd < m.io_fds, "{}: io fd {fd}", m.name)
                         }
-                        SyncOp::Work(_) | SyncOp::AssertTimedOut(_) | SyncOp::SleepFor(_) => {}
+                        SyncOp::Work(_) | SyncOp::AssertTimedOut(_) => {}
                     }
                 }
             }

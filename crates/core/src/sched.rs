@@ -825,16 +825,13 @@ fn commit_sleep(
 }
 
 /// Timer-LWP upcall: a timed user-level sleep reached its deadline. Wakes
-/// the thread only if it still sleeps on that same word — it may have been
-/// woken normally (and even gone back to sleep elsewhere) in the meantime,
-/// in which case the stale deadline is a no-op. A coincidental re-sleep on
+/// the thread only if it still sleeps on that same word — a thread leaves
+/// a word's queue only by being woken from it, so one that is gone was
+/// woken normally (and may even have gone back to sleep elsewhere) in the
+/// meantime, and the stale deadline is a no-op. A coincidental re-sleep on
 /// the *same* word can at worst cause a spurious wake, which the
 /// futex-shaped park contract already permits.
 pub(crate) fn timeout_wakeup(addr: usize, t: Arc<Thread>) {
-    // A waiter that a broadcast morphed onto its mutex's queue no longer
-    // sleeps on `addr`, so a deadline armed at the condvar simply misses
-    // here — the thread's wakeup now belongs to the mutex, and reporting a
-    // timeout after consuming it would be the classic requeue race.
     let removed = mt().sleepers.remove_thread_at(addr, &t);
     if removed {
         mt().timeout_wakeups.fetch_add(1, Ordering::Relaxed);
@@ -1121,18 +1118,6 @@ pub(crate) fn user_unpark(addr: usize, n: usize) -> usize {
     count
 }
 
-/// Wait morphing, user-level half: wakes up to `wake_n` threads sleeping
-/// on `from` and silently transfers the rest onto `to`'s sleep queue, to be
-/// woken one at a time by `to`'s unparks (the mutex release path).
-pub(crate) fn user_requeue(from: usize, to: usize, wake_n: usize) {
-    let woken = mt().sleepers.requeue(from, to, wake_n);
-    for t in woken {
-        probe!(Tag::Wakeup, t.id.0, from);
-        t.wake_restore();
-        make_runnable(t);
-    }
-}
-
 pub(crate) fn set_concurrency(n: usize) {
     let m = mt();
     let target = if n == 0 {
@@ -1204,10 +1189,10 @@ fn sigwaiting_handler() {
 /// Lock ordering (the library's canonical order — nothing else in the
 /// library holds two of these at once, so this function defines it):
 /// `idle` → `threads`, with any single run-queue shard lock strictly
-/// innermost. Sleep-queue shard locks are self-contained (taken in index
-/// order when `requeue` needs two, never nested with the locks above) and
-/// `sleeping` below sums them shard by shard before `idle` is taken. Any
-/// future code that must nest them has to follow the same order.
+/// innermost. Sleep-queue shard locks are self-contained: no code path
+/// holds two of them, or one together with the locks above, and `sleeping`
+/// below sums them shard by shard before `idle` is taken. Any future code
+/// that must nest them has to follow the same order.
 pub fn stats() -> SchedStats {
     let m = mt();
     let sleeping = m.sleepers.len();
@@ -1231,7 +1216,6 @@ pub fn stats() -> SchedStats {
         pi_boosts: m.pi_boosts.load(Ordering::Relaxed),
         magazine_hits: crate::magazine::hit_count(),
         magazine_misses: crate::magazine::miss_count(),
-        cv_requeues: sunmt_sync::condvar::requeue_count(),
     }
 }
 
@@ -1259,7 +1243,6 @@ fn sched_stat_source() -> Vec<(String, u64)> {
         ("pi_boosts".to_string(), s.pi_boosts),
         ("magazine_hits".to_string(), s.magazine_hits),
         ("magazine_misses".to_string(), s.magazine_misses),
-        ("cv_requeues".to_string(), s.cv_requeues),
     ];
     for (i, sh) in m.runq.shard_stats().iter().enumerate() {
         out.push((format!("runq_shard{i}_pushes"), sh.pushes));
@@ -1319,7 +1302,4 @@ pub struct SchedStats {
     pub magazine_hits: u64,
     /// Create-path magazine/depot misses (fresh allocations).
     pub magazine_misses: u64,
-    /// Broadcast wakeups resolved by wait morphing (requeue onto the
-    /// mutex) rather than a thundering wake-all.
-    pub cv_requeues: u64,
 }

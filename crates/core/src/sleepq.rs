@@ -159,41 +159,6 @@ impl ShardedSleepQueue {
         self.shard(addr).1.remove_thread_at(addr, t)
     }
 
-    /// Wait morphing, user-level half: dequeues up to `wake_n` threads
-    /// sleeping on `from` (returned to the caller to be made runnable) and
-    /// transfers every remaining `from`-sleeper onto `to`'s queue *still
-    /// asleep* — they are woken one at a time by `to`'s unparks.
-    ///
-    /// When the two addresses hash to different shards, both locks are
-    /// taken in index order (the only place two sleep-queue shards are ever
-    /// held at once, so the order defines itself).
-    pub fn requeue(&self, from: usize, to: usize, wake_n: usize) -> Vec<Arc<Thread>> {
-        let fi = shard_of(from);
-        let ti = shard_of(to);
-        if fi == ti {
-            let mut g = unpoisoned(&self.shards[fi]);
-            let woken = g.take(from, wake_n);
-            for t in g.take(from, usize::MAX) {
-                g.insert(to, t);
-            }
-            return woken;
-        }
-        let (mut gf, mut gt) = if fi < ti {
-            let gf = unpoisoned(&self.shards[fi]);
-            let gt = unpoisoned(&self.shards[ti]);
-            (gf, gt)
-        } else {
-            let gt = unpoisoned(&self.shards[ti]);
-            let gf = unpoisoned(&self.shards[fi]);
-            (gf, gt)
-        };
-        let woken = gf.take(from, wake_n);
-        for t in gf.take(from, usize::MAX) {
-            gt.insert(to, t);
-        }
-        woken
-    }
-
     /// Total number of sleeping threads (locks each shard in turn, so a
     /// concurrent transition can make the sum lag by one; diagnostic use).
     pub fn len(&self) -> usize {
@@ -282,39 +247,5 @@ mod tests {
         assert!(!q.remove_thread_at(addr_b, &b));
         assert!(q.remove_thread(&a));
         assert_eq!(q.len(), 0);
-    }
-
-    #[test]
-    fn requeue_wakes_some_and_moves_the_rest() {
-        let q = ShardedSleepQueue::new();
-        let from = 0x2000;
-        let to = (1..)
-            .map(|i| 0x2000 + i * 4)
-            .find(|&x| shard_of(x) != shard_of(from))
-            .unwrap();
-        let threads: Vec<Arc<Thread>> = (0..4).map(|_| mk()).collect();
-        for t in &threads {
-            q.shard(from).1.insert(from, Arc::clone(t));
-        }
-        let woken = q.requeue(from, to, 1);
-        assert_eq!(woken.len(), 1);
-        assert!(Arc::ptr_eq(&woken[0], &threads[0]), "wake must be FIFO");
-        // The rest now sleep on `to`, in their original order.
-        let moved = q.take(to, usize::MAX);
-        assert_eq!(moved.len(), 3);
-        for (m, t) in moved.iter().zip(&threads[1..]) {
-            assert!(Arc::ptr_eq(m, t));
-        }
-        assert_eq!(q.len(), 0);
-        // Same-shard requeue works too.
-        let same = (1..)
-            .map(|i| from + i * 4)
-            .find(|&x| shard_of(x) == shard_of(from))
-            .unwrap();
-        q.shard(from).1.insert(from, Arc::clone(&threads[0]));
-        q.shard(from).1.insert(from, Arc::clone(&threads[1]));
-        let woken = q.requeue(from, same, 1);
-        assert_eq!(woken.len(), 1);
-        assert_eq!(q.take(same, usize::MAX).len(), 1);
     }
 }

@@ -14,6 +14,11 @@
 //! * Variables with the `SHARED` variant never reach this strategy:
 //!   `sunmt-sync` routes them straight to the kernel, because "the thread is
 //!   temporarily bound to the LWP that is blocked by the kernel".
+//!
+//! A wake releases user-level sleepers first and then kernel ones; a
+//! wake-all (`cv_broadcast`) always does both halves. Nothing moves a
+//! sleeper from one word's queue to another's, so a thread leaves a sleep
+//! queue only by being woken from it or by its own deadline.
 
 use core::sync::atomic::{AtomicU32, Ordering};
 
@@ -65,7 +70,7 @@ impl BlockStrategy for MtStrategy {
         if current_unbound() {
             // Same user-level sleep as `park`, with a deadline the timer
             // LWP enforces; no kernel timer is armed for the thread.
-            let deadline = sunmt_sys::time::monotonic_now() + timeout;
+            let deadline = sunmt_sys::time::monotonic_now().saturating_add(timeout);
             sched::deschedule(Action::Sleep {
                 addr: word.as_ptr() as usize,
                 expected,
@@ -96,32 +101,6 @@ impl BlockStrategy for MtStrategy {
         }
         sunmt_trace::probe!(sunmt_trace::Tag::FutexWake, word.as_ptr() as usize, n);
         let _ = futex::wake(word, n, Scope::Private);
-    }
-
-    fn unpark_requeue(&self, word: &AtomicU32, expected: u32, target: &AtomicU32, shared: bool) {
-        debug_assert!(!shared);
-        // User-level half: wake one sleeper, move the rest from the cv's
-        // sleep queue onto the mutex's — still asleep, dispatched only as
-        // the mutex's own unparks release them.
-        sched::user_requeue(word.as_ptr() as usize, target.as_ptr() as usize, 1);
-        // Kernel half, for bound threads (and bare LWPs) parked on the same
-        // word. Both halves waking one waiter each is benign over-waking;
-        // the futex-shaped contract permits spurious wakes.
-        match futex::cmp_requeue(word, expected, 1, target, i32::MAX as u32, Scope::Private) {
-            Ok(_) => {
-                sunmt_trace::probe!(sunmt_trace::Tag::FutexWake, word.as_ptr() as usize, 1u32);
-            }
-            Err(_) => {
-                // `word` moved on under us (racing signaller): fall back to
-                // the pre-morphing wake-everyone behaviour.
-                sunmt_trace::probe!(
-                    sunmt_trace::Tag::FutexWake,
-                    word.as_ptr() as usize,
-                    u32::MAX
-                );
-                let _ = futex::wake_all(word, Scope::Private);
-            }
-        }
     }
 
     fn yield_now(&self) {

@@ -118,7 +118,7 @@ pub fn read(io_fd: i32, buf: &mut [u8]) -> Result<usize, Errno> {
 
 /// [`read`] with a deadline; `Err(ETIMEDOUT)` if nothing arrives in time.
 pub fn read_timeout(io_fd: i32, buf: &mut [u8], timeout: Duration) -> Result<usize, Errno> {
-    let deadline = Some(monotonic_now() + timeout);
+    let deadline = Some(monotonic_now().saturating_add(timeout));
     io_loop(io_fd, Dir::Read, deadline, || fd::read(io_fd, buf))
 }
 
@@ -129,7 +129,7 @@ pub fn write(io_fd: i32, buf: &[u8]) -> Result<usize, Errno> {
 
 /// [`write`] with a deadline; `Err(ETIMEDOUT)` if the fd never drains.
 pub fn write_timeout(io_fd: i32, buf: &[u8], timeout: Duration) -> Result<usize, Errno> {
-    let deadline = Some(monotonic_now() + timeout);
+    let deadline = Some(monotonic_now().saturating_add(timeout));
     io_loop(io_fd, Dir::Write, deadline, || fd::write(io_fd, buf))
 }
 

@@ -11,7 +11,7 @@
 
 use std::io;
 use std::path::Path;
-use std::process::{Child, Command};
+use std::process::{Child, Command, Stdio};
 
 /// Environment variable carrying the child's role.
 pub const ROLE_ENV: &str = "SUNMT_CHILD_ROLE";
@@ -39,11 +39,17 @@ pub fn spawn_cooperating(role: &str, shared_path: &Path, extra_args: &[&str]) ->
 /// environment — required when the current executable is a *test binary*,
 /// whose harness would interpret a positional argument as a test-name
 /// filter and skip the child protocol entirely.
+///
+/// The child's standard output is discarded: it is the child harness's
+/// own test report, which would otherwise interleave with the parent's
+/// report mid-line. A failing child still shows through its exit status,
+/// which the parent checks.
 pub fn spawn_cooperating_env(role: &str, shared_path: &Path) -> io::Result<Child> {
     let exe = std::env::current_exe()?;
     Command::new(exe)
         .env(ROLE_ENV, role)
         .env(PATH_ENV, shared_path)
+        .stdout(Stdio::null())
         .spawn()
 }
 

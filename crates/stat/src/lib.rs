@@ -45,28 +45,25 @@ pub use report::{prometheus, snapshot_json, stats_report};
 #[repr(usize)]
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Ctr {
-    /// `cv_broadcast` morphed waiters onto the mutex (wait morphing).
-    CvMorph = 0,
-    /// `cv_broadcast` fell back to waking every waiter.
-    CvWakeAll = 1,
+    /// `cv_broadcast` woke every waiter.
+    CvWakeAll = 0,
     /// `cv_signal` handoffs observed by the stat layer.
-    CvSignal = 2,
+    CvSignal = 1,
     /// Calibration counter for the `abl_stat_overhead` bench; never
     /// incremented by the library itself.
-    BenchProbe = 3,
+    BenchProbe = 2,
 }
 
 /// Number of counters.
-pub const NCTRS: usize = 4;
+pub const NCTRS: usize = 3;
 
 impl Ctr {
     /// Every counter, indexed by discriminant.
-    pub const ALL: [Ctr; NCTRS] = [Ctr::CvMorph, Ctr::CvWakeAll, Ctr::CvSignal, Ctr::BenchProbe];
+    pub const ALL: [Ctr; NCTRS] = [Ctr::CvWakeAll, Ctr::CvSignal, Ctr::BenchProbe];
 
     /// Exposition name (`snake_case`, stable).
     pub fn name(self) -> &'static str {
         match self {
-            Ctr::CvMorph => "cv_morph",
             Ctr::CvWakeAll => "cv_wake_all",
             Ctr::CvSignal => "cv_signal",
             Ctr::BenchProbe => "bench_probe",
@@ -552,12 +549,12 @@ mod tests {
     fn enable_resets_the_previous_epoch() {
         let _g = test_lock();
         enable();
-        stat_count!(Ctr::CvMorph);
+        stat_count!(Ctr::CvWakeAll);
         disable();
-        assert_eq!(snapshot().counter(Ctr::CvMorph), 1);
+        assert_eq!(snapshot().counter(Ctr::CvWakeAll), 1);
         enable();
         disable();
-        assert_eq!(snapshot().counter(Ctr::CvMorph), 0);
+        assert_eq!(snapshot().counter(Ctr::CvWakeAll), 0);
     }
 
     #[test]

@@ -281,12 +281,12 @@ mod tests {
     fn prometheus_exposition_has_types_and_quantiles() {
         let _g = crate::test_lock();
         crate::enable();
-        crate::add(Ctr::CvMorph, 3);
+        crate::add(Ctr::CvWakeAll, 3);
         crate::record(Hs::IoWait, 123);
         crate::disable();
         let p = prometheus();
-        assert!(p.contains("# TYPE sunmt_cv_morph counter"));
-        assert!(p.contains("sunmt_cv_morph 3"));
+        assert!(p.contains("# TYPE sunmt_cv_wake_all counter"));
+        assert!(p.contains("sunmt_cv_wake_all 3"));
         assert!(p.contains("sunmt_io_wait_ns{quantile=\"0.99\"}"));
         assert!(p.contains("sunmt_io_wait_ns_count 1"));
     }

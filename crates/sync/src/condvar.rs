@@ -4,50 +4,31 @@
 //! true. Condition variables must be used in conjunction with a mutex lock.
 //! This implements a typical monitor."
 
-use core::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use core::sync::atomic::{AtomicU32, Ordering};
 use core::time::Duration;
 
 use crate::mutex::Mutex;
 use crate::strategy;
 use crate::types::SyncType;
 
-/// Process-lifetime count of broadcasts that morphed waiters onto their
-/// mutex. Always on (one `fetch_add` per broadcast, not per wakeup) so
-/// the scheduler's `stats()` snapshot can report it without the stat or
-/// trace layers enabled.
-static REQUEUES: AtomicU64 = AtomicU64::new(0);
-
-/// Total wait-morphing broadcasts since process start.
-pub fn requeue_count() -> u64 {
-    REQUEUES.load(Ordering::Relaxed)
-}
-
 /// A SunOS-style condition variable (`condvar_t`).
 ///
-/// Position independent and valid when zeroed, like every variable in this
-/// crate. The wakeup-sequence word monotonically counts signals; a waiter
-/// sleeps only while the sequence still holds the value it sampled *before*
-/// releasing the mutex, which closes the classic lost-wakeup window.
+/// Three words, position independent, and valid when zeroed, like every
+/// variable in this crate. The wakeup-sequence word monotonically counts
+/// signals; a waiter sleeps only while the sequence still holds the value
+/// it sampled *before* releasing the mutex, which closes the classic
+/// lost-wakeup window.
 ///
-/// Waiters also record which mutex they are associated with so that
-/// `cv_broadcast` can *morph* the herd: wake one waiter and transfer the
-/// rest onto the mutex's wait queue, to be released one at a time as the
-/// mutex frees instead of all stampeding it at once.
+/// A condition variable knows nothing of the mutex it is used with. Per
+/// the paper, `cv_broadcast` "causes all threads blocking on the condition
+/// to re-contend for the mutex": it wakes every waiter, and each one
+/// reacquires the mutex with a plain `mutex_enter`.
 #[repr(C)]
 #[derive(Debug, Default)]
 pub struct Condvar {
     seq: AtomicU32,
     waiters: AtomicU32,
     kind: AtomicU32,
-    /// Process id of the waiter that recorded `mutex_ptr` — the pointer is
-    /// only meaningful in that process's address space, which matters for
-    /// `SYNC_SHARED` variables mapped by several processes.
-    mutex_pid: AtomicU32,
-    /// Address of the [`Mutex`] the most recent waiter paired with this
-    /// variable (zero until the first wait). Written before the waiter
-    /// announces itself, so any broadcast that observes a waiter also
-    /// observes a usable pointer.
-    mutex_ptr: AtomicUsize,
 }
 
 impl Condvar {
@@ -57,8 +38,6 @@ impl Condvar {
             seq: AtomicU32::new(0),
             waiters: AtomicU32::new(0),
             kind: AtomicU32::new(kind.0),
-            mutex_pid: AtomicU32::new(0),
-            mutex_ptr: AtomicUsize::new(0),
         }
     }
 
@@ -69,41 +48,6 @@ impl Condvar {
         self.seq.store(0, Ordering::Release);
         self.waiters.store(0, Ordering::Release);
         self.kind.store(kind.0, Ordering::Release);
-        self.mutex_pid.store(0, Ordering::Release);
-        self.mutex_ptr.store(0, Ordering::Release);
-    }
-
-    /// Records the mutex a waiter is pairing with this variable.
-    ///
-    /// Called before the `waiters` increment: the increment is the release
-    /// operation that publishes these plain stores to any broadcaster that
-    /// sees the waiter.
-    #[inline]
-    fn record_mutex(&self, mutex: &Mutex) {
-        self.mutex_ptr
-            .store(mutex as *const Mutex as usize, Ordering::Relaxed);
-        self.mutex_pid.store(std::process::id(), Ordering::Relaxed);
-    }
-
-    /// Resolves the recorded mutex to a morphing target, or `None` when the
-    /// broadcast must fall back to waking everyone.
-    fn morph_target(&self, shared: bool) -> Option<&AtomicU32> {
-        let ptr = self.mutex_ptr.load(Ordering::Acquire);
-        if ptr == 0 {
-            return None;
-        }
-        if shared && self.mutex_pid.load(Ordering::Acquire) != std::process::id() {
-            // The pointer names an address in another process; following it
-            // here would be undefined behaviour. Shared variables are only
-            // morphed by broadcasts from the recording process.
-            return None;
-        }
-        // SAFETY: The pointer was recorded (in this address space) by a
-        // waiter that will reacquire that mutex on wakeup, so under the
-        // monitor discipline the mutex outlives every wait — and broadcasts
-        // race only with live waits.
-        let mutex = unsafe { &*(ptr as *const Mutex) };
-        mutex.requeue_target(shared)
     }
 
     #[inline]
@@ -130,7 +74,6 @@ impl Condvar {
     /// m.exit();
     /// ```
     pub fn wait(&self, mutex: &Mutex) {
-        self.record_mutex(mutex);
         // Announce before sampling the sequence: a signaler that misses
         // this increment necessarily bumped `seq` first, so our park
         // returns immediately on the value mismatch (no lost wakeup).
@@ -143,10 +86,7 @@ impl Condvar {
         sunmt_trace::probe!(sunmt_trace::Tag::CvBlock, &self.seq as *const _ as usize);
         strategy::park(&self.seq, seen, self.shared());
         self.waiters.fetch_sub(1, Ordering::SeqCst);
-        // `enter_cv`, not `enter`: a broadcast may have morphed siblings
-        // onto the mutex, and only a contended-style acquire keeps the
-        // release-one-wake-next chain going.
-        mutex.enter_cv();
+        mutex.enter();
     }
 
     /// `cv_timedwait()`: like [`Self::wait`], but gives up after `timeout`.
@@ -156,17 +96,15 @@ impl Condvar {
     /// `cv_wait`) the caller must re-test its predicate: a `true` return
     /// means a signal arrived, not that this thread's condition holds.
     pub fn timed_wait(&self, mutex: &Mutex, timeout: Duration) -> bool {
-        let deadline = sunmt_sys::time::monotonic_now() + timeout;
-        self.record_mutex(mutex);
+        let deadline = sunmt_sys::time::monotonic_now().saturating_add(timeout);
         self.waiters.fetch_add(1, Ordering::SeqCst);
         let seen = self.seq.load(Ordering::SeqCst);
         mutex.exit();
         sunmt_trace::probe!(sunmt_trace::Tag::CvBlock, &self.seq as *const _ as usize);
         // The park carries no verdict (it may return spuriously), so the
         // deadline is re-derived from the clock each round. The `seq`
-        // check comes first: a waiter that was broadcast-morphed onto the
-        // mutex and then timed out *there* was still signaled — reporting
-        // a timeout after consuming the wakeup would strand a sibling.
+        // check comes first so that a signal racing the deadline counts as
+        // a signal: the signaller already spent its wakeup on this waiter.
         let signaled = loop {
             if self.seq.load(Ordering::SeqCst) != seen {
                 break true;
@@ -178,7 +116,7 @@ impl Condvar {
             strategy::park_timeout(&self.seq, seen, self.shared(), deadline - now);
         };
         self.waiters.fetch_sub(1, Ordering::SeqCst);
-        mutex.enter_cv();
+        mutex.enter();
         signaled
     }
 
@@ -197,32 +135,12 @@ impl Condvar {
     /// `cv_broadcast()`: wakes all threads blocked in [`Self::wait`].
     ///
     /// "Since `cv_broadcast()` causes all threads blocking on the condition
-    /// to re-contend for the mutex, it should be used with care." This
-    /// implementation takes the care itself: when the associated mutex is
-    /// held, one waiter is woken and the rest are *requeued* onto the
-    /// mutex's wait queue (wait morphing), so each is released exactly as
-    /// the previous one exits instead of all stampeding the lock at once.
+    /// to re-contend for the mutex, it should be used with care."
     pub fn broadcast(&self) {
-        let new = self.seq.fetch_add(1, Ordering::SeqCst).wrapping_add(1);
-        if self.waiters.load(Ordering::SeqCst) == 0 {
-            return;
-        }
-        let shared = self.shared();
-        match self.morph_target(shared) {
-            Some(target) => {
-                REQUEUES.fetch_add(1, Ordering::Relaxed);
-                sunmt_stat::stat_count!(sunmt_stat::Ctr::CvMorph);
-                sunmt_trace::probe!(
-                    sunmt_trace::Tag::CvRequeue,
-                    &self.seq as *const _ as usize,
-                    target.as_ptr() as usize
-                );
-                strategy::unpark_requeue(&self.seq, new, target, shared);
-            }
-            None => {
-                sunmt_stat::stat_count!(sunmt_stat::Ctr::CvWakeAll);
-                strategy::unpark(&self.seq, u32::MAX, shared);
-            }
+        self.seq.fetch_add(1, Ordering::SeqCst);
+        if self.waiters.load(Ordering::SeqCst) > 0 {
+            sunmt_stat::stat_count!(sunmt_stat::Ctr::CvWakeAll);
+            strategy::unpark(&self.seq, u32::MAX, self.shared());
         }
     }
 }
@@ -236,8 +154,12 @@ mod tests {
 
     #[test]
     fn zeroed_condvar_is_usable() {
-        let zeroed = [0u8; core::mem::size_of::<Condvar>()];
-        // SAFETY: All-zero is the documented valid default state.
+        // Three words, like `Mutex`'s four: records in mapped files keep
+        // their layout.
+        assert_eq!(core::mem::size_of::<Condvar>(), 12);
+        let zeroed = [0u32; 3];
+        // SAFETY: Condvar is repr(C) over three 32-bit atomics; all-zero is
+        // the documented valid default state.
         let cv: &Condvar = unsafe { &*(zeroed.as_ptr() as *const Condvar) };
         cv.signal();
         cv.broadcast();

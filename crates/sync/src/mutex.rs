@@ -124,37 +124,23 @@ impl Mutex {
         if kind.is_debug() {
             self.assert_not_holder();
         }
-        self.acquire(kind, LOCKED);
+        self.acquire(kind);
     }
 
-    /// Reacquires the lock after a condition-variable wait.
-    ///
-    /// Unlike `enter`, the word is taken as `CONTENDED`: a waiter coming
-    /// back from a wait may have siblings that a broadcast morphed onto
-    /// this mutex, and only a `CONTENDED` release wakes the next one.
-    /// Taking the lock as `LOCKED` here could leave the rest of the morphed
-    /// chain asleep forever. Spin waiters are never morphed
-    /// (`requeue_target` declines them), so they take it as `LOCKED`.
-    pub(crate) fn enter_cv(&self) {
-        let kind = self.kind();
-        self.acquire(kind, if kind.is_spin() { LOCKED } else { CONTENDED });
-    }
-
-    /// The one acquire path: a compare-and-swap to `take` (`LOCKED`, or
-    /// `CONTENDED` for the condition-variable reacquire), the shared slow
-    /// path when that fails, then the holder word.
+    /// The one acquire path: a compare-and-swap to `LOCKED`, the shared
+    /// slow path when that fails, then the holder word.
     #[inline]
-    fn acquire(&self, kind: SyncType, take: u32) {
+    fn acquire(&self, kind: SyncType) {
         if self
             .word
-            .compare_exchange(UNLOCKED, take, Ordering::Acquire, Ordering::Relaxed)
+            .compare_exchange(UNLOCKED, LOCKED, Ordering::Acquire, Ordering::Relaxed)
             .is_ok()
         {
             if sunmt_stat::enabled() {
                 sunmt_stat::lock::acquired(self.site());
             }
         } else {
-            self.acquire_slow(kind, take);
+            self.acquire_slow(kind);
         }
         self.publish_owner(kind);
     }
@@ -207,11 +193,11 @@ impl Mutex {
     }
 
     /// The contended acquire of every variant. While spinning, the word is
-    /// taken as `take`; once the waiter has given up spinning it swaps in
+    /// taken as `LOCKED`; once the waiter has given up spinning it swaps in
     /// `CONTENDED` — so the releaser knows to wake it — and sleeps until
     /// the swap finds the word unlocked.
     #[cold]
-    fn acquire_slow(&self, kind: SyncType, take: u32) {
+    fn acquire_slow(&self, kind: SyncType) {
         sunmt_trace::probe!(sunmt_trace::Tag::MutexBlock, self.site(), kind.0);
         // Block time runs from here to the eventual acquire; `t0 == 0`
         // (stats off) makes every downstream stat call a no-op.
@@ -224,7 +210,12 @@ impl Mutex {
                 if self.word.load(Ordering::Relaxed) == UNLOCKED
                     && self
                         .word
-                        .compare_exchange_weak(UNLOCKED, take, Ordering::Acquire, Ordering::Relaxed)
+                        .compare_exchange_weak(
+                            UNLOCKED,
+                            LOCKED,
+                            Ordering::Acquire,
+                            Ordering::Relaxed,
+                        )
                         .is_ok()
                 {
                     break;
@@ -259,45 +250,6 @@ impl Mutex {
             sunmt_stat::lock::spun(self.site(), u64::from(spins), spinning);
         }
         sunmt_stat::lock::acquired_slow(self.site(), t0);
-    }
-
-    /// Prepares this mutex as a wait-morphing target and returns its lock
-    /// word, or `None` when morphing is not applicable.
-    ///
-    /// On success the word has been marked `CONTENDED`, so the holder's
-    /// eventual `mutex_exit` is guaranteed to wake one of the waiters a
-    /// broadcast requeues onto it — that handoff chain is what keeps
-    /// morphed waiters live. Returns `None` when:
-    ///
-    /// * the variant is a spin lock (its waiters never sleep on the word,
-    ///   so there is no futex queue to morph onto),
-    /// * the mutex's scope disagrees with the condvar's (`shared`) — the
-    ///   kernel keys private and shared futex queues differently, so a
-    ///   cross-scope requeue would strand waiters, or
-    /// * the mutex is currently unlocked — no `mutex_exit` is coming, so
-    ///   requeued waiters could sleep forever; the caller must fall back
-    ///   to waking everyone.
-    pub(crate) fn requeue_target(&self, shared: bool) -> Option<&AtomicU32> {
-        let kind = self.kind();
-        if kind.is_spin() || kind.is_shared() != shared {
-            return None;
-        }
-        let mut cur = self.word.load(Ordering::Relaxed);
-        loop {
-            match cur {
-                UNLOCKED => return None,
-                CONTENDED => return Some(&self.word),
-                _ => match self.word.compare_exchange_weak(
-                    cur,
-                    CONTENDED,
-                    Ordering::AcqRel,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => return Some(&self.word),
-                    Err(v) => cur = v,
-                },
-            }
-        }
     }
 
     /// `mutex_tryenter()`: acquires the lock only if that does not require
@@ -468,21 +420,6 @@ mod tests {
     #[test]
     fn mutual_exclusion_adaptive_debug_variant() {
         hammer(SyncType::ADAPTIVE | SyncType::DEBUG);
-    }
-
-    #[test]
-    fn cv_reacquire_takes_the_word_contended_except_for_spin() {
-        for (kind, word) in [
-            (SyncType::DEFAULT, CONTENDED),
-            (SyncType::ADAPTIVE, CONTENDED),
-            (SyncType::SPIN, LOCKED),
-        ] {
-            let m = Mutex::new(kind);
-            m.enter_cv();
-            assert_eq!(m.word.load(Ordering::Relaxed), word);
-            m.exit();
-            assert!(!m.is_locked());
-        }
     }
 
     #[test]

@@ -96,7 +96,7 @@ impl Sema {
         if self.try_dec() {
             return true;
         }
-        let deadline = sunmt_sys::time::monotonic_now() + timeout;
+        let deadline = sunmt_sys::time::monotonic_now().saturating_add(timeout);
         let shared = self.shared();
         let site = &self.count as *const _ as usize;
         let t0 = sunmt_stat::lock::slow_begin(site);

@@ -10,7 +10,8 @@
 //!
 //! The contract is futex-shaped, which both backends implement naturally:
 //! `park(word, expected)` sleeps only while `*word == expected`, and
-//! `unpark(word, n)` releases up to `n` sleepers.
+//! `unpark(word, n)` releases up to `n` sleepers. Those two calls are the
+//! whole contract; `cv_broadcast` is `unpark(word, u32::MAX)`.
 //!
 //! Sync variables are not the only clients: `sunmt-chan` parks its
 //! channel waiters, select waiters, and async `Waker`s on private
@@ -58,44 +59,6 @@ pub trait BlockStrategy: Sync {
 
     /// Wakes up to `n` contexts parked on `word`.
     fn unpark(&self, word: &AtomicU32, n: u32, shared: bool);
-
-    /// Wait morphing: wakes **one** context parked on `word` and transfers
-    /// every other one onto `target`'s wait queue without waking it, so the
-    /// transferred waiters are released one at a time as `target` (a mutex
-    /// word already marked contended) is exited.
-    ///
-    /// `expected` is the value the caller last published to `word`; if the
-    /// word has moved on (a racing signaller), the transfer is abandoned
-    /// and everyone is woken instead — waking too many is merely slow,
-    /// while requeueing on a stale protocol state could strand a waiter.
-    ///
-    /// The default is the kernel path (`FUTEX_CMP_REQUEUE`), correct for
-    /// any backend whose `park` is a kernel block. The threads library
-    /// overrides it to also migrate unbound threads between user-level
-    /// sleep queues.
-    fn unpark_requeue(&self, word: &AtomicU32, expected: u32, target: &AtomicU32, shared: bool) {
-        let scope = if shared {
-            Scope::Shared
-        } else {
-            Scope::Private
-        };
-        match futex::cmp_requeue(word, expected, 1, target, i32::MAX as u32, scope) {
-            Ok(moved) => {
-                sunmt_trace::probe!(sunmt_trace::Tag::FutexWake, word.as_ptr() as usize, 1u32);
-                let _ = moved;
-            }
-            Err(_) => {
-                // Stale `expected` (or an exotic futex failure): wake
-                // everyone, the pre-morphing behaviour.
-                sunmt_trace::probe!(
-                    sunmt_trace::Tag::FutexWake,
-                    word.as_ptr() as usize,
-                    u32::MAX
-                );
-                let _ = futex::wake_all(word, scope);
-            }
-        }
-    }
 
     /// Politely gives up the processor inside a spin loop.
     fn yield_now(&self);
@@ -237,17 +200,6 @@ pub fn unpark(word: &AtomicU32, n: u32, shared: bool) {
         KERNEL_BLOCK.unpark(word, n, true);
     } else {
         current().unpark(word, n, false);
-    }
-}
-
-/// Wakes one waiter and morphs the rest onto `target`; see
-/// [`BlockStrategy::unpark_requeue`].
-#[inline]
-pub fn unpark_requeue(word: &AtomicU32, expected: u32, target: &AtomicU32, shared: bool) {
-    if shared {
-        KERNEL_BLOCK.unpark_requeue(word, expected, target, true);
-    } else {
-        current().unpark_requeue(word, expected, target, false);
     }
 }
 

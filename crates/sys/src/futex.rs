@@ -16,8 +16,6 @@ use crate::time::Timespec;
 
 const FUTEX_WAIT: usize = 0;
 const FUTEX_WAKE: usize = 1;
-const FUTEX_REQUEUE: usize = 3;
-const FUTEX_CMP_REQUEUE: usize = 4;
 const FUTEX_PRIVATE_FLAG: usize = 128;
 
 /// Whether a futex word is shared between processes.
@@ -124,76 +122,6 @@ pub fn wake(word: &AtomicU32, count: u32, scope: Scope) -> Result<usize, Errno> 
     check(ret)
 }
 
-/// Wakes every LWP blocked on `word`.
-pub fn wake_all(word: &AtomicU32, scope: Scope) -> Result<usize, Errno> {
-    wake(word, i32::MAX as u32, scope)
-}
-
-/// Wakes up to `wake` LWPs blocked on `word` and moves up to `n_requeue`
-/// further waiters onto `target`'s wait queue without waking them.
-///
-/// This is the kernel half of wait morphing: a broadcast wakes one waiter
-/// and transfers the rest onto the mutex's futex word, so they are woken
-/// one at a time as the mutex frees instead of stampeding it. Returns the
-/// number of waiters woken plus the number requeued.
-pub fn requeue(
-    word: &AtomicU32,
-    wake: u32,
-    target: &AtomicU32,
-    n_requeue: u32,
-    scope: Scope,
-) -> Result<usize, Errno> {
-    // Both counts are read by the kernel as signed ints (see `wake`).
-    let wake = wake.min(i32::MAX as u32);
-    let n_requeue = n_requeue.min(i32::MAX as u32);
-    // SAFETY: both words are valid, live, 4-byte-aligned u32s; FUTEX_REQUEUE
-    // only manipulates the kernel-side wait queues hashed on their addresses.
-    let ret = unsafe {
-        syscall6(
-            nr::FUTEX,
-            word.as_ptr() as usize,
-            FUTEX_REQUEUE | scope.flag(),
-            wake as usize,
-            n_requeue as usize, // val2: passed in the timeout slot
-            target.as_ptr() as usize,
-            0,
-        )
-    };
-    check(ret)
-}
-
-/// Like [`requeue`], but only if `*word == expected` at syscall time.
-///
-/// The comparison closes the race where a concurrent signaller bumps the
-/// condition word between the caller's read and the requeue: the kernel
-/// rejects the stale operation with `EAGAIN` and the caller falls back to a
-/// plain wake-all. Returns the number of waiters woken plus requeued.
-pub fn cmp_requeue(
-    word: &AtomicU32,
-    expected: u32,
-    wake: u32,
-    target: &AtomicU32,
-    n_requeue: u32,
-    scope: Scope,
-) -> Result<usize, Errno> {
-    let wake = wake.min(i32::MAX as u32);
-    let n_requeue = n_requeue.min(i32::MAX as u32);
-    // SAFETY: as for `requeue`; FUTEX_CMP_REQUEUE additionally reads `word`
-    // once to compare it with `expected`.
-    let ret = unsafe {
-        syscall6(
-            nr::FUTEX,
-            word.as_ptr() as usize,
-            FUTEX_CMP_REQUEUE | scope.flag(),
-            wake as usize,
-            n_requeue as usize, // val2: passed in the timeout slot
-            target.as_ptr() as usize,
-            expected as usize,
-        )
-    };
-    check(ret)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,49 +151,6 @@ mod tests {
     }
 
     #[test]
-    fn requeue_with_no_waiters_moves_nobody() {
-        let from = AtomicU32::new(0);
-        let to = AtomicU32::new(0);
-        assert_eq!(requeue(&from, 1, &to, u32::MAX, Scope::Private), Ok(0));
-    }
-
-    #[test]
-    fn cmp_requeue_rejects_stale_expected() {
-        let from = AtomicU32::new(7);
-        let to = AtomicU32::new(0);
-        assert_eq!(
-            cmp_requeue(&from, 6, 1, &to, u32::MAX, Scope::Private),
-            Err(Errno::EAGAIN)
-        );
-    }
-
-    #[test]
-    fn cmp_requeue_moves_waiter_onto_target() {
-        let from = Arc::new(AtomicU32::new(0));
-        let to = Arc::new(AtomicU32::new(0));
-        let (f2, t2) = (Arc::clone(&from), Arc::clone(&to));
-        let h = std::thread::spawn(move || {
-            while t2.load(Ordering::Acquire) == 0 {
-                // Blocks on `from` first; after the requeue the kernel
-                // re-blocks this LWP on `to`, so only a wake of `to`
-                // releases it.
-                wait(&f2, 0, Scope::Private).unwrap();
-            }
-        });
-        // Wait until the waiter is actually queued, then requeue it (wake 0).
-        let mut moved = 0;
-        while moved == 0 {
-            moved = cmp_requeue(&from, 0, 0, &to, u32::MAX, Scope::Private).unwrap();
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        // A wake on the original word must now find nobody.
-        assert_eq!(wake_all(&from, Scope::Private).unwrap(), 0);
-        to.store(1, Ordering::Release);
-        wake_all(&to, Scope::Private).unwrap();
-        h.join().unwrap();
-    }
-
-    #[test]
     fn wake_unblocks_a_waiter() {
         let w = Arc::new(AtomicU32::new(0));
         let w2 = Arc::clone(&w);
@@ -276,7 +161,7 @@ mod tests {
         });
         std::thread::sleep(Duration::from_millis(10));
         w.store(1, Ordering::Release);
-        wake_all(&w, Scope::Private).unwrap();
+        wake(&w, u32::MAX, Scope::Private).unwrap();
         h.join().unwrap();
     }
 }

@@ -21,10 +21,12 @@ pub struct Timespec {
 }
 
 impl Timespec {
-    /// Converts a `Duration` (truncating beyond `i64` seconds).
+    /// Converts a `Duration`, saturating at `i64::MAX` seconds (a wrapped,
+    /// negative `tv_sec` would make the kernel reject the wait with
+    /// `EINVAL` instead of sleeping).
     pub fn from_duration(d: Duration) -> Timespec {
         Timespec {
-            sec: d.as_secs() as i64,
+            sec: i64::try_from(d.as_secs()).unwrap_or(i64::MAX),
             nsec: d.subsec_nanos() as i64,
         }
     }
@@ -164,5 +166,6 @@ mod tests {
         assert_eq!(Timespec::from_duration(d).to_duration(), d);
         let neg = Timespec { sec: -1, nsec: 0 };
         assert_eq!(neg.to_duration(), Duration::ZERO);
+        assert_eq!(Timespec::from_duration(Duration::MAX).sec, i64::MAX);
     }
 }

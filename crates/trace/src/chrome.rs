@@ -65,7 +65,6 @@ fn render_class(tag: Tag) -> RenderClass {
         | Tag::RunqSteal
         | Tag::RunqInject
         | Tag::MutexSpin
-        | Tag::CvRequeue
         | Tag::SleepqShard
         | Tag::MagazineHit
         | Tag::MagazineMiss

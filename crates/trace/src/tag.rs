@@ -99,54 +99,50 @@ pub enum Tag {
     /// Adaptive mutex finished its spin phase (`a` = lock address, `b` =
     /// spins burned before acquiring or falling back to the sleep path).
     MutexSpin = 38,
-    /// A broadcast morphed waiters onto the mutex instead of waking them
-    /// all (`a` = cv address, `b` = waiters woken + requeued).
-    CvRequeue = 39,
     /// A thread was inserted into a hashed sleep-queue shard (`a` = wait
     /// word, `b` = shard index).
-    SleepqShard = 40,
+    SleepqShard = 39,
     /// Thread create satisfied from the per-LWP magazine (`a` = 1 if the
     /// thread struct was recycled, `b` = 1 if the stack was).
-    MagazineHit = 41,
+    MagazineHit = 40,
     /// Thread create fell through the magazine to a fresh allocation
     /// (`a` = 1 if the thread struct missed, `b` = 1 if the stack did).
-    MagazineMiss = 42,
+    MagazineMiss = 41,
     /// A `FUTEX_WAKE` system call was issued by the sync layer (`a` = wait
-    /// word, `b` = wake count requested). The thundering-herd regression
-    /// test counts these around a broadcast.
-    FutexWake = 43,
+    /// word, `b` = wake count requested).
+    FutexWake = 42,
     /// A message was committed into a channel slot (`a` = channel address,
     /// `b` = queue depth after the send).
-    ChanSend = 44,
+    ChanSend = 43,
     /// A message was taken out of a channel slot (`a` = channel address,
     /// `b` = queue depth after the receive).
-    ChanRecv = 45,
+    ChanRecv = 44,
     /// A channel operation found no slot/message and parked the caller
     /// (`a` = channel address, `b` = 0 receiver / 1 sender).
-    ChanPark = 46,
+    ChanPark = 45,
     /// A select wait was woken by one of its registered channels (`a` =
     /// channel address that fired, `b` = waiter's wait-word address).
-    SelectWake = 47,
+    SelectWake = 46,
     /// A poller shard applied its coalesced epoll_ctl batch (`a` = shard
     /// index, `b` = ops applied).
-    IoBatchFlush = 48,
+    IoBatchFlush = 47,
     /// A timer tick forced the running thread off the CPU because a
     /// higher-priority thread was runnable (`a` = preempted thread id,
     /// `b` = the effective priority it was preempted at).
-    Preempt = 49,
+    Preempt = 48,
     /// A tick decayed the running thread's timeshare priority (`a` =
     /// thread id, `b` = the new effective priority).
-    PrioDecay = 50,
+    PrioDecay = 49,
     /// A blocked waiter inherited its priority to the mutex holder's LWP
     /// (`a` = lock address, `b` = the priority pushed to the owner).
-    PiBoost = 51,
+    PiBoost = 50,
     /// A mutex release stripped the inherited priority from the former
     /// owner's LWP (`a` = lock address, `b` = the boost removed).
-    PiStrip = 52,
+    PiStrip = 51,
 }
 
 /// Number of distinct tags (length of [`Tag::ALL`]).
-pub const NTAGS: usize = 53;
+pub const NTAGS: usize = 52;
 
 impl Tag {
     /// Every tag, indexed by discriminant.
@@ -190,7 +186,6 @@ impl Tag {
         Tag::RunqSteal,
         Tag::RunqInject,
         Tag::MutexSpin,
-        Tag::CvRequeue,
         Tag::SleepqShard,
         Tag::MagazineHit,
         Tag::MagazineMiss,
@@ -253,7 +248,6 @@ impl Tag {
             Tag::RunqSteal => "runq-steal",
             Tag::RunqInject => "runq-inject",
             Tag::MutexSpin => "mutex-spin",
-            Tag::CvRequeue => "cv-requeue",
             Tag::SleepqShard => "sleepq-shard",
             Tag::MagazineHit => "magazine-hit",
             Tag::MagazineMiss => "magazine-miss",

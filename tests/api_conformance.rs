@@ -7,6 +7,7 @@
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use sunos_mt::sync::{Condvar, Mutex, RwLock, RwType, Sema, SyncType};
 use sunos_mt::threads::api::*;
@@ -341,4 +342,56 @@ fn sema_timedp_by_paper_name() {
         11,
         "the V-satisfied sema_timedp must return true"
     );
+}
+
+#[test]
+fn timed_waits_accept_duration_max() {
+    // "Forever" as a timeout must mean blocking until signalled, on the
+    // kernel-futex path (bound thread) and the sleep-queue path (unbound),
+    // not an overflowing deadline.
+    for flags in [CreateFlags::WAIT | CreateFlags::BIND_LWP, CreateFlags::WAIT] {
+        for op in ["cv_timedwait", "sema_timedp", "recv_timeout"] {
+            let state = Arc::new((
+                Mutex::new(SyncType::DEFAULT),
+                Condvar::new(SyncType::DEFAULT),
+                Sema::new(0, SyncType::DEFAULT),
+                AtomicU32::new(0),
+            ));
+            let (tx, rx) = sunos_mt::chan::bounded::<u32>(1);
+            let w = Arc::clone(&state);
+            let id = thread_create(flags, move || {
+                let (mx, cv, sem, flag) = &*w;
+                let got = match op {
+                    "cv_timedwait" => {
+                        mutex_enter(mx);
+                        let mut signaled = true;
+                        while signaled && flag.load(Ordering::SeqCst) == 0 {
+                            signaled = cv_timedwait(cv, mx, Duration::MAX);
+                        }
+                        mutex_exit(mx);
+                        signaled
+                    }
+                    "sema_timedp" => sema_timedp(sem, Duration::MAX),
+                    _ => rx.recv_timeout(Duration::MAX) == Ok(7),
+                };
+                assert!(got, "{op} with Duration::MAX returned without a signal");
+            })
+            .expect("thread_create");
+            // Let the waiter block first, so the wakeup lands on a parked
+            // thread rather than racing ahead of the wait.
+            std::thread::sleep(Duration::from_millis(20));
+            let (mx, cv, sem, flag) = &*state;
+            match op {
+                "cv_timedwait" => {
+                    mutex_enter(mx);
+                    flag.store(1, Ordering::SeqCst);
+                    cv_signal(cv);
+                    mutex_exit(mx);
+                }
+                "sema_timedp" => sema_v(sem),
+                _ => tx.send(7).expect("receiver alive"),
+            }
+            thread_wait(Some(id)).expect("thread_wait");
+        }
+    }
 }

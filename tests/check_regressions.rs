@@ -67,20 +67,6 @@ const CORPUS: &[(&str, &str)] = &[
     // Adaptive mutex: the second thread spins while the holder runs,
     // then acquires cleanly on release.
     ("v1/mutex_adaptive/default/0.1.0.1.0.1", ""),
-    // Wait morphing: one waiter parks on the cv, the broadcast (issued
-    // with the mutex held) wakes it and requeues the rest onto the
-    // mutex queue instead of thundering — the cv-requeue event fires
-    // and everyone still observes the flag.
-    ("v1/cv_morph/default/0.0.0.1.1.1.2.2.2.2.2", ""),
-    // The morphed-timeout race: the broadcast moves the timed waiter
-    // onto the mutex queue, the broadcaster sleeps past the deadline
-    // while still holding the mutex, and the seeded-buggy machine
-    // reports ETIME for a wakeup it already consumed. Found by the
-    // exhaustive sweep.
-    (
-        "v1/neg_cv_morph_timeout/default/0.2.2.2.2.0.1.1.1.1.1.1.1",
-        "timed_out=true",
-    ),
     // Channel lost wakeup: the receiver finds the ring empty, the send
     // commits and fires its wakeup before the receiver registers, and
     // the buggy no-recheck variant parks anyway with a message queued.

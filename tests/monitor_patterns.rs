@@ -1,13 +1,15 @@
 //! Classic concurrent-programming patterns built purely from the paper's
 //! primitives, run with mixed bound/unbound threads: a bounded buffer
 //! (monitor with two conditions), a readers/writers workload exercising
-//! `rw_downgrade`/`rw_tryupgrade` under load, and a reusable barrier from
-//! one mutex + one condition variable.
+//! `rw_downgrade`/`rw_tryupgrade` under load, a reusable barrier from
+//! one mutex + one condition variable, and a timed wait whose deadline
+//! passes while it queues for the mutex after being signalled.
 
 use std::cell::UnsafeCell;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use sunos_mt::sync::{Condvar, Mutex, RwLock, RwType, SyncType};
 use sunos_mt::threads::{self, CreateFlags, ThreadBuilder};
@@ -214,9 +216,9 @@ struct Barrier {
 }
 
 impl Barrier {
-    fn new(needed: usize) -> Barrier {
+    fn new(needed: usize, mutex_kind: SyncType) -> Barrier {
         Barrier {
-            m: Mutex::new(SyncType::DEFAULT),
+            m: Mutex::new(mutex_kind),
             cv: Condvar::new(SyncType::DEFAULT),
             needed,
             arrived: AtomicUsize::new(0),
@@ -242,9 +244,18 @@ impl Barrier {
 
 #[test]
 fn condvar_barrier_keeps_lockstep() {
+    // Every round ends in a broadcast the woken parties then contend the
+    // mutex over; the adaptive variant's reacquire spins and sleeps on
+    // the same slow path as `mutex_enter`.
+    for kind in [SyncType::DEFAULT, SyncType::ADAPTIVE] {
+        barrier_lockstep(kind);
+    }
+}
+
+fn barrier_lockstep(mutex_kind: SyncType) {
     const PARTIES: usize = 6;
     const ROUNDS: usize = 50;
-    let bar = Arc::new(Barrier::new(PARTIES));
+    let bar = Arc::new(Barrier::new(PARTIES, mutex_kind));
     let round_counts = Arc::new((0..ROUNDS).map(|_| AtomicUsize::new(0)).collect::<Vec<_>>());
     let mut ids = Vec::new();
     for _ in 0..PARTIES {
@@ -271,4 +282,73 @@ fn condvar_barrier_keeps_lockstep() {
     for id in ids {
         threads::wait(Some(id)).expect("wait");
     }
+}
+
+// -------------------------------------------------------------------------
+// cv_timedwait: a signal that arrives before the deadline is a signal, even
+// when the deadline passes while the waiter queues for the mutex.
+
+#[test]
+fn deadline_passed_behind_the_mutex_is_still_a_signal() {
+    struct Monitor {
+        m: Mutex,
+        cv: Condvar,
+        go: AtomicBool,
+        entered: AtomicBool,
+    }
+    let mon = Arc::new(Monitor {
+        m: Mutex::new(SyncType::DEFAULT),
+        cv: Condvar::new(SyncType::DEFAULT),
+        go: AtomicBool::new(false),
+        entered: AtomicBool::new(false),
+    });
+    let s = Arc::clone(&mon);
+    let id = ThreadBuilder::new()
+        .flags(CreateFlags::WAIT)
+        .spawn(move || {
+            s.m.enter();
+            s.entered.store(true, Ordering::SeqCst);
+            let mut signaled = true;
+            while signaled && !s.go.load(Ordering::SeqCst) {
+                signaled = s.cv.timed_wait(&s.m, Duration::from_secs(1));
+            }
+            s.m.exit();
+            assert!(
+                s.go.load(Ordering::SeqCst),
+                "waiter timed out before the broadcast arrived"
+            );
+            assert!(
+                signaled,
+                "deadline passed while reacquiring the mutex and was wrongly \
+                 reported as a timeout"
+            );
+        })
+        .expect("spawn waiter");
+    // Seeing the flag under the mutex proves the waiter has released it
+    // inside its wait; the grace sleep lets it finish parking.
+    loop {
+        mon.m.enter();
+        let entered = mon.entered.load(Ordering::SeqCst);
+        mon.m.exit();
+        if entered {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    std::thread::sleep(Duration::from_millis(20));
+
+    // Broadcast, then keep holding the mutex until well past the waiter's
+    // deadline: the waiter was woken in time and spends the rest of its
+    // timeout queued for the mutex.
+    let t0 = Instant::now();
+    mon.m.enter();
+    mon.go.store(true, Ordering::SeqCst);
+    mon.cv.broadcast();
+    std::thread::sleep(Duration::from_millis(1_300));
+    mon.m.exit();
+    assert!(
+        t0.elapsed() >= Duration::from_millis(1_200),
+        "broadcaster released the mutex before the deadline could pass"
+    );
+    threads::wait(Some(id)).expect("join waiter");
 }

@@ -1,9 +1,9 @@
 //! Mutex variant conformance: every combination of the paper's variant
 //! bits round-trips `init`/`enter`/`exit`/`destroy` under real contention,
 //! on bound and unbound threads, and the `DEBUG` bit catches unlock by a
-//! non-owner. (A broadcast morphing onto an `ADAPTIVE` mutex, whose
-//! condition-variable reacquire runs the same slow path as `mutex_enter`,
-//! is a case of `tests/wake_morph.rs`.)
+//! non-owner. (A condition-variable reacquire is a plain `mutex_enter`;
+//! broadcast liveness on an `ADAPTIVE` mutex is a case of
+//! `tests/monitor_patterns.rs::condvar_barrier_keeps_lockstep`.)
 //!
 //! Cross-*process* exclusion of the `SHARED` variants is
 //! `tests/cross_process.rs::cross_process_mutex_excludes`.
