@@ -51,14 +51,15 @@ Gated metrics:
   latency across the matrix. Ceiling-gated far above the measured
   tail: a waiter that misses its shard's event and limps home on a
   retry path turns a ~100us wake into tens of milliseconds.
-* `BENCH_preempt.json` / `p99_dispatch_us` — p99 probe dispatch
-  latency onto hog-occupied shards in the virtual-time preemption
-  simulation. Deterministic, ceiling-gated at two tick periods: a
-  broken decay table or preemption check sends the tail straight to
-  the hogs' voluntary-yield cadence, an order of magnitude above.
-* `BENCH_preempt.json` / `starved_dispatches` — probes that waited
-  more than 20 ticks for a processor in the same simulation. Timer
-  preemption exists so this is exactly zero; ceiling-gated at zero.
+* `BENCH_preempt.json` / `real_p99_us` — p99 wake-to-run latency of
+  a higher-priority probe onto LWPs occupied by CPU hogs, in the real
+  library under `SUNMT_PREEMPT=timer` (10 ms tick). Ceiling-gated at
+  two tick periods: a tick that stops firing, a broken decay or a
+  preemption check that stops switching hogs out leaves the probe
+  waiting for a hog that never yields, far above it.
+* `BENCH_preempt.json` / `real_preempts` — hogs switched out at a tick
+  in the same run. Floor-gated at 1: the latency above means nothing
+  unless the preemption path actually ran.
 
 `BENCH_mutex.json` (ABL-MUTEX, the sleep/spin/adaptive contention
 matrix) is regenerated and uploaded but carries no gate; its
@@ -162,17 +163,17 @@ GATES = [
     ),
     Gate(
         "BENCH_preempt.json",
-        "p99_dispatch_us",
+        "real_p99_us",
         ceiling=20000.0,
         tolerance=0.0,
-        why="timer preemption no longer bounds dispatch latency to the tick",
+        why="timer preemption no longer bounds wake-to-run latency to two ticks",
     ),
     Gate(
         "BENCH_preempt.json",
-        "starved_dispatches",
-        ceiling=0.0,
+        "real_preempts",
+        floor=1.0,
         tolerance=0.0,
-        why="a probe starved behind a CPU hog despite the preemption tick",
+        why="the preemption tick never switched a CPU hog out",
     ),
 ]
 

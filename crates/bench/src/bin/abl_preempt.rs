@@ -1,30 +1,19 @@
-//! ABL-PREEMPT — timer-driven preemption vs cooperative-only dispatch.
+//! ABL-PREEMPT — timer-driven preemption in the real library.
 //!
 //! The paper's timeshare class exists so a compute-bound thread cannot
 //! monopolize its processor: the clock tick decays the running thread's
 //! priority and a freshly woken sleeper outranks it. This ablation puts a
-//! number on that — the dispatch latency of an interactive thread waking
-//! onto a shard occupied by CPU hogs. Two sections, one table:
+//! number on that with the actual scheduler under `SUNMT_PREEMPT=timer`
+//! at its fixed 10 ms tick: unbound hogs spin through
+//! `thread_preempt_point()` on every pool LWP while off-pool posts wake
+//! higher-priority probes, and each wake's post-to-running latency is
+//! timed. With the tick working, a wake waits at most about one tick for
+//! a hog to be switched out; the gate holds the p99 under two ticks
+//! (`real_p99_us`) and requires the preempt path to have run at all
+//! (`real_preempts`). The preempt and decay counters come from
+//! `sunmt::stats()`.
 //!
-//! 1. **Virtual-time dispatch latency (the gated rows).** A deterministic
-//!    discrete-event simulation of per-shard LWPs running N spinners plus
-//!    M sleep/wake latency probes, mirroring the library's policy exactly:
-//!    a tick every `TICK_US` charges the running thread one quantum tick
-//!    and sets its penalty from the `TS_DECAY` table, a preemption check
-//!    compares the decayed effective priority against the shard's top
-//!    runnable, and a wake restores the sleeper's penalty to zero (the
-//!    sleep boost). The host cannot distort virtual time, so the
-//!    `p99_dispatch_us` tail and the `starved_dispatches` counter are
-//!    stable enough for CI to gate. A cooperative-only contrast run (no
-//!    ticks; hogs yield every `COOP_YIELD_US`) shows what the tick buys.
-//! 2. **Real-library wake latency.** The actual scheduler under
-//!    `SUNMT_PREEMPT=timer`: unbound hogs spinning through
-//!    `thread_preempt_point()` on every pool LWP while off-pool posts wake
-//!    higher-priority probes, timing post-to-running. Wall-clock on a
-//!    shared host, so these rows inform but are not gated; the preempt and
-//!    decay counters from `sunmt::stats()` prove the mechanism ran.
-//!
-//! `--smoke` shrinks the budgets for CI; `--json PATH` writes the
+//! `--smoke` shrinks the budget for CI; `--json PATH` writes the
 //! machine-readable table (committed as `BENCH_preempt.json`).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -33,191 +22,6 @@ use std::time::Instant;
 
 use sunmt::sync::{Sema, SyncType};
 use sunmt_bench::PaperTable;
-
-/// Virtual microseconds between clock ticks (the library's default
-/// `SUNMT_TICK_US`).
-const TICK_US: u64 = 10_000;
-
-/// Virtual microseconds one dispatch (context switch) costs.
-const DISPATCH_US: u64 = 5;
-
-/// Virtual microseconds a probe runs per wake before sleeping again.
-const PROBE_RUN_US: u64 = 200;
-
-/// Virtual microseconds a probe sleeps between wakes. Deliberately not a
-/// divisor of `TICK_US`, so wakes sweep across every tick phase instead
-/// of locking onto one.
-const PROBE_SLEEP_US: u64 = 7_300;
-
-/// Base timeshare priority of every simulated thread. Hogs and probes
-/// start equal: only the decay table and the sleep boost separate them,
-/// which is exactly the mechanism under test.
-const BASE_PRI: i32 = 20;
-
-/// The library's timeshare decay table (`sunmt::thread::TS_DECAY`),
-/// indexed by accumulated quantum ticks, clamped to the last entry.
-const TS_DECAY: [i32; 5] = [0, 10, 20, 30, 40];
-
-/// A probe dispatch counts as starved past this many ticks of waiting.
-const STARVE_TICKS: u64 = 20;
-
-/// Cooperative contrast: hogs voluntarily yield this often (and nothing
-/// decays). This is the pre-timeshare world — latency is bounded only by
-/// the hogs' good manners.
-const COOP_YIELD_US: u64 = 100_000;
-
-/// One simulated thread on a shard.
-struct SimThread {
-    base: i32,
-    quantum: u32,
-    penalty: i32,
-    /// `None` for hogs; `Some(wakes completed)` for latency probes.
-    probe_wakes: Option<u64>,
-}
-
-impl SimThread {
-    fn eff(&self) -> i32 {
-        (self.base - self.penalty).max(0)
-    }
-
-    /// One clock tick against this thread while it runs: charge a
-    /// quantum tick, set the penalty from the decay table, return the
-    /// new effective priority (mirrors `Thread::decay_tick`).
-    fn decay_tick(&mut self) -> i32 {
-        self.quantum += 1;
-        self.penalty = TS_DECAY[(self.quantum as usize).min(TS_DECAY.len() - 1)];
-        self.eff()
-    }
-
-    /// Wake from sleep: restore the penalty (mirrors
-    /// `Thread::wake_restore`). Yields and preemptions do *not* do this.
-    fn wake_restore(&mut self) {
-        self.quantum = 0;
-        self.penalty = 0;
-    }
-}
-
-#[derive(Default)]
-struct SimOutcome {
-    /// Per-dispatch probe latency (ready-to-running), virtual us.
-    latencies: Vec<u64>,
-    starved: u64,
-    preempts: u64,
-}
-
-/// Simulates one shard's LWP running `hogs` spinners and `probes`
-/// sleep/wake probes until every probe has completed `wakes` cycles.
-/// `preempt` selects the timer-tick policy; otherwise hogs yield
-/// cooperatively every `COOP_YIELD_US` and nothing decays.
-fn simulate_shard(hogs: usize, probes: usize, wakes: u64, preempt: bool) -> SimOutcome {
-    let n = hogs + probes;
-    let mut ths: Vec<SimThread> = (0..n)
-        .map(|i| SimThread {
-            base: BASE_PRI,
-            quantum: 0,
-            penalty: 0,
-            probe_wakes: if i < hogs { None } else { Some(0) },
-        })
-        .collect();
-
-    // Ready threads as (effective-priority-at-enqueue, ready_time, id);
-    // dispatch picks max priority, ties broken FIFO by ready time. Probes
-    // start asleep with staggered first wakes so they do not arrive as
-    // one convoy; hogs start ready.
-    let mut runq: Vec<(i32, u64, usize)> = (0..hogs).map(|i| (BASE_PRI, 0, i)).collect();
-    let mut sleepers: Vec<(u64, usize)> = (0..probes)
-        .map(|p| (1 + p as u64 * PROBE_SLEEP_US / probes as u64, hogs + p))
-        .collect();
-
-    let mut now: u64 = 0;
-    let mut running: Option<usize> = None;
-    let mut out = SimOutcome::default();
-
-    let done = |ths: &[SimThread]| ths.iter().all(|t| t.probe_wakes.is_none_or(|w| w >= wakes));
-
-    while !done(&ths) {
-        // Deliver due wakeups: a waking probe re-enters at full base
-        // priority (sleep boost).
-        sleepers.retain(|&(at, id)| {
-            if at <= now {
-                ths[id].wake_restore();
-                runq.push((ths[id].eff(), at, id));
-                false
-            } else {
-                true
-            }
-        });
-
-        let Some(t) = running else {
-            // Dispatch the best ready thread, or idle to the next wake.
-            let Some(best) = runq
-                .iter()
-                .enumerate()
-                .max_by(|(_, a), (_, b)| {
-                    (a.0, std::cmp::Reverse(a.1)).cmp(&(b.0, std::cmp::Reverse(b.1)))
-                })
-                .map(|(i, _)| i)
-            else {
-                now = sleepers
-                    .iter()
-                    .map(|&(at, _)| at)
-                    .min()
-                    .expect("idle shard with no sleepers");
-                continue;
-            };
-            let (_, ready, id) = runq.swap_remove(best);
-            now += DISPATCH_US;
-            if ths[id].probe_wakes.is_some() {
-                let lat = now - ready;
-                if lat > STARVE_TICKS * TICK_US {
-                    out.starved += 1;
-                }
-                out.latencies.push(lat);
-            }
-            running = Some(id);
-            continue;
-        };
-
-        if let Some(w) = ths[t].probe_wakes {
-            // A probe burst is short (well under a tick): run it to
-            // completion and put it back to sleep.
-            now += PROBE_RUN_US;
-            ths[t].probe_wakes = Some(w + 1);
-            sleepers.push((now + PROBE_SLEEP_US, t));
-            running = None;
-            continue;
-        }
-
-        // A hog computes until the next policy event.
-        if preempt {
-            // Run to the next tick on the shard's tick grid, then decay
-            // and run the preemption check against the ready queue.
-            now = (now / TICK_US + 1) * TICK_US;
-            let eff = ths[t].decay_tick();
-            sleepers.retain(|&(at, id)| {
-                if at <= now {
-                    ths[id].wake_restore();
-                    runq.push((ths[id].eff(), at, id));
-                    false
-                } else {
-                    true
-                }
-            });
-            if runq.iter().map(|&(p, _, _)| p).max().unwrap_or(i32::MIN) > eff {
-                out.preempts += 1;
-                runq.push((eff, now, t));
-                running = None;
-            }
-        } else {
-            // Cooperative world: the hog computes a full slice and then
-            // politely yields at its base priority.
-            now += COOP_YIELD_US;
-            runq.push((ths[t].base, now, t));
-            running = None;
-        }
-    }
-    out
-}
 
 /// Percentile over an unsorted latency sample (nearest-rank).
 fn percentile(lats: &mut [u64], p: f64) -> u64 {
@@ -333,114 +137,32 @@ fn main() {
     });
 
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let (shards, hogs, probes, wakes) = if smoke { (2, 2, 4, 50) } else { (4, 2, 4, 400) };
-    let (real_lwps, real_probes, real_rounds) = if smoke { (2, 2, 40) } else { (2, 2, 200) };
+    let (lwps, probes, rounds) = if smoke { (2, 2, 40) } else { (2, 2, 200) };
 
     let mut t = PaperTable::new(
-        "Ablation: timer-driven preemption — probe dispatch latency onto \
-         hog-occupied shards (virtual us; real-library wake latency below)",
+        "Ablation: timer-driven preemption — probe wake-to-run latency onto \
+         hog-occupied LWPs (real library, 10 ms tick, us)",
     );
 
-    // 1. Virtual-time dispatch latency, N hogs + M probes per shard.
-    let mut all = Vec::new();
-    let mut preempts = 0u64;
-    let mut starved = 0u64;
-    for _ in 0..shards {
-        let out = simulate_shard(hogs, probes, wakes, true);
-        preempts += out.preempts;
-        starved += out.starved;
-        all.extend(out.latencies);
-    }
-    let mut lats = all.clone();
-    let p50 = percentile(&mut lats, 50.0);
-    let p99 = percentile(&mut lats, 99.0);
-    let max = *lats.last().expect("no dispatches");
-    t.row("timeshare tick: p50 dispatch", p50 as f64);
-    t.row("timeshare tick: p99 dispatch", p99 as f64);
-    t.row("timeshare tick: max dispatch", max as f64);
-    t.note(format!(
-        "sim: shards={shards} hogs_per_shard={hogs} probes_per_shard={probes} \
-         wakes_per_probe={wakes} tick_us={TICK_US} dispatch_us={DISPATCH_US} \
-         probe_run_us={PROBE_RUN_US} probe_sleep_us={PROBE_SLEEP_US} \
-         starve_ticks={STARVE_TICKS}"
-    ));
-    t.note(format!(
-        "p50_dispatch_us={p50} p99_dispatch_us={p99} max_dispatch_us={max} \
-         starved_dispatches={starved} sim_preempts={preempts}"
-    ));
-
-    // The cooperative contrast: same load, hogs yield only by good
-    // manners. Not gated — it exists to show what the tick buys.
-    let mut coop = Vec::new();
-    let mut coop_starved = 0u64;
-    for _ in 0..shards {
-        let out = simulate_shard(hogs, probes, wakes, false);
-        coop_starved += out.starved;
-        coop.extend(out.latencies);
-    }
-    let coop_p99 = percentile(&mut coop, 99.0);
-    t.row("cooperative only: p99 dispatch", coop_p99 as f64);
-    t.note(format!(
-        "coop_p99_us={coop_p99} coop_starved={coop_starved} \
-         coop_yield_us={COOP_YIELD_US} tick_improvement={:.2}",
-        coop_p99 as f64 / p99 as f64
-    ));
-
-    // 2. The real library under SUNMT_PREEMPT=timer. Env must be set
-    // before `init()` primes the mode; a fast tick keeps the run short.
+    // The env must be set before `init()` primes the mode.
     std::env::set_var("SUNMT_PREEMPT", "timer");
-    std::env::set_var("SUNMT_TICK_US", "2000");
     sunmt::init();
     let before = sunmt::stats();
-    let mut real = real_library_wakes(real_lwps, real_probes, real_rounds);
+    let mut lats = real_library_wakes(lwps, probes, rounds);
     let after = sunmt::stats();
-    let real_p50 = percentile(&mut real, 50.0);
-    let real_p99 = percentile(&mut real, 99.0);
-    t.row("real library: p50 wake-to-run", real_p50 as f64);
-    t.row("real library: p99 wake-to-run", real_p99 as f64);
+    let preempts = after.preempts - before.preempts;
+    let decays = after.decays - before.decays;
+    let p50 = percentile(&mut lats, 50.0);
+    let p99 = percentile(&mut lats, 99.0);
+    let max = *lats.last().expect("no wakes");
+    t.row("real library: p50 wake-to-run", p50 as f64);
+    t.row("real library: p99 wake-to-run", p99 as f64);
+    t.row("real library: max wake-to-run", max as f64);
     t.note(format!(
-        "real (not gated): lwps={real_lwps} probes={real_probes} rounds={real_rounds} \
-         tick_us=2000 real_p50_us={real_p50} real_p99_us={real_p99} \
-         real_preempts={} real_decays={}",
-        after.preempts - before.preempts,
-        after.decays - before.decays
+        "real: lwps={lwps} probes={probes} rounds={rounds} tick_us=10000 \
+         real_p50_us={p50} real_p99_us={p99} real_max_us={max} \
+         real_preempts={preempts} real_decays={decays}"
     ));
-
-    // Nightly hog-mix matrix (`--matrix`): the gated sim point above is
-    // one load shape; this sweeps hogs x probes per shard and holds the
-    // starvation invariant across every cell. Virtual time, so the whole
-    // matrix costs milliseconds.
-    if std::env::args().any(|a| a == "--matrix") {
-        let mut worst_p99 = 0u64;
-        for mh in [1usize, 2, 4, 8] {
-            for mp in [1usize, 4, 8] {
-                let out = simulate_shard(mh, mp, wakes, true);
-                let mut l = out.latencies.clone();
-                let cell_p99 = percentile(&mut l, 99.0);
-                worst_p99 = worst_p99.max(cell_p99);
-                t.row(
-                    format!("matrix {mh} hogs x {mp} probes: p99"),
-                    cell_p99 as f64,
-                );
-                assert_eq!(
-                    out.starved, 0,
-                    "{} dispatches starved at {mh} hogs x {mp} probes",
-                    out.starved
-                );
-                // Startup transient bound: each fresh equal-priority hog
-                // gets one quantum before it decays below a waking probe,
-                // so the tail scales with the hog count, never past it.
-                assert!(
-                    cell_p99 <= (mh as u64 + 2) * TICK_US,
-                    "p99 {cell_p99}us at {mh} hogs x {mp} probes exceeds \
-                     ({mh}+2) tick periods"
-                );
-            }
-        }
-        t.note(format!(
-            "matrix_worst_p99_us={worst_p99} (hogs 1/2/4/8 x probes 1/4/8)"
-        ));
-    }
 
     t.print();
     if let Err(e) = t.write_json_if_requested("abl_preempt", std::env::args()) {
@@ -448,94 +170,12 @@ fn main() {
         std::process::exit(2);
     }
 
-    // Shape checks: the tick must actually preempt, nothing may starve,
-    // the tail must stay inside two tick periods (the gate's ceiling),
-    // and the real library must have run its decay path.
-    assert!(preempts > 0, "sim preemption path never ran");
-    assert_eq!(
-        starved, 0,
-        "{starved} probe dispatches starved past {STARVE_TICKS} ticks"
-    );
+    // Shape checks: the tick must have run the decay path and switched a
+    // hog out. The latency bound is the gate's (ci/bench_gate.py).
+    assert!(decays > 0, "no priority decays under SUNMT_PREEMPT=timer");
     assert!(
-        p99 <= 2 * TICK_US,
-        "sim p99 dispatch latency {p99}us exceeds two tick periods"
+        preempts > 0,
+        "no hog was preempted under SUNMT_PREEMPT=timer"
     );
-    assert!(
-        coop_p99 > p99,
-        "cooperative-only p99 {coop_p99}us not worse than the tick's {p99}us"
-    );
-    assert!(
-        after.decays > before.decays,
-        "real library recorded no priority decays under SUNMT_PREEMPT=timer"
-    );
-    println!(
-        "\nshape check: OK (p99 {p99}us <= 2 ticks, 0 starved, coop contrast {coop_p99}us, \
-         real decays {})",
-        after.decays - before.decays
-    );
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// The ISSUE's starvation regression: one CPU hog plus one sleeper on
-    /// a shard — the sleeper must be dispatched within K ticks of every
-    /// wake, with the starvation counter untouched.
-    #[test]
-    fn hog_plus_sleeper_dispatches_within_k_ticks() {
-        const K: u64 = 2;
-        let out = simulate_shard(1, 1, 100, true);
-        assert_eq!(out.starved, 0);
-        assert_eq!(out.latencies.len(), 100);
-        let worst = *out.latencies.iter().max().unwrap();
-        assert!(
-            worst <= K * TICK_US,
-            "sleeper waited {worst}us behind the hog (> {K} ticks)"
-        );
-        assert!(out.preempts > 0, "the hog was never preempted");
-    }
-
-    /// Without the tick, the same sleeper's wait is bounded only by the
-    /// hog's cooperative yield period — an order of magnitude worse.
-    #[test]
-    fn cooperative_only_contrast_is_worse() {
-        let tick = simulate_shard(1, 1, 100, true);
-        let coop = simulate_shard(1, 1, 100, false);
-        let tick_worst = *tick.latencies.iter().max().unwrap();
-        let coop_worst = *coop.latencies.iter().max().unwrap();
-        assert!(
-            coop_worst > 2 * tick_worst,
-            "cooperative worst {coop_worst}us vs tick worst {tick_worst}us"
-        );
-    }
-
-    /// Virtual time is deterministic: two identical runs, identical
-    /// latency streams (what makes the p99 gateable at all).
-    #[test]
-    fn simulation_is_deterministic() {
-        let a = simulate_shard(2, 4, 60, true);
-        let b = simulate_shard(2, 4, 60, true);
-        assert_eq!(a.latencies, b.latencies);
-        assert_eq!(a.preempts, b.preempts);
-    }
-
-    /// Decay must stick across preemptions (yields don't restore) and
-    /// reset on wake — the asymmetry the whole policy rides on.
-    #[test]
-    fn decay_accumulates_and_wake_restores() {
-        let mut th = SimThread {
-            base: BASE_PRI,
-            quantum: 0,
-            penalty: 0,
-            probe_wakes: None,
-        };
-        assert_eq!(th.decay_tick(), BASE_PRI - TS_DECAY[1]);
-        for _ in 0..10 {
-            th.decay_tick();
-        }
-        assert_eq!(th.eff(), 0, "long-running hog pins at effective 0");
-        th.wake_restore();
-        assert_eq!(th.eff(), BASE_PRI);
-    }
+    println!("\nshape check: OK (p99 {p99}us, {preempts} preempts, {decays} decays)");
 }

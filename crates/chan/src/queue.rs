@@ -34,10 +34,12 @@ pub(crate) struct Ring<T> {
     head: CacheLine<AtomicUsize>,
 }
 
-// Values move through the ring by ownership transfer; the seq protocol
-// guarantees exclusive access to a slot's cell between the CAS that
-// claims it and the store that publishes it.
+// SAFETY: Values move through the ring by ownership transfer, so sending
+// the ring to another LWP moves only `T: Send` values with it.
 unsafe impl<T: Send> Send for Ring<T> {}
+// SAFETY: The seq protocol guarantees exclusive access to a slot's cell
+// between the CAS that claims it and the store that publishes it, so
+// shared `&Ring` access never reads and writes one cell concurrently.
 unsafe impl<T: Send> Sync for Ring<T> {}
 
 impl<T> Ring<T> {
@@ -81,6 +83,9 @@ impl<T> Ring<T> {
                     Ordering::Relaxed,
                 ) {
                     Ok(_) => {
+                        // SAFETY: The CAS claimed lap `pos` of this slot
+                        // for us alone, and `seq == pos` says the consumer
+                        // of the previous lap has finished with the cell.
                         unsafe { (*slot.val.get()).write(v) };
                         slot.seq.store(pos + 1, Ordering::Release);
                         return Ok(());
@@ -114,6 +119,9 @@ impl<T> Ring<T> {
                     Ordering::Relaxed,
                 ) {
                     Ok(_) => {
+                        // SAFETY: The CAS claimed lap `pos` for us alone,
+                        // and `seq == pos + 1` (acquired above) says its
+                        // producer published an initialized value.
                         let v = unsafe { (*slot.val.get()).assume_init_read() };
                         // Free the slot for the producer one lap ahead.
                         slot.seq.store(pos + self.mask + 1, Ordering::Release);

@@ -106,12 +106,13 @@ pub fn thread_setconcurrency(n: usize) -> Result<()> {
 /// A preemption safepoint for compute loops.
 ///
 /// Where the paper's kernel delivers `SIGVTALRM` asynchronously, this
-/// library polls: with `SUNMT_PREEMPT` enabled, every scheduling point
-/// doubles as a tick check, so code that regularly calls into the library
-/// is preempted transparently. A loop that computes without ever entering
-/// the library keeps its LWP — the same substrate limitation already
-/// documented for `thread_stop` — unless it drops this call in, which
-/// costs one relaxed load when no tick is pending.
+/// library polls: with `SUNMT_PREEMPT=timer` the timer LWP raises every
+/// LWP's preempt flag once per 10 ms quantum, and every scheduling point
+/// doubles as a check of that flag, so code that regularly calls into the
+/// library is preempted transparently. A loop that computes without ever
+/// entering the library keeps its LWP — the same substrate limitation
+/// already documented for `thread_stop` — unless it drops this call in,
+/// which costs one relaxed load when no tick is pending.
 pub fn thread_preempt_point() {
     crate::sched::preempt_check();
 }

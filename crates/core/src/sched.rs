@@ -105,10 +105,6 @@ pub(crate) struct Mt {
     pub decays: AtomicU64,
     /// Effective priority-inheritance boosts pushed by blocked waiters.
     pub pi_boosts: AtomicU64,
-    /// Running hints of live pool LWPs — the timer tick's fan-out list.
-    pub pool_hints: Mutex<Vec<u32>>,
-    /// Whether the `sunmt-tick` ticker LWP has been spawned.
-    ticker_started: AtomicBool,
 }
 
 static MT: OnceLock<Mt> = OnceLock::new();
@@ -144,8 +140,6 @@ pub(crate) fn mt() -> &'static Mt {
             preempts: AtomicU64::new(0),
             decays: AtomicU64::new(0),
             pi_boosts: AtomicU64::new(0),
-            pool_hints: Mutex::new(Vec::new()),
-            ticker_started: AtomicBool::new(false),
         }
     })
 }
@@ -156,98 +150,25 @@ pub(crate) fn mt() -> &'static Mt {
 // The paper's timeshare scheduling needs a clock: "each LWP has two private
 // interval timers ... when these interval timers expire either SIGVTALRM or
 // SIGPROF, as appropriate, is sent to the LWP". This library has no kernel
-// push into running user code, so expiry is converted into a *flag* the
-// running LWP notices at its next safepoint (a scheduling point or an
-// explicit `preempt_point` call) — the same poll-based substitution already
-// documented for signals and `thread_stop`. Two drivers can raise the flag:
-//
-// * `timer` — one daemon LWP (`sunmt-tick`) sleeps a wall-clock tick and
-//   raises every pool LWP's flag: a process-wide round-robin clock.
-// * `sig` — each pool LWP arms a private [`sunmt_lwp::timer::VirtualTimer`]
-//   (the paper's SIGVTALRM timer) over its own consumed CPU time and polls
-//   it at safepoints: per-LWP virtual time, no extra LWP.
+// push into running user code, so a tick is a *flag* the running LWP
+// notices at its next safepoint (a scheduling point or an explicit
+// `preempt_point` call) — the same poll-based substitution already
+// documented for signals and `thread_stop`. With `SUNMT_PREEMPT=timer`
+// the tick is one periodic deadline of the timer LWP ([`crate::timeoutq`]):
+// every `QUANTUM` it raises every LWP's flag. Any other value leaves the
+// tick off.
 //
 // The flag *check* runs in every mode — cross-LWP `thread_priority` changes
 // raise it directly so a priority drop takes effect within one safepoint
-// even with the tick drivers off.
+// even with the tick off.
 
-/// How `SUNMT_PREEMPT` asked ticks to be generated.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum PreemptMode {
-    /// No tick driver (default): voluntary rescheduling only.
-    Off,
-    /// Wall-clock ticker LWP fanning out to every pool LWP.
-    Timer,
-    /// Per-LWP virtual (CPU-time) timer, polled at safepoints.
-    Sig,
-}
+/// The preemption quantum: the classic 10 ms clock tick.
+pub(crate) const QUANTUM: core::time::Duration = core::time::Duration::from_millis(10);
 
-pub(crate) fn preempt_mode() -> PreemptMode {
-    static MODE: OnceLock<PreemptMode> = OnceLock::new();
-    *MODE.get_or_init(|| match std::env::var("SUNMT_PREEMPT").as_deref() {
-        Ok("timer") => PreemptMode::Timer,
-        Ok("sig") => PreemptMode::Sig,
-        _ => PreemptMode::Off,
-    })
-}
-
-/// The preemption quantum (`SUNMT_TICK_US`, default 10ms — the classic
-/// clock-tick order of magnitude; shorter ticks bound dispatch latency
-/// tighter at the cost of more decay/requeue work).
-pub(crate) fn tick_interval() -> core::time::Duration {
-    static TICK: OnceLock<core::time::Duration> = OnceLock::new();
-    *TICK.get_or_init(|| {
-        let us = std::env::var("SUNMT_TICK_US")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .filter(|&v| v > 0)
-            .unwrap_or(10_000);
-        core::time::Duration::from_micros(us)
-    })
-}
-
-thread_local! {
-    /// This pool LWP's SIGVTALRM stand-in (`sig` mode only).
-    static VTIMER: RefCell<sunmt_lwp::timer::VirtualTimer> = RefCell::new(
-        sunmt_lwp::timer::VirtualTimer::new(sunmt_lwp::timer::TimerKind::Virtual),
-    );
-}
-
-/// Spawns the `timer`-mode ticker LWP once the pool exists to be ticked.
-fn ensure_ticker() {
-    if preempt_mode() != PreemptMode::Timer {
-        return;
-    }
-    let m = mt();
-    if m.ticker_started.swap(true, Ordering::SeqCst) {
-        return;
-    }
-    if Lwp::spawn_named("sunmt-tick".to_string(), ticker_loop).is_err() {
-        m.ticker_started.store(false, Ordering::SeqCst);
-    }
-}
-
-fn ticker_loop() {
-    let interval = tick_interval();
-    loop {
-        std::thread::sleep(interval);
-        // Snapshot under the lock, raise outside it: a flag store must not
-        // be able to contend with a pool LWP registering or retiring.
-        let hints: Vec<u32> = unpoisoned(&mt().pool_hints).clone();
-        for h in hints {
-            sunmt_lwp::raise_preempt(h);
-        }
-    }
-}
-
-/// Consumes any pending tick for this LWP. The raised-flag check is
-/// unconditional; `sig` mode also polls the private virtual timer.
-fn preempt_pending_here(me: &LwpState) -> bool {
-    let pending = me.take_preempt();
-    if preempt_mode() == PreemptMode::Sig {
-        return VTIMER.with(|t| t.borrow_mut().poll() > 0) || pending;
-    }
-    pending
+/// Whether `SUNMT_PREEMPT=timer` turned the preemption tick on.
+pub(crate) fn preempt_ticks() -> bool {
+    static ON: OnceLock<bool> = OnceLock::new();
+    *ON.get_or_init(|| std::env::var("SUNMT_PREEMPT").as_deref() == Ok("timer"))
 }
 
 /// A preemption safepoint — where a kernel would deliver SIGVTALRM, this
@@ -268,7 +189,7 @@ pub(crate) fn preempt_check() {
         return;
     }
     let me = sunmt_lwp::current();
-    if !preempt_pending_here(&me) {
+    if !me.take_preempt() {
         return;
     }
     let m = mt();
@@ -544,12 +465,6 @@ fn sched_loop() {
     // everything else arrives by steal or injection.
     let shard = m.runq.assign_shard();
     MY_SHARD.with(|c| c.set(Some(shard)));
-    // Join the tick fan-out; `sig` mode instead arms this LWP's private
-    // CPU-time timer (the paper's SIGVTALRM interval timer).
-    unpoisoned(&m.pool_hints).push(me.running_hint());
-    if preempt_mode() == PreemptMode::Sig {
-        VTIMER.with(|t| t.borrow_mut().arm(tick_interval()));
-    }
     loop {
         if let Some(t) = m.runq.pop(shard) {
             run_one(t);
@@ -558,19 +473,13 @@ fn sched_loop() {
         // Nothing runnable. Surplus LWPs retire here — only when idle, so
         // a shrunk target never abandons queued work ("LWPs are removed
         // from the pool" lazily).
+        let cur = m.pool_count.load(Ordering::SeqCst);
+        if cur > m.pool_target.load(Ordering::SeqCst)
+            && m.pool_count
+                .compare_exchange(cur, cur - 1, Ordering::SeqCst, Ordering::SeqCst)
+                .is_ok()
         {
-            let cur = m.pool_count.load(Ordering::SeqCst);
-            if cur > m.pool_target.load(Ordering::SeqCst)
-                && m.pool_count
-                    .compare_exchange(cur, cur - 1, Ordering::SeqCst, Ordering::SeqCst)
-                    .is_ok()
-            {
-                let mut hints = unpoisoned(&m.pool_hints);
-                if let Some(pos) = hints.iter().position(|&h| h == me.running_hint()) {
-                    hints.remove(pos);
-                }
-                return;
-            }
+            return;
         }
         // Advertise as idle, then re-check to close the race with a
         // concurrent make_runnable, then park in the kernel.
@@ -700,8 +609,9 @@ pub(crate) fn deschedule(action: Action) {
     unsafe { arch::switch_context(t_ctx, sched_ctx) };
     // Dispatched again (possibly on a different LWP): this is a signal
     // delivery point and a preemption safepoint. The dispatch just consumed
-    // this LWP's flag, so the check only fires when a `sig`-mode quantum
-    // expired while signal handlers ran — nesting is bounded by the tick.
+    // this LWP's flag, so the check only fires when a tick (or a priority
+    // change) was raised while signal handlers ran — nesting is bounded by
+    // the tick.
     crate::signals::poll();
     preempt_check();
 }
@@ -1153,7 +1063,9 @@ fn add_pool_lwp() {
             drop(lwp); // Detached; pool membership is the identity.
             m.pool_grows.fetch_add(1, Ordering::Relaxed);
             probe!(Tag::PoolGrow, m.pool_count.load(Ordering::SeqCst));
-            ensure_ticker();
+            if preempt_ticks() {
+                crate::timeoutq::start();
+            }
         }
         Err(_) => {
             m.pool_count.fetch_sub(1, Ordering::SeqCst);

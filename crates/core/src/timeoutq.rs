@@ -12,6 +12,12 @@
 //! makes it runnable again, exactly as `cv_timedwait` needs. This mirrors
 //! the paper's division of labor: threads facilities stay in user space,
 //! with one LWP standing in for the kernel's timeout machinery.
+//!
+//! The same LWP is the preemption clock. Under `SUNMT_PREEMPT=timer` it
+//! also keeps one periodic deadline, every [`crate::sched::QUANTUM`], and
+//! on each one raises every LWP's preempt flag
+//! ([`sunmt_lwp::raise_preempt_all`]) — the stand-in for the kernel's
+//! per-LWP `SIGVTALRM` interval timer.
 
 use core::time::Duration;
 use std::cmp::Reverse;
@@ -94,6 +100,12 @@ fn queue() -> &'static TimeoutQueue {
     })
 }
 
+/// Spawns the timer LWP if it is not running yet, so the preemption tick
+/// starts before the first user-level sleep would have started it.
+pub(crate) fn start() {
+    queue();
+}
+
 fn ns_of(d: Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(NO_DEADLINE - 1)
 }
@@ -126,6 +138,8 @@ pub(crate) fn register(deadline: Duration, addr: usize, thread: Weak<Thread>) {
 }
 
 fn timer_loop(q: &'static TimeoutQueue) {
+    let mut next_tick =
+        crate::sched::preempt_ticks().then(|| monotonic_now() + crate::sched::QUANTUM);
     loop {
         // Sample the generation *before* touching the heaps: a registration
         // that lands mid-scan bumps it, and the wait below then returns
@@ -136,8 +150,13 @@ fn timer_loop(q: &'static TimeoutQueue) {
         // scan might have missed its shard.
         q.earliest_ns.store(NO_DEADLINE, Ordering::SeqCst);
         let now = monotonic_now();
+        if let Some(at) = next_tick.as_mut().filter(|at| **at <= now) {
+            sunmt_lwp::raise_preempt_all();
+            *at = now + crate::sched::QUANTUM;
+        }
         let mut due = Vec::new();
-        let mut next: Option<Duration> = None;
+        // The next tick, if any, is one more deadline to plan for.
+        let mut next: Option<Duration> = next_tick;
         for shard in q.shards.iter() {
             let mut heap = unpoisoned(shard);
             while heap.peek().is_some_and(|Reverse(e)| e.deadline <= now) {

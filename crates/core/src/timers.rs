@@ -27,7 +27,15 @@ use crate::sched;
 use crate::signals::sig;
 use crate::thread::Thread;
 
-pub use sunmt_lwp::timer::TimerKind;
+/// Which per-thread interval timer: the paper's two timers differ in the
+/// signal their expiry delivers.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum TimerKind {
+    /// Expiry delivers `SIGVTALRM`.
+    Virtual,
+    /// Expiry delivers `SIGPROF`.
+    Profiling,
+}
 
 /// Whether any thread has asked for CPU accounting (a timer or a
 /// `thread_cpu_time` call). Until then the scheduler skips the two clock

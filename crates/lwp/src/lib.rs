@@ -14,8 +14,9 @@
 //!
 //! * identity ([`LwpId`], the kernel task id),
 //! * kernel-level suspension ([`parker::Parker`]),
-//! * per-LWP CPU-time accounting and virtual-time interval timers
-//!   ([`timer`]),
+//! * per-LWP CPU-time accounting ([`cpu_time`]),
+//! * the per-LWP preempt flags a preemption tick raises
+//!   ([`raise_preempt_all`]),
 //! * the LWP registry with `SIGWAITING` detection ([`registry`]).
 //!
 //! Scheduling class and priority (`priocntl`, gang scheduling, CPU binding)
@@ -26,7 +27,6 @@
 
 pub mod parker;
 pub mod registry;
-pub mod timer;
 
 use std::cell::OnceCell;
 use std::sync::atomic::{AtomicI32, AtomicU32, AtomicUsize, Ordering};
@@ -153,11 +153,22 @@ pub fn hint_is_running(hint: u32) -> bool {
 }
 
 /// Asks the LWP behind `hint` to run a preemption check at its next
-/// safepoint. Raised by the tick drivers and by cross-LWP priority changes;
-/// consumed by [`LwpState::take_preempt`]. A zero hint is ignored.
+/// safepoint. Raised by cross-LWP priority changes; consumed by
+/// [`LwpState::take_preempt`]. A zero hint is ignored.
 pub fn raise_preempt(hint: u32) {
     if hint != 0 {
         PREEMPT_FLAGS[(hint as usize - 1) % RUN_SLOTS].store(1, Ordering::Release);
+    }
+}
+
+/// One preemption tick: asks every LWP slot handed out so far to run a
+/// preemption check at its next safepoint. Slots of idle, bound-thread or
+/// exited LWPs are raised too; nothing there acts on the flag, and a
+/// dispatch clears it.
+pub fn raise_preempt_all() {
+    let used = NEXT_SLOT.load(Ordering::Relaxed).min(RUN_SLOTS);
+    for flag in &PREEMPT_FLAGS[..used] {
+        flag.store(1, Ordering::Release);
     }
 }
 
@@ -376,6 +387,9 @@ mod tests {
         assert_eq!(boost_clear(0), 0);
         raise_preempt(0);
         assert!(!me.take_preempt());
+        // A tick reaches every slot handed out so far, this one included.
+        raise_preempt_all();
+        assert!(me.take_preempt());
     }
 
     #[test]

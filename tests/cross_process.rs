@@ -29,9 +29,8 @@ fn cross_process_mutex_excludes() {
     const ITERS: u64 = 10_000;
     if let Some(f) = in_child_for("xp-mutex") {
         // SAFETY: Parent laid out (Mutex, AtomicU64, Sema) at 0/64/128.
-        let m: &Mutex = unsafe { f.sync_var(0) };
-        let counter: &AtomicU64 = unsafe { f.sync_var(64) };
-        let done: &Sema = unsafe { f.sync_var(128) };
+        let (m, counter, done): (&Mutex, &AtomicU64, &Sema) =
+            unsafe { (f.sync_var(0), f.sync_var(64), f.sync_var(128)) };
         for _ in 0..ITERS {
             m.enter();
             let v = counter.load(Ordering::Relaxed);
@@ -48,9 +47,8 @@ fn cross_process_mutex_excludes() {
     let path = tmp("mutex");
     let f = SharedFile::create(&path, 4096).expect("create");
     // SAFETY: Aligned, in-bounds, zero-valid.
-    let m: &Mutex = unsafe { f.sync_var(0) };
-    let counter: &AtomicU64 = unsafe { f.sync_var(64) };
-    let done: &Sema = unsafe { f.sync_var(128) };
+    let (m, counter, done): (&Mutex, &AtomicU64, &Sema) =
+        unsafe { (f.sync_var(0), f.sync_var(64), f.sync_var(128)) };
     m.init(SyncType::SHARED);
     done.init(0, SyncType::SHARED);
     let mut child = ipc::spawn_cooperating_env("xp-mutex", &path).expect("spawn");
@@ -75,8 +73,7 @@ fn cross_process_sema_ping_pong() {
     const ROUNDS: usize = 2_000;
     if let Some(f) = in_child_for("xp-sema") {
         // SAFETY: Parent laid out two shared semaphores at 0/64.
-        let s1: &Sema = unsafe { f.sync_var(0) };
-        let s2: &Sema = unsafe { f.sync_var(64) };
+        let (s1, s2): (&Sema, &Sema) = unsafe { (f.sync_var(0), f.sync_var(64)) };
         for _ in 0..ROUNDS {
             s1.p();
             s2.v();
@@ -90,8 +87,7 @@ fn cross_process_sema_ping_pong() {
     let path = tmp("sema");
     let f = SharedFile::create(&path, 4096).expect("create");
     // SAFETY: Aligned, in-bounds, zero-valid.
-    let s1: &Sema = unsafe { f.sync_var(0) };
-    let s2: &Sema = unsafe { f.sync_var(64) };
+    let (s1, s2): (&Sema, &Sema) = unsafe { (f.sync_var(0), f.sync_var(64)) };
     s1.init(0, SyncType::SHARED);
     s2.init(0, SyncType::SHARED);
     let mut child = ipc::spawn_cooperating_env("xp-sema", &path).expect("spawn");
@@ -109,9 +105,8 @@ fn cross_process_sema_ping_pong() {
 fn cross_process_rwlock_readers_share_writers_exclude() {
     if let Some(f) = in_child_for("xp-rw") {
         // SAFETY: Parent laid out (RwLock, Sema go, Sema ack) at 0/64/128.
-        let l: &RwLock = unsafe { f.sync_var(0) };
-        let go: &Sema = unsafe { f.sync_var(64) };
-        let ack: &Sema = unsafe { f.sync_var(128) };
+        let (l, go, ack): (&RwLock, &Sema, &Sema) =
+            unsafe { (f.sync_var(0), f.sync_var(64), f.sync_var(128)) };
         // Step 1: take a reader lock, tell the parent, hold until told.
         l.enter(RwType::Reader);
         ack.v();
@@ -127,9 +122,8 @@ fn cross_process_rwlock_readers_share_writers_exclude() {
     let path = tmp("rw");
     let f = SharedFile::create(&path, 4096).expect("create");
     // SAFETY: Aligned, in-bounds, zero-valid.
-    let l: &RwLock = unsafe { f.sync_var(0) };
-    let go: &Sema = unsafe { f.sync_var(64) };
-    let ack: &Sema = unsafe { f.sync_var(128) };
+    let (l, go, ack): (&RwLock, &Sema, &Sema) =
+        unsafe { (f.sync_var(0), f.sync_var(64), f.sync_var(128)) };
     l.init(SyncType::SHARED);
     go.init(0, SyncType::SHARED);
     ack.init(0, SyncType::SHARED);
