@@ -5,13 +5,18 @@
 //! window and records, per thread, how many times it got the lock and
 //! how long each `mutex_enter` took (cycle-counter pairs around the
 //! enter, `trace::clock::now_cycles`, so a cell's per-op number is not
-//! polluted by clock syscalls). Two tables come out of a run:
+//! polluted by clock syscalls). Three tables come out of a run:
 //!
 //!   * throughput/latency — mean enter latency per cell, plus total
 //!     acquisitions/second in the notes;
 //!   * fairness — per-cell acquisition spread `max/min` across workers,
 //!     the starvation measure: how far barging lets one thread
-//!     monopolize the lock.
+//!     monopolize the lock;
+//!   * fast paths — the uncontended cost of every synchronization
+//!     variable's common case, measured first, from one caller with
+//!     nothing else running: mutex enter/exit per variant, sema p/v,
+//!     rwlock reader and writer, a lock's new + first read + drop
+//!     (private vs `SHARED`, DESIGN §16) and a signal with no waiter.
 //!
 //! The matrix crosses worker placement (bound LWPs vs unbound threads
 //! multiplexed over a small pool) with LWP count and critical-section
@@ -19,20 +24,21 @@
 //!
 //!   `--smoke`             2-LWP bound + 8-thread/2-LWP unbound cells only
 //!   `--duration-ms n`     per-cell wall window (default 60 smoke / 200)
-//!   `--json <path>`       write both tables into one JSON document
-//!   `--merge-json <path>` splice both tables into an existing document
+//!   `--json <path>`       write all three tables into one JSON document
+//!   `--merge-json <path>` splice all three into an existing document
 //!
 //! Printed metric (in the notes, not gated): `sleep_fairness_spread`.
 //! The queue-lock rows this matrix once carried are frozen in
 //! EXPERIMENTS.md (ABL-MUTEX).
 
+use std::hint::black_box;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use sunmt::{CreateFlags, ThreadBuilder};
-use sunmt_bench::PaperTable;
+use sunmt_bench::{median_ns, PaperTable};
 use sunmt_lwp::Lwp;
-use sunmt_sync::{Mutex, SyncType};
+use sunmt_sync::{Condvar, Mutex, RwLock, RwType, Sema, SyncType};
 use sunmt_trace::clock;
 
 /// One matrix cell's measurement.
@@ -92,21 +98,67 @@ fn work(m: &Mutex, go: &AtomicBool, stop: &AtomicBool, hold_cycles: u64) -> (u64
     (count, enter_cycles)
 }
 
-/// Reduces per-worker `(count, cycles)` slots into one [`Cell`].
-#[allow(clippy::too_many_arguments)] // Cell-shaped argument list, used twice.
-fn reduce(
+/// One matrix cell. `bound`: every worker on its own LWP. `unbound`:
+/// `workers` unbound threads multiplexed over an `lwps`-wide pool — the
+/// M:N placement, where waiters park on the user-level sleep queue
+/// instead of in the kernel.
+fn run_cell(
     variant: &'static str,
+    kind: SyncType,
     mode: &'static str,
     workers: usize,
     lwps: usize,
     hold_ns: u64,
     dur_ms: u64,
-    counts: &[AtomicU64],
-    cycles: &[AtomicU64],
 ) -> Cell {
-    let per: Vec<u64> = counts.iter().map(|c| c.load(Ordering::Relaxed)).collect();
+    let m = Arc::new(Mutex::new(kind));
+    let go = Arc::new(AtomicBool::new(false));
+    let stop = Arc::new(AtomicBool::new(false));
+    // Per worker: (acquisitions, enter cycles).
+    let slots: Arc<Vec<(AtomicU64, AtomicU64)>> =
+        Arc::new((0..workers).map(|_| Default::default()).collect());
+    let hold_cycles = (hold_ns as f64 / clock::ns_per_cycle()) as u64;
+    let body = |i: usize| {
+        let (m, go, stop) = (Arc::clone(&m), Arc::clone(&go), Arc::clone(&stop));
+        let slots = Arc::clone(&slots);
+        move || {
+            let (c, e) = work(&m, &go, &stop, hold_cycles);
+            slots[i].0.store(c, Ordering::Relaxed);
+            slots[i].1.store(e, Ordering::Relaxed);
+        }
+    };
+    let window = || {
+        go.store(true, Ordering::Release);
+        std::thread::sleep(std::time::Duration::from_millis(dur_ms));
+        stop.store(true, Ordering::Relaxed);
+    };
+    if mode == "bound" {
+        let ws: Vec<Lwp> = (0..workers)
+            .map(|i| Lwp::spawn(body(i)).expect("spawn"))
+            .collect();
+        window();
+        for w in ws {
+            w.join();
+        }
+    } else {
+        sunmt::set_concurrency(lwps).expect("setconcurrency");
+        let ids: Vec<_> = (0..workers)
+            .map(|i| {
+                ThreadBuilder::new()
+                    .flags(CreateFlags::WAIT)
+                    .spawn(body(i))
+                    .expect("spawn")
+            })
+            .collect();
+        window();
+        for id in ids {
+            sunmt::wait(Some(id)).expect("wait");
+        }
+    }
+
+    let per: Vec<u64> = slots.iter().map(|s| s.0.load(Ordering::Relaxed)).collect();
     let total: u64 = per.iter().sum();
-    let total_cycles: u64 = cycles.iter().map(|c| c.load(Ordering::Relaxed)).sum();
+    let total_cycles: u64 = slots.iter().map(|s| s.1.load(Ordering::Relaxed)).sum();
     let max = per.iter().copied().max().unwrap_or(0);
     let min = per.iter().copied().min().unwrap_or(0);
     Cell {
@@ -125,91 +177,65 @@ fn reduce(
     }
 }
 
-/// One cell with every worker bound to its own LWP.
-fn run_bound(
-    variant: &'static str,
-    kind: SyncType,
-    lwps: usize,
-    hold_ns: u64,
-    dur_ms: u64,
-) -> Cell {
-    let m = Arc::new(Mutex::new(kind));
-    let go = Arc::new(AtomicBool::new(false));
-    let stop = Arc::new(AtomicBool::new(false));
-    let counts: Arc<Vec<AtomicU64>> = Arc::new((0..lwps).map(|_| AtomicU64::new(0)).collect());
-    let cycles: Arc<Vec<AtomicU64>> = Arc::new((0..lwps).map(|_| AtomicU64::new(0)).collect());
-    let hold_cycles = (hold_ns as f64 / clock::ns_per_cycle()) as u64;
-    let workers: Vec<Lwp> = (0..lwps)
-        .map(|i| {
-            let (m, go, stop) = (Arc::clone(&m), Arc::clone(&go), Arc::clone(&stop));
-            let (counts, cycles) = (Arc::clone(&counts), Arc::clone(&cycles));
-            Lwp::spawn(move || {
-                let (c, e) = work(&m, &go, &stop, hold_cycles);
-                counts[i].store(c, Ordering::Relaxed);
-                cycles[i].store(e, Ordering::Relaxed);
-            })
-            .expect("spawn")
-        })
-        .collect();
-    go.store(true, Ordering::Release);
-    std::thread::sleep(std::time::Duration::from_millis(dur_ms));
-    stop.store(true, Ordering::Relaxed);
-    for w in workers {
-        w.join();
-    }
-    reduce(
-        variant, "bound", lwps, lwps, hold_ns, dur_ms, &counts, &cycles,
-    )
-}
-
-/// One cell with `threads` unbound threads multiplexed over an
-/// `lwps`-wide pool — the M:N placement, where waiters park on the
-/// user-level sleep queue instead of in the kernel.
-fn run_unbound(
-    variant: &'static str,
-    kind: SyncType,
-    threads: usize,
-    lwps: usize,
-    hold_ns: u64,
-    dur_ms: u64,
-) -> Cell {
-    sunmt::set_concurrency(lwps).expect("setconcurrency");
-    let m = Arc::new(Mutex::new(kind));
-    let go = Arc::new(AtomicBool::new(false));
-    let stop = Arc::new(AtomicBool::new(false));
-    let counts: Arc<Vec<AtomicU64>> = Arc::new((0..threads).map(|_| AtomicU64::new(0)).collect());
-    let cycles: Arc<Vec<AtomicU64>> = Arc::new((0..threads).map(|_| AtomicU64::new(0)).collect());
-    let hold_cycles = (hold_ns as f64 / clock::ns_per_cycle()) as u64;
-    let ids: Vec<_> = (0..threads)
-        .map(|i| {
-            let (m, go, stop) = (Arc::clone(&m), Arc::clone(&go), Arc::clone(&stop));
-            let (counts, cycles) = (Arc::clone(&counts), Arc::clone(&cycles));
-            ThreadBuilder::new()
-                .flags(CreateFlags::WAIT)
-                .spawn(move || {
-                    let (c, e) = work(&m, &go, &stop, hold_cycles);
-                    counts[i].store(c, Ordering::Relaxed);
-                    cycles[i].store(e, Ordering::Relaxed);
-                })
-                .expect("spawn")
-        })
-        .collect();
-    go.store(true, Ordering::Release);
-    std::thread::sleep(std::time::Duration::from_millis(dur_ms));
-    stop.store(true, Ordering::Relaxed);
-    for id in ids {
-        sunmt::wait(Some(id)).expect("wait");
-    }
-    reduce(
-        variant, "unbound", threads, lwps, hold_ns, dur_ms, &counts, &cycles,
-    )
-}
-
 const VARIANTS: &[(&str, SyncType)] = &[
     ("sleep", SyncType::DEFAULT),
     ("spin", SyncType::SPIN),
     ("adaptive", SyncType::ADAPTIVE),
 ];
+
+/// Median over 5 samples of `iters` calls of `f`, in us/op.
+fn fast_us(iters: u64, f: impl FnMut(u64)) -> f64 {
+    median_ns(iters, 5, f) / 1e3
+}
+
+/// The fast-path table: every variable's uncontended common case. Also
+/// returns the private and `SHARED` rwlock lifecycle costs (us) for the
+/// shape check.
+fn fast_paths(iters: u64) -> (PaperTable, f64, f64) {
+    let mut t = PaperTable::new("ABL-MUTEX fast paths: uncontended cost (us/op), one caller");
+    for &(variant, kind) in VARIANTS.iter().chain(&[("shared", SyncType::SHARED)]) {
+        let m = Mutex::new(kind);
+        let us = fast_us(iters, |_| {
+            m.enter();
+            m.exit();
+        });
+        t.row(format!("fast mutex enter/exit {variant}"), us);
+    }
+    let s = Sema::new(1, SyncType::DEFAULT);
+    let us = fast_us(iters, |_| {
+        s.p();
+        s.v();
+    });
+    t.row("fast sema p/v", us);
+    let rw = RwLock::new(SyncType::DEFAULT);
+    for (name, how) in [("reader", RwType::Reader), ("writer", RwType::Writer)] {
+        let us = fast_us(iters, |_| {
+            rw.enter(how);
+            rw.exit();
+        });
+        t.row(format!("fast rw {name} enter/exit"), us);
+    }
+    // A lock's life when it is read once: a private lock allocates its
+    // reader slots under the writer bit on the first read and frees them
+    // on drop; a SHARED lock counts in its state word and allocates
+    // nothing.
+    let life = |kind| {
+        fast_us(iters, |_| {
+            let l = black_box(RwLock::new(kind));
+            l.enter(RwType::Reader);
+            l.exit();
+        })
+    };
+    let (private, shared) = (life(SyncType::DEFAULT), life(SyncType::SHARED));
+    t.row("fast rw new+first read+drop private", private);
+    t.row("fast rw new+first read+drop shared", shared);
+    let cv = Condvar::new(SyncType::DEFAULT);
+    t.row("fast cv_signal no waiter", fast_us(iters, |_| cv.signal()));
+    t.note(format!(
+        "fast paths: iters={iters} samples=5 median (not gated)"
+    ));
+    (t, private, shared)
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -219,6 +245,9 @@ fn main() {
         .position(|a| a == "--duration-ms")
         .map(|i| args[i + 1].parse().expect("--duration-ms n"))
         .unwrap_or(if smoke { 60 } else { 200 });
+
+    // The fast paths run first, in a process with no pool LWP yet.
+    let (fast, rw_life, rw_life_shared) = fast_paths(if smoke { 200_000 } else { 2_000_000 });
 
     // (mode, workers, lwps) x hold_ns. Bound cells scale kernel-visible
     // contention; the unbound cell is the M:N placement with more
@@ -234,11 +263,9 @@ fn main() {
     for &(mode, workers, lwps) in &configs {
         for &hold_ns in holds {
             for &(variant, kind) in VARIANTS {
-                let cell = match mode {
-                    "bound" => run_bound(variant, kind, lwps, hold_ns, dur_ms),
-                    _ => run_unbound(variant, kind, workers, lwps, hold_ns, dur_ms),
-                };
-                cells.push(cell);
+                cells.push(run_cell(
+                    variant, kind, mode, workers, lwps, hold_ns, dur_ms,
+                ));
             }
         }
     }
@@ -275,28 +302,32 @@ fn main() {
         "metric sleep_fairness_spread={sleep_fairness_spread:.3}"
     ));
     fair.print();
+    println!();
+    fast.print();
 
-    // --json writes the throughput table, then the fairness table is
-    // spliced into the same document; --merge-json splices both.
+    // --json writes the throughput table, then the fairness and
+    // fast-path tables are spliced into the same document; --merge-json
+    // splices all three.
     if let Some(i) = args.iter().position(|a| a == "--json") {
         let Some(path) = args.get(i + 1) else {
             eprintln!("abl_mutex_variants: --json needs a path");
             std::process::exit(2);
         };
-        let doc = thpt.to_json("abl_mutex_variants");
-        let doc = fair.merge_into_json(&doc).expect("merge fairness table");
+        let mut doc = thpt.to_json("abl_mutex_variants");
+        for t in [&fair, &fast] {
+            doc = t.merge_into_json(&doc).expect("merge table");
+        }
         if let Err(e) = std::fs::write(path, doc) {
             eprintln!("abl_mutex_variants: write {path}: {e}");
             std::process::exit(2);
         }
         println!("\nwrote {path}");
     }
-    if let Err(e) = thpt
-        .merge_json_if_requested("abl_mutex_variants", args.clone())
-        .and_then(|()| fair.merge_json_if_requested("abl_mutex_variants", args.clone()))
-    {
-        eprintln!("abl_mutex_variants: {e}");
-        std::process::exit(2);
+    for t in [&thpt, &fair, &fast] {
+        if let Err(e) = t.merge_json_if_requested("abl_mutex_variants", args.clone()) {
+            eprintln!("abl_mutex_variants: {e}");
+            std::process::exit(2);
+        }
     }
 
     // Shape check — loose on purpose (1-CPU CI hosts).
@@ -307,8 +338,20 @@ fn main() {
             c.label()
         );
     }
+    for v in fast.values() {
+        assert!(
+            v.is_finite() && v > 0.0,
+            "shape check failed: fast path {v} us/op"
+        );
+    }
+    // DESIGN §16 measured 28 vs 152 ns: a SHARED lock allocates nothing.
+    assert!(
+        rw_life_shared < rw_life,
+        "shape check failed: SHARED rw lifecycle {rw_life_shared} us >= private {rw_life} us"
+    );
     println!(
-        "\nshape check: OK ({} cells; sleep spread {sleep_fairness_spread:.2})",
+        "\nshape check: OK ({} cells; sleep spread {sleep_fairness_spread:.2}; \
+         rw lifecycle shared < private)",
         cells.len()
     );
 }

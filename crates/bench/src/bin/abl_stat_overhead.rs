@@ -1,21 +1,27 @@
-//! ABL-STAT — what does the statistics layer cost on the hot path?
+//! ABL-STAT — what do the statistics and trace layers cost on the hot
+//! path?
 //!
-//! The whole point of `sunmt-stat` is that instrumentation can stay
-//! compiled into every lock and scheduler path: a *disabled* probe is one
-//! relaxed load and a predicted branch (~0 ns against the surrounding
-//! code), and an *enabled* counter or histogram probe is a thread-local
-//! load/add/store (single-digit nanoseconds). This bench measures exactly
-//! that, nets out the loop overhead with a baseline, and emits the numbers
-//! CI gates (`BENCH_stat.json`):
+//! The whole point of `sunmt-stat` and `sunmt-trace` is that
+//! instrumentation can stay compiled into every lock and scheduler path:
+//! a *disabled* probe is one relaxed load and a predicted branch (~0 ns
+//! against the surrounding code), and an *enabled* counter or histogram
+//! probe is a thread-local load/add/store (single-digit nanoseconds).
+//! This bench measures exactly that, nets out the loop overhead with a
+//! baseline, and emits the numbers CI gates (`BENCH_stat.json`):
 //!
 //! * `disabled_probe_ns` — `stat_count!` + `stat_record!` with stats off,
-//!   net of baseline. Gated at ≈ 0 (ceiling 1.5 ns).
+//!   net of baseline. Gated at ≈ 0 (ceiling 2.0 ns).
 //! * `enabled_count_ns` — `stat_count!` with stats on. Gated ≤ 10 ns.
 //! * `enabled_hist_ns` — `stat_record!` (log2 bucketing) with stats on.
 //!   Gated ≤ 10 ns.
 //! * `enabled_timer_pair_ns` — a `tick()`/`record_since()` latency pair:
 //!   two `rdtsc` reads plus the histogram write. Reported, not gated
 //!   (TSC read cost is the hardware's, not ours).
+//! * `trace_disabled_probe_ns` — one `probe!` with tracing off, net of
+//!   baseline. Gated like `disabled_probe_ns` (ceiling 2.0 ns).
+//! * `trace_enabled_probe_ns` — the same `probe!` with tracing on: a
+//!   clock read, a ring write and a shared per-tag counter. Reported, not
+//!   gated.
 //!
 //! A second section demonstrates the lockstat output the layer exists
 //! for: four host threads hammer one `sunmt_sync::Mutex`, and the
@@ -27,31 +33,11 @@
 
 use std::hint::black_box;
 use std::sync::Arc;
-use std::time::Instant;
 
-use sunmt_bench::PaperTable;
+use sunmt_bench::{median_ns, PaperTable};
 use sunmt_stat::{stat_count, stat_record, Ctr, Hs};
 use sunmt_sync::{Mutex, SyncType};
-
-/// Runs `f(i)` for `n` iterations and returns the mean ns per iteration.
-/// Generic so each probe body is monomorphized straight into the loop —
-/// a `dyn` call per iteration would dwarf the single-nanosecond effects
-/// being measured.
-#[inline(never)]
-fn sample<F: FnMut(u64)>(n: u64, f: &mut F) -> f64 {
-    let start = Instant::now();
-    for i in 0..n {
-        f(i);
-    }
-    start.elapsed().as_secs_f64() * 1e9 / n as f64
-}
-
-/// Median of `samples` runs of [`sample`].
-fn measure<F: FnMut(u64)>(n: u64, samples: usize, mut f: F) -> f64 {
-    let mut times: Vec<f64> = (0..samples).map(|_| sample(n, &mut f)).collect();
-    times.sort_by(|a, b| a.total_cmp(b));
-    times[times.len() / 2]
-}
+use sunmt_trace::{probe, Tag};
 
 /// Four host threads fight over one mutex long enough to populate the
 /// site table with contention, spins, parks and hold times.
@@ -97,27 +83,27 @@ fn main() {
     sunmt_stat::disable();
 
     // --- Probe cost ladder ------------------------------------------------
-    let baseline = measure(n, samples, |i| {
+    let baseline = median_ns(n, samples, |i| {
         black_box(i);
     });
 
     sunmt_stat::disable();
-    let disabled = measure(n, samples, |i| {
+    let disabled = median_ns(n, samples, |i| {
         black_box(i);
         stat_count!(Ctr::BenchProbe);
         stat_record!(Hs::BenchLat, i & 0xFFF);
     });
 
     sunmt_stat::enable(); // Zeroes the warm-up increment: a fresh epoch.
-    let en_count = measure(n, samples, |i| {
+    let en_count = median_ns(n, samples, |i| {
         black_box(i);
         stat_count!(Ctr::BenchProbe);
     });
-    let en_hist = measure(n, samples, |i| {
+    let en_hist = median_ns(n, samples, |i| {
         black_box(i);
         stat_record!(Hs::BenchLat, i & 0xFFF);
     });
-    let en_pair = measure(n, samples, |i| {
+    let en_pair = median_ns(n, samples, |i| {
         black_box(i);
         let t0 = sunmt_stat::tick();
         sunmt_stat::record_since(Hs::BenchLat, t0);
@@ -125,14 +111,32 @@ fn main() {
     let recorded = sunmt_stat::snapshot().counter(Ctr::BenchProbe);
     sunmt_stat::disable();
 
+    sunmt_trace::disable();
+    let tr_disabled = median_ns(n, samples, |i| {
+        black_box(i);
+        probe!(Tag::RunqPush, i);
+    });
+    // An enabled trace probe reads CLOCK_MONOTONIC, tens to hundreds of
+    // ns, so a tenth of the iterations resolves it as well.
+    let n_traced = n / 10;
+    sunmt_trace::enable(); // Zeroes the per-tag counters.
+    let tr_enabled = median_ns(n_traced, samples, |i| {
+        black_box(i);
+        probe!(Tag::RunqPush, i);
+    });
+    sunmt_trace::disable();
+    let traced = sunmt_trace::counters().get(Tag::RunqPush);
+
     let net = |v: f64| (v - baseline).max(0.0);
     t.row("baseline loop (us/op)", baseline / 1e3);
     t.row("disabled count+hist probes (us/op)", disabled / 1e3);
     t.row("enabled count probe (us/op)", en_count / 1e3);
     t.row("enabled histogram probe (us/op)", en_hist / 1e3);
     t.row("enabled tick/record_since pair (us/op)", en_pair / 1e3);
+    t.row("disabled trace probe (us/op)", tr_disabled / 1e3);
+    t.row("enabled trace probe (us/op)", tr_enabled / 1e3);
     t.note(format!(
-        "ops={n} samples={samples} baseline_ns={baseline:.2}"
+        "ops={n} traced_ops={n_traced} samples={samples} baseline_ns={baseline:.2}"
     ));
     t.note(format!("disabled_probe_ns={:.2}", net(disabled)));
     t.note(format!("enabled_count_ns={:.2}", net(en_count)));
@@ -140,6 +144,11 @@ fn main() {
     t.note(format!(
         "enabled_timer_pair_ns={:.2} (two rdtsc reads; informative, not gated)",
         net(en_pair)
+    ));
+    t.note(format!("trace_disabled_probe_ns={:.2}", net(tr_disabled)));
+    t.note(format!(
+        "trace_enabled_probe_ns={:.2} (clock read + ring write; informative, not gated)",
+        net(tr_enabled)
     ));
 
     // --- The lockstat demo -----------------------------------------------
@@ -169,13 +178,19 @@ fn main() {
         std::process::exit(2);
     }
 
-    // Shape checks: every enabled count must actually have landed; the
-    // contended site must carry acquires from all four threads and a
-    // positive hold time; the hold histogram must have observations.
+    // Shape checks: every enabled stat count and trace probe must
+    // actually have landed; the contended site must carry acquires from
+    // all four threads and a positive hold time; the hold histogram must
+    // have observations.
     assert_eq!(
         recorded,
         n * samples as u64,
         "enabled counter lost increments"
+    );
+    assert_eq!(
+        traced,
+        n_traced * samples as u64,
+        "enabled trace probe lost events"
     );
     assert_eq!(
         s.acquires,
@@ -191,9 +206,11 @@ fn main() {
         "global hold histogram is empty"
     );
     println!(
-        "\nshape check: OK (disabled {:.2} ns, enabled count {:.2} ns, hist {:.2} ns)",
+        "\nshape check: OK (disabled {:.2} ns, enabled count {:.2} ns, hist {:.2} ns, \
+         trace disabled {:.2} ns)",
         net(disabled),
         net(en_count),
-        net(en_hist)
+        net(en_hist),
+        net(tr_disabled)
     );
 }

@@ -6,7 +6,6 @@
 
 #![deny(missing_docs)]
 
-pub mod harness;
 pub mod io_bench;
 pub mod io_scale;
 pub mod rng;
@@ -23,6 +22,26 @@ pub fn measure_us(iters: usize, mut f: impl FnMut()) -> f64 {
     }
     let total = sunmt_sys::time::monotonic_now() - start;
     total.as_secs_f64() * 1e6 / iters as f64
+}
+
+/// Runs `f(i)` for `i in 0..n` and returns the mean ns per call.
+/// Generic so each body is monomorphized straight into the loop — a
+/// `dyn` call per iteration would dwarf the single-nanosecond effects
+/// the probe and fast-path benches measure.
+#[inline(never)]
+fn sample_ns<F: FnMut(u64)>(n: u64, f: &mut F) -> f64 {
+    let start = std::time::Instant::now();
+    for i in 0..n {
+        f(i);
+    }
+    start.elapsed().as_secs_f64() * 1e9 / n as f64
+}
+
+/// Median over `samples` runs of [`sample_ns`]: ns per call of `f`.
+pub fn median_ns<F: FnMut(u64)>(n: u64, samples: usize, mut f: F) -> f64 {
+    let mut times: Vec<f64> = (0..samples).map(|_| sample_ns(n, &mut f)).collect();
+    times.sort_by(f64::total_cmp);
+    times[samples / 2]
 }
 
 /// Runs `f` once and returns the elapsed time.
@@ -265,6 +284,14 @@ mod tests {
         });
         assert!(us >= 0.0);
         assert!(us < 10_000.0, "a multiply must not take 10ms (got {us})");
+    }
+
+    #[test]
+    fn median_ns_calls_every_iteration_and_is_sane() {
+        let mut calls = 0u64;
+        let ns = median_ns(1_000, 3, |i| calls += std::hint::black_box(i) & 1);
+        assert_eq!(calls, 3 * 500, "every sample must run all 1000 calls");
+        assert!(ns < 10_000.0, "an add must not take 10us (got {ns})");
     }
 
     #[test]
