@@ -11,9 +11,13 @@
 //!   user-level sleep queue and its LWP runs something else.
 //! * The waking side bumps the event word and issues one
 //!   `strategy::unpark(1)` *only when the waiter count says someone is
-//!   parked*, so a send to a blocked receiver is one user-level wake
-//!   (the scheduler elides the kernel futex syscall when the user sleep
-//!   queue satisfied it) and a send to a polling receiver is free.
+//!   parked*, so a send to a polling receiver is free and a send to a
+//!   blocked unbound receiver is one user-level wake. The waiter count
+//!   still includes a receiver that was woken but not yet dispatched, so
+//!   a send in that window finds nobody on the sleep queue; the strategy
+//!   then makes the kernel `futex_wake` only if a kernel thread (a bound
+//!   receiver) is parked in the event word's address bucket, and an
+//!   all-unbound pipeline makes no wake system call at all.
 //!
 //! Unbounded channels keep the same ring as their fast path and spill
 //! into a mutex-guarded `VecDeque` only while the ring is full; per-sender

@@ -201,6 +201,7 @@ mod tests {
             chan_caps: vec![],
             io_shards: 0,
             io_fds: 0,
+            kernel_buckets: vec![],
             thread_pris: vec![],
             final_counters: vec![(0, 2)],
             expect: Expect::FailContaining("counter"),

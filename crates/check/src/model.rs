@@ -346,6 +346,33 @@ pub enum SyncOp {
     /// real release clears the owner hint, strips, then stores UNLOCKED),
     /// then wakes one waiter in the next.
     MutexExitPi(usize),
+    /// Wait until kernel word `word` is set, parking in the kernel as
+    /// `sunmt_sync::strategy::kernel_park` does: check the word, announce
+    /// in its bucket's parker count, then `futex_wait` — the kernel
+    /// compares the word and sleeps in one step — and withdraw; repeat
+    /// until the word is set.
+    KernelPark {
+        /// The kernel word.
+        word: usize,
+    },
+    /// The seeded-buggy kernel park: announces itself only *after* the one
+    /// check of the word that decides the sleep. This is the order a
+    /// missing fence lets a store buffer produce from the correct code
+    /// (the word is read before the increment is visible), so a waker in
+    /// between reads a zero count, skips its wake, and the parker sleeps on
+    /// a word that is already set.
+    KernelParkRacy {
+        /// The kernel word.
+        word: usize,
+    },
+    /// Set kernel word `word`, then run the gated kernel wake of
+    /// `sunmt_sync::strategy::kernel_unpark`: read the bucket's parker
+    /// count (after the fence) and make the `futex_wake` in a later step
+    /// only if it is non-zero.
+    KernelWake {
+        /// The kernel word.
+        word: usize,
+    },
 }
 
 /// What the explorer expects from a model.
@@ -398,6 +425,9 @@ pub struct Model {
     pub io_shards: usize,
     /// Number of modelled I/O fds (sizes the armed/ready state vectors).
     pub io_fds: usize,
+    /// The address bucket of each modelled kernel word (length = word
+    /// count). Words with the same bucket share one parker count.
+    pub kernel_buckets: Vec<usize>,
     /// Expected final counter values, checked after all threads exit.
     pub final_counters: Vec<(usize, u64)>,
     /// What the explorer should find.
@@ -542,6 +572,20 @@ struct IoSt {
     svc_waiters: VecDeque<(usize, usize, u32)>,
 }
 
+/// The modelled kernel-wake gate: private words parked on in the kernel,
+/// the per-bucket counts of kernel parkers, and the futex wait queue. The
+/// oracle is wakeup integrity: no thread may sleep on a word that is set.
+struct KernelSt {
+    /// Word -> set by its waker.
+    set: Vec<bool>,
+    /// Word -> its bucket.
+    bucket: Vec<usize>,
+    /// Bucket -> parkers announced and not yet withdrawn.
+    parkers: Vec<u32>,
+    /// The futex wait queue: `(thread, word, resume_micro)`.
+    sleepers: VecDeque<(usize, usize, u32)>,
+}
+
 struct ThreadSt {
     ops: Vec<SyncOp>,
     pc: usize,
@@ -575,6 +619,8 @@ pub enum BlockedOn {
     /// An idle poller flusher parked waiting for ctl work on this
     /// shard's batch.
     IoSvc(usize),
+    /// Asleep in the kernel on this modelled kernel word.
+    Kernel(usize),
     /// Switched out by a timer preemption, waiting to outrank the
     /// runnable field again.
     Preempted,
@@ -600,6 +646,7 @@ pub struct World {
     runq: RunqSt,
     chans: Vec<ChanSt>,
     io: IoSt,
+    kernel: KernelSt,
     threads: Vec<ThreadSt>,
     /// Base priority per thread (from the model, zero-padded).
     pris: Vec<i32>,
@@ -684,6 +731,12 @@ impl World {
                 dropped: vec![false; model.io_fds],
                 waiters: VecDeque::new(),
                 svc_waiters: VecDeque::new(),
+            },
+            kernel: KernelSt {
+                set: vec![false; model.kernel_buckets.len()],
+                bucket: model.kernel_buckets.clone(),
+                parkers: vec![0; model.kernel_buckets.iter().max().map_or(0, |b| b + 1)],
+                sleepers: VecDeque::new(),
             },
             threads: model
                 .threads
@@ -781,6 +834,13 @@ impl World {
                         .iter()
                         .find(|(w, _, _)| *w == t)
                         .map(|(_, s, _)| BlockedOn::IoSvc(*s))
+                })
+                .or_else(|| {
+                    self.kernel
+                        .sleepers
+                        .iter()
+                        .find(|(w, _, _)| *w == t)
+                        .map(|(_, word, _)| BlockedOn::Kernel(*word))
                 })
                 .or_else(|| {
                     self.preempt_parked
@@ -1223,7 +1283,66 @@ impl World {
             SyncOp::IoWaitRacy { shard, fd } => self.io_wait_machine(t, shard, fd, true, wakes),
             SyncOp::IoFlush { shard } => self.io_service_machine(t, shard, wakes),
             SyncOp::IoEvent { fd } => self.io_event_machine(t, fd, wakes),
+            SyncOp::KernelPark { word } => self.kernel_park_machine(t, word, false),
+            SyncOp::KernelParkRacy { word } => self.kernel_park_machine(t, word, true),
+            SyncOp::KernelWake { word } => self.kernel_wake_machine(t, word, wakes),
         }
+    }
+
+    /// `KernelPark` and the seeded `KernelParkRacy`. Micro-states: `0`
+    /// check the word (set: done), `1` announce in the bucket, `2` the
+    /// futex wait — the correct machine sleeps only if the word is still
+    /// clear, the racy one sleeps on the verdict of step `0` — and `3`
+    /// withdraw, back to `0`. A sleeper resumes at `3`.
+    fn kernel_park_machine(&mut self, t: usize, word: usize, racy: bool) -> NextStep {
+        let b = self.kernel.bucket[word];
+        match self.threads[t].micro {
+            0 if self.kernel.set[word] => self.advance(t),
+            0 => self.threads[t].micro = 1,
+            1 => {
+                self.kernel.parkers[b] += 1;
+                self.threads[t].micro = 2;
+            }
+            2 if racy || !self.kernel.set[word] => {
+                self.push_event(t, Tag::Sleep, t as u64, word as u64);
+                self.kernel.sleepers.push_back((t, word, 3));
+                return self.park(t, None);
+            }
+            2 => self.threads[t].micro = 3,
+            _ => {
+                self.kernel.parkers[b] -= 1;
+                self.threads[t].micro = 0;
+            }
+        }
+        NextStep::Yield
+    }
+
+    /// `KernelWake`. Micro-states: `0` set the word, `1` read the bucket's
+    /// parker count (zero: the wake is skipped and the op is done), `2`
+    /// the `futex_wake`, which wakes every sleeper on the word.
+    fn kernel_wake_machine(&mut self, t: usize, word: usize, wakes: &mut Vec<usize>) -> NextStep {
+        match self.threads[t].micro {
+            0 => {
+                self.kernel.set[word] = true;
+                self.threads[t].micro = 1;
+            }
+            1 if self.kernel.parkers[self.kernel.bucket[word]] == 0 => self.advance(t),
+            1 => self.threads[t].micro = 2,
+            _ => {
+                self.push_event(t, Tag::FutexWake, word as u64, u64::from(u32::MAX));
+                let (woken, rest): (VecDeque<_>, VecDeque<_>) = self
+                    .kernel
+                    .sleepers
+                    .drain(..)
+                    .partition(|(_, w, _)| *w == word);
+                self.kernel.sleepers = rest;
+                for (w, _, resume) in woken {
+                    self.wake(w, resume, wakes);
+                }
+                self.advance(t);
+            }
+        }
+        NextStep::Yield
     }
 
     /// The `mutex_enter` machine. Micro-states (relative to `base`):
@@ -2585,6 +2704,19 @@ fn classify(model: &Model, world: &World) -> Option<String> {
                 }
             }
         }
+        // A thread asleep in the kernel on a word that is already set was
+        // missed by the wake that set it: the gate read a parker count
+        // that did not yet include it.
+        for (t, on) in &blocked {
+            if let BlockedOn::Kernel(word) = on {
+                if world.kernel.set[*word] {
+                    return Some(format!(
+                        "lost wakeup: thread {t} asleep in the kernel on word {word}, which \
+                         was set and its wake skipped"
+                    ));
+                }
+            }
+        }
         let desc: Vec<String> = blocked
             .iter()
             .map(|(t, on)| format!("thread {t} on {on:?}"))
@@ -2662,6 +2794,7 @@ mod tests {
             chan_caps: vec![],
             io_shards: 0,
             io_fds: 0,
+            kernel_buckets: vec![],
             final_counters: vec![(0, 2)],
             expect: Expect::Pass,
             min_schedules: 0,

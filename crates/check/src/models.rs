@@ -29,6 +29,7 @@ fn base(name: &'static str, about: &'static str, threads: Vec<Vec<SyncOp>>) -> M
         chan_caps: vec![],
         io_shards: 0,
         io_fds: 0,
+        kernel_buckets: vec![],
         final_counters: vec![],
         expect: Expect::Pass,
         min_schedules: 0,
@@ -557,6 +558,25 @@ pub fn catalogue() -> Vec<Model> {
                 ],
             )
         },
+        // ------------------------------------------------ kernel-wake gate
+        Model {
+            // Words 0 and 1 share bucket 0: each parker's count is also
+            // read by the other word's waker, which then wakes for nobody.
+            kernel_buckets: vec![0, 0],
+            preemption_bound: Some(3),
+            min_schedules: 200,
+            variants: vec![Variant::Default],
+            ..base(
+                "kernel_wake_gate",
+                "two kernel parkers on two words of one bucket against the gated wakes: \
+                 announce, re-check in the futex wait, skip the wake only on a zero count",
+                vec![
+                    vec![KernelPark { word: 0 }],
+                    vec![KernelPark { word: 1 }],
+                    vec![KernelWake { word: 0 }, KernelWake { word: 1 }],
+                ],
+            )
+        },
         // ----------------------------------------- negatives (seeded bugs)
         Model {
             runq_shards: 3,
@@ -678,6 +698,20 @@ pub fn catalogue() -> Vec<Model> {
             )
         },
         Model {
+            kernel_buckets: vec![0],
+            variants: vec![Variant::Default],
+            expect: Expect::FailContaining("lost wakeup"),
+            ..base(
+                "neg_kernel_wake_gate",
+                "kernel parker announces itself after its word check: the waker reads a \
+                 zero count in between and skips the wake",
+                vec![
+                    vec![KernelParkRacy { word: 0 }],
+                    vec![KernelWake { word: 0 }],
+                ],
+            )
+        },
+        Model {
             // The same inversion triangle as `mutex_adaptive_pi`, with the
             // boost compiled out of the waiter's park. Some schedules
             // reach the convicted state: holder (pri 10) preempted by the
@@ -771,6 +805,30 @@ mod tests {
     }
 
     #[test]
+    fn kernel_wake_gate_holds_and_its_racy_parker_is_convicted() {
+        use crate::explore::{explore, ExploreConfig};
+        let models = catalogue();
+        for (name, convicted) in [("kernel_wake_gate", false), ("neg_kernel_wake_gate", true)] {
+            let m = by_name(&models, name).expect(name);
+            let cfg = ExploreConfig {
+                preemption_bound: m.preemption_bound,
+                ..ExploreConfig::default()
+            };
+            let ex = explore(m, Variant::Default, &cfg);
+            assert!(!ex.capped, "{name}: sweep capped");
+            assert!(ex.schedules >= m.min_schedules, "{name}: {}", ex.schedules);
+            let lost = ex
+                .failures
+                .iter()
+                .any(|f| f.message.contains("lost wakeup"));
+            assert_eq!(lost, convicted, "{name}: {:?}", ex.failures.first());
+            if !convicted {
+                assert_eq!(ex.failed_runs, 0, "{name}: {:?}", ex.failures.first());
+            }
+        }
+    }
+
+    #[test]
     fn op_indices_are_in_range() {
         // Cheap static sanity: every index an op names exists in the
         // model's declared variable counts.
@@ -857,6 +915,15 @@ mod tests {
                         }
                         SyncOp::IoEvent { fd } => {
                             assert!(fd < m.io_fds, "{}: io fd {fd}", m.name)
+                        }
+                        SyncOp::KernelPark { word }
+                        | SyncOp::KernelParkRacy { word }
+                        | SyncOp::KernelWake { word } => {
+                            assert!(
+                                word < m.kernel_buckets.len(),
+                                "{}: kernel word {word}",
+                                m.name
+                            )
                         }
                         SyncOp::Work(_) | SyncOp::AssertTimedOut(_) => {}
                     }

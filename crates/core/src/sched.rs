@@ -1128,6 +1128,7 @@ pub fn stats() -> SchedStats {
         pi_boosts: m.pi_boosts.load(Ordering::Relaxed),
         magazine_hits: crate::magazine::hit_count(),
         magazine_misses: crate::magazine::miss_count(),
+        futex_wakes_avoided: sunmt_sync::strategy::wakes_avoided(),
     }
 }
 
@@ -1155,6 +1156,7 @@ fn sched_stat_source() -> Vec<(String, u64)> {
         ("pi_boosts".to_string(), s.pi_boosts),
         ("magazine_hits".to_string(), s.magazine_hits),
         ("magazine_misses".to_string(), s.magazine_misses),
+        ("futex_wakes_avoided".to_string(), s.futex_wakes_avoided),
     ];
     for (i, sh) in m.runq.shard_stats().iter().enumerate() {
         out.push((format!("runq_shard{i}_pushes"), sh.pushes));
@@ -1214,4 +1216,8 @@ pub struct SchedStats {
     pub magazine_hits: u64,
     /// Create-path magazine/depot misses (fresh allocations).
     pub magazine_misses: u64,
+    /// Kernel `futex_wake` calls skipped on private words because no
+    /// kernel thread was parked in the word's address bucket (process
+    /// lifetime, including wakes made before library init).
+    pub futex_wakes_avoided: u64,
 }

@@ -14,18 +14,18 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use crate::runq::unpoisoned;
 use crate::thread::Thread;
 
-/// Number of sleep-queue shards. A fixed power of two: the hash below
-/// selects a shard with a multiply and a shift, and 64 queues is enough
-/// that unrelated variables essentially never collide while a full-table
-/// scan (only `remove_thread`, a stop/kill path) stays trivial.
-pub const SLEEPQ_SHARDS: usize = 64;
+/// Number of sleep-queue shards: one per address bucket of
+/// `sunmt_sync::strategy`, whose kernel-parker counts use the same hash.
+/// 64 queues is enough that unrelated variables essentially never collide
+/// while a full-table scan (only `remove_thread`, a stop/kill path) stays
+/// trivial.
+pub const SLEEPQ_SHARDS: usize = sunmt_sync::strategy::ADDR_BUCKETS;
 
-/// Maps a wait-word address to its shard (Fibonacci hashing: the golden
-/// ratio multiplier diffuses the low bits — word addresses share alignment
-/// — into the top six, which select the shard).
+/// Maps a wait-word address to its shard: its address bucket
+/// ([`sunmt_sync::strategy::addr_bucket`]).
 #[inline]
 pub fn shard_of(addr: usize) -> usize {
-    addr.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58
+    sunmt_sync::strategy::addr_bucket(addr)
 }
 
 /// Address-keyed queues of sleeping threads (one shard's worth).

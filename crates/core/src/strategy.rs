@@ -15,15 +15,17 @@
 //!   `sunmt-sync` routes them straight to the kernel, because "the thread is
 //!   temporarily bound to the LWP that is blocked by the kernel".
 //!
-//! A wake releases user-level sleepers first and then kernel ones; a
-//! wake-all (`cv_broadcast`) always does both halves. Nothing moves a
-//! sleeper from one word's queue to another's, so a thread leaves a sleep
-//! queue only by being woken from it or by its own deadline.
+//! A wake releases user-level sleepers first and then kernel ones. The
+//! kernel half is [`sunmt_sync::strategy::kernel_unpark`], which makes the
+//! `futex_wake` system call only when a kernel thread is parked in the
+//! word's address bucket, so a wake among unbound threads never enters the
+//! kernel. Nothing moves a sleeper from one word's queue to another's, so
+//! a thread leaves a sleep queue only by being woken from it or by its own
+//! deadline.
 
-use core::sync::atomic::{AtomicU32, Ordering};
+use core::sync::atomic::AtomicU32;
 
-use sunmt_sync::strategy::BlockStrategy;
-use sunmt_sys::futex::{self, Scope};
+use sunmt_sync::strategy::{self, BlockStrategy};
 
 use crate::sched::{self, Action};
 
@@ -50,10 +52,9 @@ impl BlockStrategy for MtStrategy {
                 deadline: None,
             });
         } else {
-            // Kernel sleep (bound thread / adopted thread / bare LWP).
-            if word.load(Ordering::SeqCst) == expected {
-                let _ = futex::wait(word, expected, Scope::Private);
-            }
+            // Kernel sleep (bound thread / adopted thread / bare LWP),
+            // counted so that wakes on this word reach the kernel.
+            strategy::kernel_park(word, expected, None);
             sched::check_stop_current();
             crate::signals::poll();
         }
@@ -77,9 +78,7 @@ impl BlockStrategy for MtStrategy {
                 deadline: Some(deadline),
             });
         } else {
-            if word.load(Ordering::SeqCst) == expected {
-                let _ = futex::wait_timeout(word, expected, Scope::Private, timeout);
-            }
+            strategy::kernel_park(word, expected, Some(timeout));
             sched::check_stop_current();
             crate::signals::poll();
         }
@@ -91,16 +90,17 @@ impl BlockStrategy for MtStrategy {
         // waiters. Waking up to `n` of each may over-wake; the futex-shaped
         // contract permits spurious wakes and all callers re-check.
         let woken = sched::user_unpark(word.as_ptr() as usize, n as usize);
-        // If the user-level queue satisfied every requested wake, skip the
-        // kernel syscall: the contract only promises *up to* `n` wakes, and
-        // any bound waiter that raced in will be found by the next unpark
-        // (its waker re-checks the word before parking). Never skipped for
-        // wake-all — `n == u32::MAX` must always flush kernel waiters too.
+        // If the user-level queue satisfied every requested wake, the
+        // contract (*up to* `n` wakes) is met and the kernel half is not
+        // run at all. A wake-all (`n == u32::MAX`) always runs it.
         if woken >= n as usize && n != u32::MAX {
             return;
         }
-        sunmt_trace::probe!(sunmt_trace::Tag::FutexWake, word.as_ptr() as usize, n);
-        let _ = futex::wake(word, n, Scope::Private);
+        // The kernel half wakes only if a kernel thread is parked in the
+        // word's bucket. A woken unbound receiver stays counted in its
+        // channel's waiter count until it is dispatched, so senders in that
+        // window land here with nobody left to wake, and skip the call.
+        strategy::kernel_unpark(word, n);
     }
 
     fn yield_now(&self) {

@@ -803,14 +803,18 @@ mod tests {
             let l = Arc::new(RwLock::new(kind));
             l.enter(RwType::Reader);
             let l2 = Arc::clone(&l);
+            let (holding_tx, holding_rx) = std::sync::mpsc::channel();
             let other = std::thread::spawn(move || {
                 l2.enter(RwType::Reader);
+                holding_tx.send(()).unwrap();
                 let won = l2.try_upgrade();
                 // Releases the writer hold if it won, the reader hold if not.
                 l2.exit();
                 won
             });
-            std::thread::sleep(Duration::from_millis(5));
+            // Upgrade only once both reads are held: each upgrade then
+            // runs while the other thread still holds at least its read.
+            holding_rx.recv().unwrap();
             let mine = l.try_upgrade();
             l.exit();
             let theirs = other.join().unwrap();
@@ -887,8 +891,18 @@ mod tests {
                 l2.enter(RwType::Writer);
                 l2.exit();
             });
-            // Give the writer time to queue up.
-            std::thread::sleep(Duration::from_millis(20));
+            // Wait until the writer is queued: announced, or holding the
+            // writer bit while it drains our read.
+            let start = std::time::Instant::now();
+            while l.wrwait.load(Ordering::SeqCst) == 0
+                && l.state.load(Ordering::SeqCst) & WRITER == 0
+            {
+                assert!(
+                    start.elapsed() < Duration::from_secs(10),
+                    "writer never queued"
+                );
+                std::thread::yield_now();
+            }
             assert!(
                 !l.try_enter(RwType::Reader),
                 "new readers must queue behind a waiting writer"

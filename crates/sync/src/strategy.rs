@@ -16,11 +16,21 @@
 //! Sync variables are not the only clients: `sunmt-chan` parks its
 //! channel waiters, select waiters, and async `Waker`s on private
 //! eventcount words through the same entry points, so every message
-//! wait inherits the two-level blocking split (and the scheduler's
-//! futex-elision on user-level wakes) without that crate knowing which
-//! backend is installed.
+//! wait inherits the two-level blocking split without that crate knowing
+//! which backend is installed.
+//!
+//! Every kernel park on a *private* word, whichever backend makes it,
+//! goes through [`kernel_park`], which counts the parker in the word's
+//! address bucket for the length of the park. The kernel half of every
+//! private wake goes through [`kernel_unpark`], which makes the
+//! `futex_wake` system call only when that count says a kernel parker
+//! can be on the word. A wake that reaches nobody in the kernel — the
+//! common case when every waiter is an unbound thread — then costs a
+//! fence and a load instead of a system call. `SHARED` words are parked
+//! and woken in the kernel unconditionally: a parker in another process
+//! is not counted here.
 
-use core::sync::atomic::AtomicU32;
+use core::sync::atomic::{fence, AtomicU32, AtomicU64, Ordering};
 use core::time::Duration;
 use std::sync::OnceLock;
 
@@ -42,22 +52,11 @@ pub trait BlockStrategy: Sync {
     /// (`cv_timedwait`, `sema_timedp`, I/O deadlines); callers re-check
     /// both their predicate and their deadline, so the return carries no
     /// "timed out" verdict.
-    ///
-    /// The default is the kernel path — a futex wait with a timeout — which
-    /// is correct for any backend whose `park` is a kernel block. The
-    /// threads library overrides it to put unbound threads on the
-    /// user-level sleep queue with a deadline instead.
-    fn park_timeout(&self, word: &AtomicU32, expected: u32, shared: bool, timeout: Duration) {
-        let scope = if shared {
-            Scope::Shared
-        } else {
-            Scope::Private
-        };
-        // Mismatch, wake, and timeout all mean "re-check".
-        let _ = futex::wait_timeout(word, expected, scope, timeout);
-    }
+    fn park_timeout(&self, word: &AtomicU32, expected: u32, shared: bool, timeout: Duration);
 
-    /// Wakes up to `n` contexts parked on `word`.
+    /// Wakes up to `n` contexts parked on `word`. A private-word
+    /// implementation that parks in the kernel through [`kernel_park`]
+    /// must wake the kernel through [`kernel_unpark`].
     fn unpark(&self, word: &AtomicU32, n: u32, shared: bool);
 
     /// Politely gives up the processor inside a spin loop.
@@ -123,29 +122,110 @@ pub struct KernelBlock;
 
 impl BlockStrategy for KernelBlock {
     fn park(&self, word: &AtomicU32, expected: u32, shared: bool) {
-        let scope = if shared {
-            Scope::Shared
+        if shared {
+            // Mismatch and wake both mean "re-check"; real errors here are
+            // programming bugs (bad pointer), which mmap'd atomics preclude.
+            let _ = futex::wait(word, expected, Scope::Shared);
         } else {
-            Scope::Private
-        };
-        // Mismatch and wake both mean "re-check"; real errors here are
-        // programming bugs (bad pointer), which mmap'd atomics preclude.
-        let _ = futex::wait(word, expected, scope);
+            kernel_park(word, expected, None);
+        }
+    }
+
+    fn park_timeout(&self, word: &AtomicU32, expected: u32, shared: bool, timeout: Duration) {
+        if shared {
+            // Mismatch, wake, and timeout all mean "re-check".
+            let _ = futex::wait_timeout(word, expected, Scope::Shared, timeout);
+        } else {
+            kernel_park(word, expected, Some(timeout));
+        }
     }
 
     fn unpark(&self, word: &AtomicU32, n: u32, shared: bool) {
-        let scope = if shared {
-            Scope::Shared
+        if shared {
+            sunmt_trace::probe!(sunmt_trace::Tag::FutexWake, word.as_ptr() as usize, n);
+            let _ = futex::wake(word, n, Scope::Shared);
         } else {
-            Scope::Private
-        };
-        sunmt_trace::probe!(sunmt_trace::Tag::FutexWake, word.as_ptr() as usize, n);
-        let _ = futex::wake(word, n, scope);
+            kernel_unpark(word, n);
+        }
     }
 
     fn yield_now(&self) {
         task::sched_yield();
     }
+}
+
+/// Address buckets: the kernel-parker counts below and the threads
+/// library's sleep-queue shards are both indexed by [`addr_bucket`].
+pub const ADDR_BUCKETS: usize = 64;
+
+/// Maps a wait-word address to its bucket (Fibonacci hashing: the golden
+/// ratio multiplier diffuses the low bits — word addresses share alignment
+/// — into the top six, which select one of [`ADDR_BUCKETS`]).
+#[inline]
+pub fn addr_bucket(addr: usize) -> usize {
+    addr.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58
+}
+
+/// A bucket's count of kernel threads inside [`kernel_park`], alone on
+/// its cache line: parkers write it rarely, wakers read it on every
+/// private wake that reaches the kernel half.
+#[repr(align(64))]
+struct Parkers(AtomicU32);
+
+static KERNEL_PARKERS: [Parkers; ADDR_BUCKETS] =
+    [const { Parkers(AtomicU32::new(0)) }; ADDR_BUCKETS];
+
+fn parkers(word: &AtomicU32) -> &'static AtomicU32 {
+    &KERNEL_PARKERS[addr_bucket(word.as_ptr() as usize)].0
+}
+
+/// Parks the calling kernel thread on a private `word` while it holds
+/// `expected`, for at most `timeout` when one is given, counted in the
+/// word's bucket so that [`kernel_unpark`] knows to make the system call.
+/// Every private kernel park of every backend goes through here.
+pub fn kernel_park(word: &AtomicU32, expected: u32, timeout: Option<Duration>) {
+    let count = parkers(word);
+    // The parker's half of the handshake with `kernel_unpark`: announce,
+    // then read the word. A waker stores the word, fences, then reads the
+    // count; with both halves sequentially consistent, either this load
+    // sees the waker's store or the waker's load sees this increment.
+    count.fetch_add(1, Ordering::SeqCst);
+    if word.load(Ordering::SeqCst) == expected {
+        // Mismatch, wake, and timeout all mean "re-check"; the kernel
+        // compares the word again under its own lock, so a wake issued
+        // between this load and the sleep is not lost either.
+        let _ = match timeout {
+            None => futex::wait(word, expected, Scope::Private),
+            Some(t) => futex::wait_timeout(word, expected, Scope::Private, t),
+        };
+    }
+    count.fetch_sub(1, Ordering::SeqCst);
+}
+
+/// Wakes skipped by [`kernel_unpark`] (a statistic; publishes nothing).
+static AVOIDED: AtomicU64 = AtomicU64::new(0);
+
+/// The kernel half of a wake of up to `n` parkers on a private `word`,
+/// whose new value the caller has already stored: a `futex_wake` system
+/// call when some kernel thread is inside [`kernel_park`] on a word of
+/// the same bucket, otherwise nothing (counted by [`wakes_avoided`]).
+pub fn kernel_unpark(word: &AtomicU32, n: u32) {
+    // The waker's half of the handshake (see `kernel_park`): the SeqCst
+    // fence orders the caller's store to `word` before the count load,
+    // which may then be relaxed.
+    fence(Ordering::SeqCst);
+    if parkers(word).load(Ordering::Relaxed) == 0 {
+        AVOIDED.fetch_add(1, Ordering::Relaxed);
+        return;
+    }
+    sunmt_trace::probe!(sunmt_trace::Tag::FutexWake, word.as_ptr() as usize, n);
+    let _ = futex::wake(word, n, Scope::Private);
+}
+
+/// Kernel wakes [`kernel_unpark`] skipped because no kernel thread was
+/// parked in the word's bucket, since process start.
+pub fn wakes_avoided() -> u64 {
+    AVOIDED.load(Ordering::Relaxed)
 }
 
 static KERNEL_BLOCK: KernelBlock = KernelBlock;

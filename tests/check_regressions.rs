@@ -104,6 +104,16 @@ const CORPUS: &[(&str, &str)] = &[
     // its arm — the level-triggered re-report still delivers both
     // wakeups.
     ("v1/io_shard/default/3.2.3.0.1.1.0.1", ""),
+    // The kernel-wake gate's lost wakeup: the racy parker checks the word
+    // (clear), the waker sets it and reads the bucket's parker count before
+    // the parker's increment lands, so it skips the futex wake; the parker
+    // then sleeps on its stale check. Found by the exhaustive sweep.
+    ("v1/neg_kernel_wake_gate/default/0.0.1.1", "lost wakeup"),
+    // Adversarial passing schedule through the gate on a shared bucket:
+    // parker 1 sleeps on word 1; the waker of word 0 reads a non-zero count
+    // in the shared bucket and makes a wake that finds nobody on word 0;
+    // the waker of word 1 then wakes parker 1. Parker 0 never sleeps.
+    ("v1/kernel_wake_gate/default/0.0.0.1.1.1.2.2.2", ""),
     // The unbounded priority inversion: the tick preempts the low-priority
     // lock holder while the high-priority waiter is already parked on its
     // mutex, and the middle-priority hog stays runnable — without priority
