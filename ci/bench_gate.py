@@ -31,17 +31,24 @@ Gated metrics:
   thread creation rate, the magazine-fed Figure 5 hot path. Wall-clock
   on a shared runner, so like the checker it gets the wide 4x band.
 * `BENCH_stat.json` / `disabled_probe_ns` — cost of a *disabled*
-  `sunmt-stat` probe pair (count + histogram), net of the baseline
-  loop. Ceiling-gated near zero: a disabled probe is one relaxed load
-  and a branch, and it must stay that way.
-* `BENCH_stat.json` / `trace_disabled_probe_ns` — cost of a *disabled*
-  `sunmt-trace` `probe!`, net of the same baseline loop. Same ceiling
-  and tolerance as the stat probe: every trace point compiled into the
-  hot paths must stay approximately free while tracing is off.
+  probe pair (a `probe!` count + a histogram `record`), net of the
+  baseline loop. Ceiling-gated near zero: with both bits of the probe
+  switch word off, a probe is one relaxed load and a branch, and it
+  must stay that way.
+* `BENCH_stat.json` / `trace_disabled_probe_ns` — cost of one
+  *disabled* `probe!`, net of the same baseline loop. Same ceiling and
+  tolerance as the pair: every probe compiled into the hot paths must
+  stay approximately free while observability is off.
 * `BENCH_stat.json` / `enabled_count_ns`, `enabled_hist_ns` — cost of
-  *enabled* stat probes. Ceiling-gated at 10 ns/op: if enabling
+  a probe with only the counting bit on (a per-LWP tag counter) and of
+  a histogram record. Ceiling-gated at 10 ns/op: if enabling
   statistics stops being harmless the whole always-compiled-in design
   is void.
+* `BENCH_stat.json` / `trace_enabled_probe_ns` — cost of one `probe!`
+  with tracing on: the per-LWP counter, a cycle-counter stamp and a
+  ring-slot write. Ceiling-gated at 100 ns/op with 50 % slack: a probe
+  that goes back to reading the clock through a system call, or to a
+  process-wide counter line, costs several times that.
 * `BENCH_chan.json` / `pipeline_msgs_per_ms` — throughput of the
   3-stage x 2-worker channel actor pipeline. Wall-clock on a shared
   runner, so it gets the wide 4x band against the committed value.
@@ -144,6 +151,13 @@ GATES = [
         ceiling=10.0,
         tolerance=0.0,
         why="enabled stat histograms exceed the 10 ns/op overhead budget",
+    ),
+    Gate(
+        "BENCH_stat.json",
+        "trace_enabled_probe_ns",
+        ceiling=100.0,
+        tolerance=0.5,
+        why="an enabled trace probe is no longer cheap enough to leave on",
     ),
     Gate(
         "BENCH_chan.json",

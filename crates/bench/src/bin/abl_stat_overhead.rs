@@ -1,27 +1,31 @@
 //! ABL-STAT — what do the statistics and trace layers cost on the hot
 //! path?
 //!
-//! The whole point of `sunmt-stat` and `sunmt-trace` is that
-//! instrumentation can stay compiled into every lock and scheduler path:
-//! a *disabled* probe is one relaxed load and a predicted branch (~0 ns
-//! against the surrounding code), and an *enabled* counter or histogram
-//! probe is a thread-local load/add/store (single-digit nanoseconds).
-//! This bench measures exactly that, nets out the loop overhead with a
-//! baseline, and emits the numbers CI gates (`BENCH_stat.json`):
+//! The whole point of the one probe path (`sunmt-trace` records,
+//! `sunmt-stat` reads) is that instrumentation can stay compiled into
+//! every lock and scheduler path: a *disabled* probe is one relaxed load
+//! of the switch word and a predicted branch (~0 ns against the
+//! surrounding code), and an *enabled* counter or histogram probe is a
+//! load/add/store into the calling LWP's own block (single-digit
+//! nanoseconds). This bench measures exactly that, nets out the loop
+//! overhead with a baseline, and emits the numbers CI gates
+//! (`BENCH_stat.json`):
 //!
-//! * `disabled_probe_ns` — `stat_count!` + `stat_record!` with stats off,
-//!   net of baseline. Gated at ≈ 0 (ceiling 2.0 ns).
-//! * `enabled_count_ns` — `stat_count!` with stats on. Gated ≤ 10 ns.
-//! * `enabled_hist_ns` — `stat_record!` (log2 bucketing) with stats on.
+//! * `disabled_probe_ns` — a `probe!` plus a histogram `record` with
+//!   both switch bits off, net of baseline. Gated at ≈ 0 (ceiling
+//!   2.0 ns).
+//! * `enabled_count_ns` — `probe!` with only the counting bit on: one
+//!   per-LWP counter. Gated ≤ 10 ns.
+//! * `enabled_hist_ns` — `record` (log2 bucketing) with counting on.
 //!   Gated ≤ 10 ns.
 //! * `enabled_timer_pair_ns` — a `tick()`/`record_since()` latency pair:
 //!   two `rdtsc` reads plus the histogram write. Reported, not gated
 //!   (TSC read cost is the hardware's, not ours).
-//! * `trace_disabled_probe_ns` — one `probe!` with tracing off, net of
+//! * `trace_disabled_probe_ns` — one `probe!` with both bits off, net of
 //!   baseline. Gated like `disabled_probe_ns` (ceiling 2.0 ns).
-//! * `trace_enabled_probe_ns` — the same `probe!` with tracing on: a
-//!   clock read, a ring write and a shared per-tag counter. Reported, not
-//!   gated.
+//! * `trace_enabled_probe_ns` — the same `probe!` with tracing on: the
+//!   per-LWP counter, an `rdtsc` stamp and a ring-slot write. Gated
+//!   ≤ 100 ns.
 //!
 //! A second section demonstrates the lockstat output the layer exists
 //! for: four host threads hammer one `sunmt_sync::Mutex`, and the
@@ -35,9 +39,8 @@ use std::hint::black_box;
 use std::sync::Arc;
 
 use sunmt_bench::{median_ns, PaperTable};
-use sunmt_stat::{stat_count, stat_record, Ctr, Hs};
 use sunmt_sync::{Mutex, SyncType};
-use sunmt_trace::{probe, Tag};
+use sunmt_trace::{probe, record, record_since, tick, Hs, Tag};
 
 /// Four host threads fight over one mutex long enough to populate the
 /// site table with contention, spins, parks and hold times.
@@ -76,10 +79,10 @@ fn main() {
     );
 
     // Warm the calibration (first ns_per_cycle() call spins ~2 ms) and
-    // the thread-local stat block outside the timed regions.
+    // this LWP's probe block outside the timed regions.
     sunmt_trace::clock::ns_per_cycle();
     sunmt_stat::enable();
-    stat_count!(Ctr::BenchProbe);
+    probe!(Tag::RunqPush);
     sunmt_stat::disable();
 
     // --- Probe cost ladder ------------------------------------------------
@@ -87,39 +90,37 @@ fn main() {
         black_box(i);
     });
 
-    sunmt_stat::disable();
     let disabled = median_ns(n, samples, |i| {
         black_box(i);
-        stat_count!(Ctr::BenchProbe);
-        stat_record!(Hs::BenchLat, i & 0xFFF);
+        probe!(Tag::RunqPush, i);
+        record(Hs::BenchLat, i & 0xFFF);
     });
 
-    sunmt_stat::enable(); // Zeroes the warm-up increment: a fresh epoch.
+    sunmt_stat::enable(); // A fresh epoch: the warm-up count restarts.
     let en_count = median_ns(n, samples, |i| {
         black_box(i);
-        stat_count!(Ctr::BenchProbe);
+        probe!(Tag::RunqPush, i);
     });
     let en_hist = median_ns(n, samples, |i| {
         black_box(i);
-        stat_record!(Hs::BenchLat, i & 0xFFF);
+        record(Hs::BenchLat, i & 0xFFF);
     });
     let en_pair = median_ns(n, samples, |i| {
         black_box(i);
-        let t0 = sunmt_stat::tick();
-        sunmt_stat::record_since(Hs::BenchLat, t0);
+        let t0 = tick();
+        record_since(Hs::BenchLat, t0);
     });
-    let recorded = sunmt_stat::snapshot().counter(Ctr::BenchProbe);
+    let recorded = sunmt_stat::snapshot().counter(Tag::RunqPush);
     sunmt_stat::disable();
 
-    sunmt_trace::disable();
     let tr_disabled = median_ns(n, samples, |i| {
         black_box(i);
         probe!(Tag::RunqPush, i);
     });
-    // An enabled trace probe reads CLOCK_MONOTONIC, tens to hundreds of
-    // ns, so a tenth of the iterations resolves it as well.
+    // An enabled trace probe also stamps and writes a ring slot, several
+    // times a bare count, so a tenth of the iterations resolves it.
     let n_traced = n / 10;
-    sunmt_trace::enable(); // Zeroes the per-tag counters.
+    sunmt_trace::enable(); // A fresh epoch for the per-tag counters.
     let tr_enabled = median_ns(n_traced, samples, |i| {
         black_box(i);
         probe!(Tag::RunqPush, i);
@@ -146,10 +147,7 @@ fn main() {
         net(en_pair)
     ));
     t.note(format!("trace_disabled_probe_ns={:.2}", net(tr_disabled)));
-    t.note(format!(
-        "trace_enabled_probe_ns={:.2} (clock read + ring write; informative, not gated)",
-        net(tr_enabled)
-    ));
+    t.note(format!("trace_enabled_probe_ns={:.2}", net(tr_enabled)));
 
     // --- The lockstat demo -----------------------------------------------
     sunmt_stat::enable();
@@ -178,7 +176,7 @@ fn main() {
         std::process::exit(2);
     }
 
-    // Shape checks: every enabled stat count and trace probe must
+    // Shape checks: every enabled count and trace probe must
     // actually have landed; the contended site must carry acquires from
     // all four threads and a positive hold time; the hold histogram must
     // have observations.
@@ -207,10 +205,11 @@ fn main() {
     );
     println!(
         "\nshape check: OK (disabled {:.2} ns, enabled count {:.2} ns, hist {:.2} ns, \
-         trace disabled {:.2} ns)",
+         trace disabled {:.2} ns, trace enabled {:.2} ns)",
         net(disabled),
         net(en_count),
         net(en_hist),
-        net(tr_disabled)
+        net(tr_disabled),
+        net(tr_enabled)
     );
 }

@@ -29,9 +29,8 @@ use std::sync::atomic::{fence, AtomicU32, AtomicU64, AtomicUsize, Ordering::SeqC
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use sunmt_stat::Hs;
 use sunmt_sync::strategy;
-use sunmt_trace::Tag;
+use sunmt_trace::{Hs, Tag};
 
 use crate::error::{RecvError, RecvTimeoutError, SendError, TryRecvError, TrySendError};
 use crate::queue::Ring;
@@ -47,7 +46,6 @@ pub(crate) static SEND_PARKS: AtomicU64 = AtomicU64::new(0);
 pub(crate) static SPILLS: AtomicU64 = AtomicU64::new(0);
 pub(crate) static SELECT_WAITS: AtomicU64 = AtomicU64::new(0);
 pub(crate) static SELECT_WAKES: AtomicU64 = AtomicU64::new(0);
-pub(crate) static ASYNC_WAKES: AtomicU64 = AtomicU64::new(0);
 
 fn chan_stat_source() -> Vec<(String, u64)> {
     [
@@ -59,7 +57,6 @@ fn chan_stat_source() -> Vec<(String, u64)> {
         ("spills", SPILLS.load(SeqCst)),
         ("select_waits", SELECT_WAITS.load(SeqCst)),
         ("select_wakes", SELECT_WAKES.load(SeqCst)),
-        ("async_wakes", ASYNC_WAKES.load(SeqCst)),
     ]
     .into_iter()
     .map(|(k, v)| (k.to_string(), v))
@@ -72,10 +69,14 @@ fn register_stat_source_once() {
 }
 
 // ---------------------------------------------------------------------
-// One-shot wake registrations (select waiters and async wakers).
+// One-shot wake registrations (select waiters).
 
-/// A select waiter's private event word; registered as a hook with every
-/// channel the select covers, fired (once) by whichever sends first.
+/// A select waiter's private event word; registered as a one-shot hook
+/// with every channel the select covers, fired (once) by whichever sends
+/// first. Hooks are drained when they fire and select re-registers on
+/// every wait, so a stale hook is at worst one spurious wake. (`pub` for
+/// visibility bookkeeping only — the `channel` module is private, so
+/// this never leaves the crate.)
 pub struct SelectEvent {
     pub(crate) word: AtomicU32,
 }
@@ -91,18 +92,6 @@ impl SelectEvent {
         self.word.fetch_add(1, SeqCst);
         strategy::unpark(&self.word, 1, false);
     }
-}
-
-/// A one-shot wake target attached to a channel's receive side. Hooks
-/// are drained when they fire; both select and async re-register on
-/// every wait/poll, so a stale hook is at worst one spurious wake.
-/// (`pub` for visibility bookkeeping only — the `channel` module is
-/// private, so this never leaves the crate.)
-pub enum Hook {
-    /// A [`crate::select::Select`] waiter's event word.
-    Event(Arc<SelectEvent>),
-    /// An async task's waker (the executor bridge).
-    Task(std::task::Waker),
 }
 
 // ---------------------------------------------------------------------
@@ -129,9 +118,9 @@ pub(crate) struct Chan<T> {
     send_waiters: AtomicU32,
     senders: AtomicUsize,
     receivers: AtomicUsize,
-    /// One-shot select/async wake registrations, gated by `hook_count`
-    /// so the send fast path never touches the mutex.
-    hooks: Mutex<Vec<Hook>>,
+    /// One-shot select wake registrations, gated by `hook_count` so the
+    /// send fast path never touches the mutex.
+    hooks: Mutex<Vec<Arc<SelectEvent>>>,
     hook_count: AtomicUsize,
 }
 
@@ -151,30 +140,13 @@ impl<T> Chan<T> {
         self.len() > 0 || self.senders.load(SeqCst) == 0
     }
 
-    /// Registers a one-shot wake target, deduplicating re-registrations
-    /// from the same waiter (select loops and futures re-register every
-    /// pass).
-    pub(crate) fn register_hook(&self, hook: Hook) {
+    /// Registers a select waiter's event word, deduplicating
+    /// re-registrations from the same waiter (select loops re-register
+    /// every pass).
+    pub(crate) fn register_hook(&self, ev: Arc<SelectEvent>) {
         let mut hooks = self.hooks.lock().unwrap_or_else(|e| e.into_inner());
-        match hook {
-            Hook::Event(ev) => {
-                if !hooks
-                    .iter()
-                    .any(|h| matches!(h, Hook::Event(e) if Arc::ptr_eq(e, &ev)))
-                {
-                    hooks.push(Hook::Event(ev));
-                }
-            }
-            Hook::Task(w) => {
-                if let Some(slot) = hooks
-                    .iter_mut()
-                    .find(|h| matches!(h, Hook::Task(old) if old.will_wake(&w)))
-                {
-                    *slot = Hook::Task(w);
-                } else {
-                    hooks.push(Hook::Task(w));
-                }
-            }
+        if !hooks.iter().any(|e| Arc::ptr_eq(e, &ev)) {
+            hooks.push(ev);
         }
         self.hook_count.store(hooks.len(), SeqCst);
     }
@@ -185,19 +157,10 @@ impl<T> Chan<T> {
             self.hook_count.store(0, SeqCst);
             std::mem::take(&mut *hooks)
         };
-        for h in drained {
-            match h {
-                Hook::Event(ev) => {
-                    sunmt_trace::probe!(Tag::SelectWake, self.addr(), ev.word.as_ptr() as usize);
-                    SELECT_WAKES.fetch_add(1, SeqCst);
-                    ev.fire();
-                }
-                Hook::Task(w) => {
-                    sunmt_trace::probe!(Tag::SelectWake, self.addr(), 0u32);
-                    ASYNC_WAKES.fetch_add(1, SeqCst);
-                    w.wake();
-                }
-            }
+        for ev in drained {
+            sunmt_trace::probe!(Tag::SelectWake, self.addr(), ev.word.as_ptr() as usize);
+            SELECT_WAKES.fetch_add(1, SeqCst);
+            ev.fire();
         }
     }
 
@@ -299,7 +262,7 @@ impl<T: Send> Chan<T> {
     fn after_send(&self) {
         let depth = self.len();
         sunmt_trace::probe!(Tag::ChanSend, self.addr(), depth);
-        sunmt_stat::stat_record!(Hs::ChanDepth, depth);
+        sunmt_trace::record(Hs::ChanDepth, depth as u64);
         SENDS.fetch_add(1, SeqCst);
         fence(SeqCst);
         if self.recv_waiters.load(SeqCst) > 0 {
@@ -312,12 +275,12 @@ impl<T: Send> Chan<T> {
     }
 
     pub(crate) fn send(&self, v: T) -> Result<(), SendError<T>> {
-        let t0 = sunmt_stat::tick();
+        let t0 = sunmt_trace::tick();
         let mut v = v;
         loop {
             match self.try_send_inner(v) {
                 Ok(()) => {
-                    sunmt_stat::record_since(Hs::ChanSend, t0);
+                    sunmt_trace::record_since(Hs::ChanSend, t0);
                     return Ok(());
                 }
                 Err(TrySendError::Disconnected(v)) => return Err(SendError(v)),
@@ -339,10 +302,10 @@ impl<T: Send> Chan<T> {
     }
 
     pub(crate) fn try_send(&self, v: T) -> Result<(), TrySendError<T>> {
-        let t0 = sunmt_stat::tick();
+        let t0 = sunmt_trace::tick();
         let r = self.try_send_inner(v);
         if r.is_ok() {
-            sunmt_stat::record_since(Hs::ChanSend, t0);
+            sunmt_trace::record_since(Hs::ChanSend, t0);
         }
         r
     }
@@ -397,11 +360,11 @@ impl<T: Send> Chan<T> {
     }
 
     pub(crate) fn recv(&self) -> Result<T, RecvError> {
-        let t0 = sunmt_stat::tick();
+        let t0 = sunmt_trace::tick();
         loop {
             match self.try_recv() {
                 Ok(v) => {
-                    sunmt_stat::record_since(Hs::ChanRecv, t0);
+                    sunmt_trace::record_since(Hs::ChanRecv, t0);
                     return Ok(v);
                 }
                 Err(TryRecvError::Disconnected) => return Err(RecvError),
@@ -424,12 +387,12 @@ impl<T: Send> Chan<T> {
     }
 
     pub(crate) fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-        let t0 = sunmt_stat::tick();
+        let t0 = sunmt_trace::tick();
         let deadline = sunmt_sys::time::monotonic_now().saturating_add(timeout);
         loop {
             match self.try_recv() {
                 Ok(v) => {
-                    sunmt_stat::record_since(Hs::ChanRecv, t0);
+                    sunmt_trace::record_since(Hs::ChanRecv, t0);
                     return Ok(v);
                 }
                 Err(TryRecvError::Disconnected) => return Err(RecvTimeoutError::Disconnected),
@@ -544,12 +507,6 @@ impl<T: Send> Receiver<T> {
     /// the deadline for unbound threads; no kernel timer is armed).
     pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
         self.chan.recv_timeout(timeout)
-    }
-
-    /// The awaitable receive; see [`crate::exec`] for the executor
-    /// bridge that drives it on an unbound thread.
-    pub fn recv_async(&self) -> crate::exec::RecvFuture<'_, T> {
-        crate::exec::RecvFuture::new(self)
     }
 
     /// A blocking iterator that ends when the channel disconnects.

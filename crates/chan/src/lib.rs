@@ -1,5 +1,4 @@
-//! Message passing for the M:N threads library: channels, select, an
-//! event bus, and an async bridge onto unbound threads.
+//! Message passing for the M:N threads library: channels and select.
 //!
 //! The paper's synchronization variables (mutex/cv/sema/rwlock) are the
 //! substrate; production M:N servers are written against *channels* and
@@ -16,13 +15,8 @@
 //! * [`Select`] — block on any of several receive endpoints via
 //!   one-shot wake hooks; channels pay nothing for selectability until
 //!   a waiter actually registers.
-//! * [`EventBus`] — subscribe/publish fan-out over per-subscriber
-//!   unbounded channels.
-//! * [`block_on`] / [`spawn`] — a minimal executor bridge: a `Waker`
-//!   backed by an event word that unparks an unbound thread, so
-//!   `rx.recv_async().await` multiplexes over the LWP pool; timed
-//!   receives ride the same timer-LWP deadline mechanism as
-//!   `cv_timedwait`.
+//! * [`Receiver::recv_timeout`] — timed receives ride the same
+//!   timer-LWP deadline mechanism as `cv_timedwait`.
 //!
 //! A send to a blocked receiver is one wake through
 //! [`sunmt_sync::strategy::unpark`]; when the sleeper is an unbound
@@ -39,16 +33,12 @@
 
 #![deny(missing_docs)]
 
-mod bus;
 mod channel;
 mod error;
-pub mod exec;
 pub mod mpsc;
 mod queue;
 mod select;
 
-pub use bus::EventBus;
 pub use channel::{bounded, unbounded, Iter, Receiver, Sender};
 pub use error::{RecvError, RecvTimeoutError, SendError, TryRecvError, TrySendError};
-pub use exec::{block_on, spawn, RecvFuture};
 pub use select::{Select, Selectable};

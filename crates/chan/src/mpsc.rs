@@ -7,7 +7,6 @@ use std::time::Duration;
 
 use crate::channel;
 use crate::error::{RecvError, RecvTimeoutError, TryRecvError};
-use crate::exec::RecvFuture;
 
 pub use crate::channel::Sender;
 
@@ -44,11 +43,6 @@ impl<T: Send> Receiver<T> {
         self.0.recv_timeout(timeout)
     }
 
-    /// See [`channel::Receiver::recv_async`].
-    pub fn recv_async(&self) -> RecvFuture<'_, T> {
-        self.0.recv_async()
-    }
-
     /// See [`channel::Receiver::iter`].
     pub fn iter(&self) -> channel::Iter<'_, T> {
         self.0.iter()
@@ -66,8 +60,8 @@ impl<T: Send> Receiver<T> {
 }
 
 impl<T: Send> crate::select::sealed::Port for Receiver<T> {
-    fn register(&self, hook: crate::channel::Hook) {
-        crate::select::sealed::Port::register(&self.0, hook);
+    fn register(&self, ev: std::sync::Arc<crate::channel::SelectEvent>) {
+        crate::select::sealed::Port::register(&self.0, ev);
     }
 
     fn ready(&self) -> bool {

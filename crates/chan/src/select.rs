@@ -20,14 +20,16 @@ use std::time::Duration;
 
 use sunmt_sync::strategy;
 
-use crate::channel::{Hook, Receiver, SelectEvent, SELECT_WAITS};
+use crate::channel::{Receiver, SelectEvent, SELECT_WAITS};
 
 pub(crate) mod sealed {
-    use crate::channel::Hook;
+    use std::sync::Arc;
+
+    use crate::channel::SelectEvent;
 
     /// Internal registration surface; implemented by receive endpoints.
     pub trait Port {
-        fn register(&self, hook: Hook);
+        fn register(&self, ev: Arc<SelectEvent>);
         fn ready(&self) -> bool;
     }
 }
@@ -37,8 +39,8 @@ pub(crate) mod sealed {
 pub trait Selectable: sealed::Port {}
 
 impl<T: Send> sealed::Port for Receiver<T> {
-    fn register(&self, hook: Hook) {
-        self.chan().register_hook(hook);
+    fn register(&self, ev: Arc<SelectEvent>) {
+        self.chan().register_hook(ev);
     }
 
     fn ready(&self) -> bool {
@@ -94,7 +96,7 @@ impl<'a> Select<'a> {
         loop {
             let seen = ev.word.load(SeqCst);
             for p in &self.ports {
-                p.register(Hook::Event(Arc::clone(&ev)));
+                p.register(Arc::clone(&ev));
             }
             if let Some(i) = self.ready() {
                 return i;
@@ -114,7 +116,7 @@ impl<'a> Select<'a> {
         loop {
             let seen = ev.word.load(SeqCst);
             for p in &self.ports {
-                p.register(Hook::Event(Arc::clone(&ev)));
+                p.register(Arc::clone(&ev));
             }
             if let Some(i) = self.ready() {
                 return Some(i);

@@ -504,7 +504,7 @@ fn remove_self_from_idle(me: &Arc<LwpState>) {
 fn run_one(t: Arc<Thread>) {
     t.set_state(ThreadState::Running);
     let q0 = t.queued_cy.swap(0, Ordering::Relaxed);
-    sunmt_stat::record_since(sunmt_stat::Hs::RunqWait, q0);
+    sunmt_trace::record_since(sunmt_trace::Hs::RunqWait, q0);
     mt().dispatches.fetch_add(1, Ordering::Relaxed);
     t.ctx_switches.fetch_add(1, Ordering::Relaxed);
     // A fresh quantum: a tick aimed at the previous occupant of this LWP
@@ -633,7 +633,7 @@ fn push_runnable(t: Arc<Thread>) {
     let m = mt();
     // Run-queue wait clock starts at the enqueue (0 when stats are off, so
     // the dispatcher's matching record is a no-op).
-    t.queued_cy.store(sunmt_stat::tick(), Ordering::Relaxed);
+    t.queued_cy.store(sunmt_trace::tick(), Ordering::Relaxed);
     // Pool LWPs enqueue on their own shard (one uncontended lock); every
     // other context — bound threads, the timer LWP, signal handlers —
     // injects globally.

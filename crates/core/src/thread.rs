@@ -69,7 +69,7 @@ pub(crate) struct Thread {
     /// Per-thread profiling interval timer (SIGPROF), same encoding.
     pub(crate) prof_deadline_ns: AtomicU64,
     pub(crate) prof_interval_ns: AtomicU64,
-    /// Cycle timestamp (`sunmt_stat::tick`) of the last enqueue onto the
+    /// Cycle timestamp (`sunmt_trace::tick`) of the last enqueue onto the
     /// run queue; 0 when stats are disabled or the thread is not queued.
     /// Consumed by the dispatcher to charge run-queue wait time.
     pub(crate) queued_cy: AtomicU64,

@@ -474,9 +474,9 @@ impl Poller {
         probe!(Tag::IoRegister, io_fd as u64, (dir == Dir::Write) as u64);
         shard.n.registrations.fetch_add(1, Ordering::Relaxed);
         shard.n.pending.fetch_add(1, Ordering::Relaxed);
-        let t0 = sunmt_stat::tick();
+        let t0 = sunmt_trace::tick();
         let result = self.park(shard, io_fd, dir, deadline, &w);
-        sunmt_stat::record_since(sunmt_stat::Hs::IoWait, t0);
+        sunmt_trace::record_since(sunmt_trace::Hs::IoWait, t0);
         shard.n.pending.fetch_sub(1, Ordering::Relaxed);
         result
     }
@@ -586,9 +586,9 @@ fn shard_loop(shard: &Shard) {
         shard.n.epoll_waits.fetch_add(1, Ordering::Relaxed);
         // A shard LWP's wait is the canonical "indefinite, external wait"
         // of the paper's SIGWAITING accounting.
-        let t0 = sunmt_stat::tick();
+        let t0 = sunmt_trace::tick();
         let n = registry::global().indefinite_wait(|| fd::epoll_wait(shard.epfd, &mut events, -1));
-        sunmt_stat::record_since(sunmt_stat::Hs::PollerWait, t0);
+        sunmt_trace::record_since(sunmt_trace::Hs::PollerWait, t0);
         let n = match n {
             Ok(n) => n,
             Err(Errno::EINTR) => continue,

@@ -15,8 +15,7 @@
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
 
-use crate::{enabled, record, Hs};
-use sunmt_trace::clock;
+use sunmt_trace::{clock, counting, record, Hs};
 
 /// Capacity of the site table (slot 0 is the shared overflow slot).
 pub const NSITES: usize = 512;
@@ -91,20 +90,15 @@ fn site_for(addr: usize) -> &'static Site {
     &TABLE[0]
 }
 
-#[inline]
-fn bump(cell: &AtomicU64, n: u64) {
-    cell.fetch_add(n, Relaxed);
-}
-
 /// An uncontended (fast-path) acquire: counts it and starts the hold
 /// clock. Call only while holding the lock.
 #[inline]
 pub fn acquired(addr: usize) {
-    if !enabled() {
+    if !counting() {
         return;
     }
     let s = site_for(addr);
-    bump(&s.acquires, 1);
+    s.acquires.fetch_add(1, Relaxed);
     s.hold_t0.store(clock::now_cycles(), Relaxed);
 }
 
@@ -112,10 +106,10 @@ pub fn acquired(addr: usize) {
 /// matching [`acquired_slow`] charges block time against (0 if disabled).
 #[inline]
 pub fn slow_begin(addr: usize) -> u64 {
-    if !enabled() {
+    if !counting() {
         return 0;
     }
-    bump(&site_for(addr).contended, 1);
+    site_for(addr).contended.fetch_add(1, Relaxed);
     clock::now_cycles()
 }
 
@@ -123,13 +117,13 @@ pub fn slow_begin(addr: usize) -> u64 {
 /// acquired the lock or fell through to the sleep path.
 #[inline]
 pub fn spun(addr: usize, iters: u64, acquired: bool) {
-    if !enabled() {
+    if !counting() {
         return;
     }
     let s = site_for(addr);
-    bump(&s.spin_iters, iters);
+    s.spin_iters.fetch_add(iters, Relaxed);
     if acquired {
-        bump(&s.spin_acquires, 1);
+        s.spin_acquires.fetch_add(1, Relaxed);
     }
     record(Hs::MutexSpin, iters);
 }
@@ -137,10 +131,10 @@ pub fn spun(addr: usize, iters: u64, acquired: bool) {
 /// One futex park on the sleep path.
 #[inline]
 pub fn parked(addr: usize) {
-    if !enabled() {
+    if !counting() {
         return;
     }
-    bump(&site_for(addr).parks, 1);
+    site_for(addr).parks.fetch_add(1, Relaxed);
 }
 
 /// Slow-path acquire completed: charges block time since `t0` (from
@@ -148,18 +142,18 @@ pub fn parked(addr: usize) {
 /// at entry) records the acquire but no block time.
 #[inline]
 pub fn acquired_slow(addr: usize, t0: u64) {
-    if !enabled() {
+    if !counting() {
         return;
     }
     let s = site_for(addr);
     let now = clock::now_cycles();
     if t0 != 0 {
         let d = now.saturating_sub(t0);
-        bump(&s.block_cycles, d);
+        s.block_cycles.fetch_add(d, Relaxed);
         s.block_max.fetch_max(d, Relaxed);
         record(Hs::MutexBlock, d);
     }
-    bump(&s.acquires, 1);
+    s.acquires.fetch_add(1, Relaxed);
     s.hold_t0.store(now, Relaxed);
 }
 
@@ -169,12 +163,12 @@ pub fn acquired_slow(addr: usize, t0: u64) {
 /// counting primitives. No-op when `t0 == 0`.
 #[inline]
 pub fn block_end(addr: usize, t0: u64) {
-    if t0 == 0 || !enabled() {
+    if t0 == 0 || !counting() {
         return;
     }
     let s = site_for(addr);
     let d = clock::now_cycles().saturating_sub(t0);
-    bump(&s.block_cycles, d);
+    s.block_cycles.fetch_add(d, Relaxed);
     s.block_max.fetch_max(d, Relaxed);
 }
 
@@ -183,15 +177,15 @@ pub fn block_end(addr: usize, t0: u64) {
 /// is released) so `hold_t0` stays single-writer.
 #[inline]
 pub fn released(addr: usize) {
-    if !enabled() {
+    if !counting() {
         return;
     }
     let s = site_for(addr);
     let t0 = s.hold_t0.swap(0, Relaxed);
     if t0 != 0 {
         let d = clock::now_cycles().saturating_sub(t0);
-        bump(&s.hold_cycles, d);
-        bump(&s.hold_count, 1);
+        s.hold_cycles.fetch_add(d, Relaxed);
+        s.hold_count.fetch_add(1, Relaxed);
         record(Hs::MutexHold, d);
     }
 }

@@ -3,7 +3,8 @@
 
 use std::fmt::Write as _;
 
-use crate::{snapshot, Ctr, Snapshot, Unit};
+use crate::{snapshot, Snapshot};
+use sunmt_trace::{Tag, Unit};
 
 /// How many lock sites the human report shows.
 const TOP_N: usize = 10;
@@ -18,7 +19,7 @@ fn fmt_site(addr: usize) -> String {
 
 /// Renders the lockstat-style report for the current epoch: the top
 /// lock sites by total block time, every latency histogram's quantiles,
-/// the counters and the registered subsystem gauges.
+/// the nonzero probe counters and the registered subsystem gauges.
 pub fn stats_report() -> String {
     render_report(&snapshot())
 }
@@ -94,11 +95,9 @@ pub fn render_report(s: &Snapshot) -> String {
             },
         );
     }
-    let _ = writeln!(out, "\ncounters:");
-    for c in Ctr::ALL {
-        if s.counter(c) > 0 {
-            let _ = writeln!(out, "  {:<24} {:>12}", c.name(), s.counter(c));
-        }
+    let _ = writeln!(out, "\nprobe counters:");
+    for (t, n) in s.counters.nonzero() {
+        let _ = writeln!(out, "  {:<24} {n:>12}", t.name());
     }
     for (name, kv) in &s.sources {
         let _ = writeln!(out, "\n{name}:");
@@ -110,18 +109,22 @@ pub fn render_report(s: &Snapshot) -> String {
 }
 
 /// Renders the current epoch as a Prometheus-style text exposition
-/// (counters, summary-style histogram quantiles, per-site lock gauges,
-/// subsystem gauges).
+/// (per-tag probe counters, summary-style histogram quantiles, per-site
+/// lock gauges, subsystem gauges).
 pub fn prometheus() -> String {
     render_prometheus(&snapshot())
 }
 
 /// [`prometheus`] over an already-taken [`Snapshot`].
 pub fn render_prometheus(s: &Snapshot) -> String {
-    let mut out = String::new();
-    for c in Ctr::ALL {
-        let _ = writeln!(out, "# TYPE sunmt_{} counter", c.name());
-        let _ = writeln!(out, "sunmt_{} {}", c.name(), s.counter(c));
+    let mut out = String::from("# TYPE sunmt_probe_total counter\n");
+    for t in Tag::ALL {
+        let _ = writeln!(
+            out,
+            "sunmt_probe_total{{tag=\"{}\"}} {}",
+            t.name(),
+            s.counter(t)
+        );
     }
     for v in &s.hists {
         let suffix = match v.hs.unit() {
@@ -177,8 +180,9 @@ fn json_str(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// Renders the current epoch as one JSON object (counters, histogram
-/// quantiles, lock sites, subsystem gauges) for machine consumption.
+/// Renders the current epoch as one JSON object (per-tag probe counters,
+/// histogram quantiles, lock sites, subsystem gauges) for machine
+/// consumption.
 pub fn snapshot_json() -> String {
     render_json(&snapshot())
 }
@@ -186,12 +190,12 @@ pub fn snapshot_json() -> String {
 /// [`snapshot_json`] over an already-taken [`Snapshot`].
 pub fn render_json(s: &Snapshot) -> String {
     let mut out = String::from("{\"counters\":{");
-    for (i, c) in Ctr::ALL.iter().enumerate() {
+    for (i, t) in Tag::ALL.into_iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        json_str(&mut out, c.name());
-        let _ = write!(out, ":{}", s.counter(*c));
+        json_str(&mut out, t.name());
+        let _ = write!(out, ":{}", s.counter(t));
     }
     out.push_str("},\"hists\":[");
     for (i, v) in s.hists.iter().enumerate() {
@@ -267,8 +271,8 @@ mod tests {
             lock::acquired_slow(addr, t0);
             lock::released(addr);
         }
-        crate::record(Hs::RunqWait, 1000);
-        crate::record(Hs::RunqWait, 4000);
+        sunmt_trace::record(Hs::RunqWait, 1000);
+        sunmt_trace::record(Hs::RunqWait, 4000);
         crate::disable();
         let r = stats_report();
         assert!(r.contains("0xabc04000"), "site missing:\n{r}");
@@ -281,12 +285,14 @@ mod tests {
     fn prometheus_exposition_has_types_and_quantiles() {
         let _g = crate::test_lock();
         crate::enable();
-        crate::add(Ctr::CvWakeAll, 3);
-        crate::record(Hs::IoWait, 123);
+        for _ in 0..3 {
+            sunmt_trace::probe!(Tag::CvBroadcast);
+        }
+        sunmt_trace::record(Hs::IoWait, 123);
         crate::disable();
         let p = prometheus();
-        assert!(p.contains("# TYPE sunmt_cv_wake_all counter"));
-        assert!(p.contains("sunmt_cv_wake_all 3"));
+        assert!(p.contains("# TYPE sunmt_probe_total counter"));
+        assert!(p.contains("sunmt_probe_total{tag=\"cv-broadcast\"} 3"));
         assert!(p.contains("sunmt_io_wait_ns{quantile=\"0.99\"}"));
         assert!(p.contains("sunmt_io_wait_ns_count 1"));
     }
@@ -295,7 +301,7 @@ mod tests {
     fn json_snapshot_is_well_formed_enough_to_eyeball() {
         let _g = crate::test_lock();
         crate::enable();
-        crate::record(Hs::MutexSpin, 64);
+        sunmt_trace::record(Hs::MutexSpin, 64);
         crate::disable();
         let j = snapshot_json();
         assert!(j.starts_with('{') && j.ends_with('}'));

@@ -55,6 +55,12 @@ impl Condvar {
         SyncType(self.kind.load(Ordering::Relaxed)).is_shared()
     }
 
+    /// The address the cv's trace probes report: its sequence word.
+    #[inline]
+    fn site(&self) -> usize {
+        &self.seq as *const _ as usize
+    }
+
     /// `cv_wait()`: blocks until the condition is signaled.
     ///
     /// "It releases the associated mutex before blocking, and reacquires it
@@ -83,7 +89,7 @@ impl Condvar {
         // Sleeps only if no signal has arrived since `seen` was sampled
         // under the mutex; spurious wakeups are fine because the caller
         // re-tests its predicate.
-        sunmt_trace::probe!(sunmt_trace::Tag::CvBlock, &self.seq as *const _ as usize);
+        sunmt_trace::probe!(sunmt_trace::Tag::CvBlock, self.site());
         strategy::park(&self.seq, seen, self.shared());
         self.waiters.fetch_sub(1, Ordering::SeqCst);
         mutex.enter();
@@ -100,7 +106,7 @@ impl Condvar {
         self.waiters.fetch_add(1, Ordering::SeqCst);
         let seen = self.seq.load(Ordering::SeqCst);
         mutex.exit();
-        sunmt_trace::probe!(sunmt_trace::Tag::CvBlock, &self.seq as *const _ as usize);
+        sunmt_trace::probe!(sunmt_trace::Tag::CvBlock, self.site());
         // The park carries no verdict (it may return spuriously), so the
         // deadline is re-derived from the clock each round. The `seq`
         // check comes first so that a signal racing the deadline counts as
@@ -126,8 +132,9 @@ impl Condvar {
     /// blocks on the condition variable."
     pub fn signal(&self) {
         self.seq.fetch_add(1, Ordering::SeqCst);
-        if self.waiters.load(Ordering::SeqCst) > 0 {
-            sunmt_stat::stat_count!(sunmt_stat::Ctr::CvSignal);
+        let waiters = self.waiters.load(Ordering::SeqCst);
+        sunmt_trace::probe!(sunmt_trace::Tag::CvSignal, self.site(), waiters > 0);
+        if waiters > 0 {
             strategy::unpark(&self.seq, 1, self.shared());
         }
     }
@@ -138,8 +145,9 @@ impl Condvar {
     /// to re-contend for the mutex, it should be used with care."
     pub fn broadcast(&self) {
         self.seq.fetch_add(1, Ordering::SeqCst);
-        if self.waiters.load(Ordering::SeqCst) > 0 {
-            sunmt_stat::stat_count!(sunmt_stat::Ctr::CvWakeAll);
+        let waiters = self.waiters.load(Ordering::SeqCst);
+        sunmt_trace::probe!(sunmt_trace::Tag::CvBroadcast, self.site(), waiters);
+        if waiters > 0 {
             strategy::unpark(&self.seq, u32::MAX, self.shared());
         }
     }

@@ -136,7 +136,7 @@ impl Mutex {
             .compare_exchange(UNLOCKED, LOCKED, Ordering::Acquire, Ordering::Relaxed)
             .is_ok()
         {
-            if sunmt_stat::enabled() {
+            if sunmt_trace::counting() {
                 sunmt_stat::lock::acquired(self.site());
             }
         } else {
@@ -228,7 +228,7 @@ impl Mutex {
             if self.word.swap(CONTENDED, Ordering::Acquire) == UNLOCKED {
                 break;
             }
-            if sunmt_stat::enabled() {
+            if sunmt_trace::counting() {
                 sunmt_stat::lock::parked(self.site());
             }
             if pi {
@@ -265,7 +265,7 @@ impl Mutex {
             .is_ok();
         if ok {
             self.publish_owner(self.kind());
-            if sunmt_stat::enabled() {
+            if sunmt_trace::counting() {
                 sunmt_stat::lock::acquired(self.site());
             }
         }
@@ -283,7 +283,7 @@ impl Mutex {
         let kind = self.kind();
         // Close the hold interval while still the holder (the site's
         // hold clock is single-writer only under the lock's exclusion).
-        if sunmt_stat::enabled() {
+        if sunmt_trace::counting() {
             sunmt_stat::lock::released(self.site());
         }
         if kind.is_debug() {

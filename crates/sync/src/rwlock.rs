@@ -231,7 +231,7 @@ impl RwLock {
     /// upgraders and drains).
     fn note_park(&self, t0: &mut u64, writer: bool) {
         sunmt_trace::probe!(sunmt_trace::Tag::RwBlock, self.site(), writer);
-        if sunmt_stat::enabled() {
+        if sunmt_trace::counting() {
             if *t0 == 0 {
                 *t0 = sunmt_stat::lock::slow_begin(self.site());
             }

@@ -80,7 +80,7 @@ impl Sema {
                 sunmt_trace::Tag::SemaBlock,
                 &self.count as *const _ as usize
             );
-            if sunmt_stat::enabled() {
+            if sunmt_trace::counting() {
                 sunmt_stat::lock::parked(site);
             }
             strategy::park(&self.count, 0, shared);
@@ -113,7 +113,7 @@ impl Sema {
                 sunmt_trace::Tag::SemaBlock,
                 &self.count as *const _ as usize
             );
-            if sunmt_stat::enabled() {
+            if sunmt_trace::counting() {
                 sunmt_stat::lock::parked(site);
             }
             strategy::park_timeout(&self.count, 0, shared, deadline - now);

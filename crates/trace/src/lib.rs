@@ -1,20 +1,28 @@
-//! TNF-style tracing for the threads library (paper §6's `tnfprobes`).
+//! TNF-style tracing for the threads library (paper §6's `tnfprobes`),
+//! and the record side of its statistics.
 //!
 //! SunOS shipped its MT library with always-present trace points that cost
 //! almost nothing until a tool enables them, then stream fixed-size binary
 //! records into per-thread buffers merged offline. This crate is that
-//! design for the reproduction:
+//! design for the reproduction, and the only place a probe records:
 //!
-//! - [`probe!`] compiles to a single relaxed atomic load and a predicted
-//!   branch while tracing is disabled, and to nothing at all with the
-//!   crate's `off` feature.
-//! - When enabled, each probe writes one fixed-size [`Event`]
-//!   (CLOCK_MONOTONIC timestamp, LWP id, thread id, [`Tag`], two payload
-//!   words) into the calling LWP's lock-free [`ring::Ring`].
-//! - [`drain`] merges every LWP's ring by timestamp; [`render`] prints a
+//! - One switch word holds two bits. [`COUNTING`] (set by
+//!   `sunmt_stat::enable`) makes probes count their tag and histograms
+//!   record; [`TRACING`] (set by [`enable`]) makes probes also write the
+//!   ring. With both off, [`probe!`] is one relaxed load and a predicted
+//!   branch.
+//! - An LWP gets one block on its first recorded probe: its event
+//!   [`ring::Ring`], per-tag counters and histogram cells, all written
+//!   only by that LWP and kept in one registry. An LWP that never records
+//!   allocates nothing.
+//! - Events are stamped with [`clock::now_cycles`] (one `rdtsc` on
+//!   x86_64). [`drain`] merges every LWP's ring by stamp and converts the
+//!   stamps to CLOCK_MONOTONIC nanoseconds; [`render`] prints a
 //!   human-readable dump, [`export_chrome`] emits Chrome `trace_event`
-//!   JSON, and [`counters`] aggregates per-tag totals (counters see every
-//!   probe hit, including events later overwritten in a full ring).
+//!   JSON, and [`counters`] sums the per-LWP counts (which see every probe
+//!   hit, including events later overwritten in a full ring).
+//! - `sunmt-stat` is the read side: it merges the counters and
+//!   histograms ([`hists`]) with its lock-site table into reports.
 //!
 //! The crate deliberately depends only on `sunmt-sys` so every layer above
 //! it (sync, lwp, core, simkernel) can host probes without a dependency
@@ -22,24 +30,63 @@
 
 #![deny(missing_docs)]
 
+/// Declares a probe vocabulary from one list: the enum (discriminants in
+/// list order), its length, its `ALL` table indexed by discriminant and
+/// each variant's stable display name.
+macro_rules! vocabulary {
+    (
+        $(#[$meta:meta])*
+        pub enum $ty:ident: $repr:ident, $n:ident {
+            $( $(#[$doc:meta])* $name:ident => $text:literal, )*
+        }
+    ) => {
+        $(#[$meta])*
+        #[repr($repr)]
+        #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+        pub enum $ty {
+            $( $(#[$doc])* $name, )*
+        }
+
+        #[doc = concat!("Number of [`", stringify!($ty), "`] variants.")]
+        pub const $n: usize = [$($text),*].len();
+
+        impl $ty {
+            /// Every variant, indexed by discriminant.
+            pub const ALL: [$ty; $n] = [$($ty::$name),*];
+
+            /// Display name (stable).
+            pub fn name(self) -> &'static str {
+                match self {
+                    $($ty::$name => $text,)*
+                }
+            }
+        }
+    };
+}
+
 pub mod chrome;
 pub mod clock;
+pub mod hist;
 pub mod ring;
 pub mod tag;
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::AtomicU64;
+use std::sync::atomic::Ordering::{Acquire, Relaxed, Release, SeqCst};
+use std::sync::{Mutex, MutexGuard};
 
 pub use chrome::export_chrome;
+pub use hist::{Hist, Hs, Unit, NBUCKETS, NHISTS};
 pub use tag::{Tag, NTAGS};
 
+use hist::HistCells;
 use ring::Ring;
 
 /// One trace record, fixed-size by construction.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Event {
-    /// CLOCK_MONOTONIC nanoseconds.
+    /// CLOCK_MONOTONIC nanoseconds (stamped in cycles, converted by
+    /// [`drain`]).
     pub ts_ns: u64,
     /// Kernel thread (LWP) id that emitted the event.
     pub lwp: u32,
@@ -67,7 +114,7 @@ impl Default for Counters {
 }
 
 impl Counters {
-    /// Events recorded for `tag` since [`enable`].
+    /// Probe hits for `tag` in the current epoch.
     pub fn get(&self, tag: Tag) -> u64 {
         self.counts[tag as usize]
     }
@@ -96,80 +143,134 @@ impl Counters {
     }
 }
 
-/// Global on/off switch, read by every probe.
-static ENABLED: AtomicBool = AtomicBool::new(false);
+// ---------------------------------------------------------------------
+// The switch word and the per-LWP blocks.
 
-/// Start of the current tracing epoch (monotonic ns); [`drain`] ignores
-/// stale ring contents from before it.
-static EPOCH_NS: AtomicU64 = AtomicU64::new(u64::MAX);
+/// Switch bit: probes count their tag and histograms record.
+pub const COUNTING: u64 = 1;
 
-/// Per-tag totals for the current epoch.
-static COUNTERS: [AtomicU64; NTAGS] = [const { AtomicU64::new(0) }; NTAGS];
+/// Switch bit: probes also write their LWP's ring.
+pub const TRACING: u64 = 2;
 
-/// Every LWP's ring, kept alive here even after the LWP exits so the
-/// collector can still read its tail.
-fn registry() -> &'static Mutex<Vec<Arc<Ring>>> {
-    static REGISTRY: OnceLock<Mutex<Vec<Arc<Ring>>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(Vec::new()))
+/// The bits above the two switches number the epoch.
+const EPOCH_SHIFT: u32 = 2;
+
+/// The word every probe reads: [`COUNTING`] | [`TRACING`] in the low
+/// bits, the epoch above them.
+static SWITCH: AtomicU64 = AtomicU64::new(0);
+
+/// Cycle stamp at which the current epoch started; [`drain`] ignores
+/// older ring contents.
+static EPOCH_START: AtomicU64 = AtomicU64::new(u64::MAX);
+
+/// One LWP's record-side state. Every cell is written only by the owning
+/// LWP; readers race benignly with relaxed loads.
+struct Block {
+    lwp: u32,
+    /// Epoch the counters and histogram cells belong to. The owner zeroes
+    /// them on its first record in an epoch and then publishes the epoch
+    /// with `Release`; readers load it with `Acquire` before the cells, so
+    /// a reset never races a write and a reader never sees pre-reset
+    /// values under the new epoch.
+    epoch: AtomicU64,
+    counts: [AtomicU64; NTAGS],
+    hists: [HistCells; NHISTS],
+    ring: Ring,
 }
 
-struct Ctx {
-    ring: Arc<Ring>,
-    lwp: u32,
-    thread: Cell<u32>,
+/// Every block ever made, kept after its LWP exits so readers still see
+/// its tail.
+fn registry() -> MutexGuard<'static, Vec<&'static Block>> {
+    static REGISTRY: Mutex<Vec<&'static Block>> = Mutex::new(Vec::new());
+    REGISTRY.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 thread_local! {
-    static CTX: Ctx = {
-        let ring = Arc::new(Ring::new());
-        registry().lock().expect("trace registry").push(Arc::clone(&ring));
-        Ctx {
-            ring,
-            lwp: sunmt_sys::task::gettid(),
-            thread: Cell::new(0),
+    // Both cells are `const` and drop-free, so a probe fired from another
+    // TLS destructor (the LWP-exit probe) still finds them.
+    static BLOCK: Cell<Option<&'static Block>> = const { Cell::new(None) };
+    static THREAD: Cell<u32> = const { Cell::new(0) };
+}
+
+impl Block {
+    /// The calling LWP's block for `epoch`: made on the LWP's first
+    /// recorded probe, and restarted when it last recorded in an older
+    /// epoch.
+    #[inline]
+    fn mine(epoch: u64) -> &'static Block {
+        let b = BLOCK.with(Cell::get).unwrap_or_else(Block::register);
+        if b.epoch.load(Relaxed) != epoch {
+            b.restart(epoch);
         }
-    };
+        b
+    }
+
+    #[cold]
+    fn register() -> &'static Block {
+        let b: &'static Block = Box::leak(Box::new(Block {
+            lwp: sunmt_sys::task::gettid(),
+            epoch: AtomicU64::new(0),
+            counts: [const { AtomicU64::new(0) }; NTAGS],
+            hists: [const { HistCells::new() }; NHISTS],
+            ring: Ring::new(),
+        }));
+        registry().push(b);
+        BLOCK.with(|c| c.set(Some(b)));
+        b
+    }
+
+    #[cold]
+    fn restart(&self, epoch: u64) {
+        for c in &self.counts {
+            c.store(0, Relaxed);
+        }
+        for h in &self.hists {
+            h.reset();
+        }
+        self.epoch.store(epoch, Release);
+    }
 }
 
-fn now_ns() -> u64 {
-    let d = sunmt_sys::time::monotonic_now();
-    d.as_secs() * 1_000_000_000 + u64::from(d.subsec_nanos())
-}
-
-/// Whether probes currently record. This is the entire disabled-probe cost:
-/// one relaxed load and a branch (and with the `off` feature, a constant
-/// `false` the optimizer deletes along with the probe body).
+/// Whether probes currently record: true while either switch bit is on,
+/// so also while only `sunmt_stat` counts. This is the entire
+/// disabled-probe cost: one relaxed load and a branch.
 #[inline(always)]
 pub fn enabled() -> bool {
-    if cfg!(feature = "off") {
-        return false;
-    }
-    ENABLED.load(Ordering::Relaxed)
+    SWITCH.load(Relaxed) & (COUNTING | TRACING) != 0
 }
 
-/// Records one event. Called by [`probe!`] after its [`enabled`] check;
-/// callable directly when the caller has already tested [`enabled`].
+/// Whether the [`COUNTING`] bit is on, which gates histograms.
+#[inline(always)]
+pub fn counting() -> bool {
+    SWITCH.load(Relaxed) & COUNTING != 0
+}
+
+/// Records one probe hit: counts `tag` in the calling LWP's block and,
+/// while [`TRACING`] is on, writes the event into its ring. Called by
+/// [`probe!`] after its [`enabled`] check; callable directly when the
+/// caller has already tested [`enabled`].
 #[inline]
 pub fn emit(tag: Tag, a: u64, b: u64) {
-    let ts = now_ns();
-    // `try_with` so a probe firing during TLS teardown (e.g. the LWP-exit
-    // probe, which runs from a TLS destructor) degrades to counting only.
-    let _ = CTX.try_with(|c| c.ring.push(ts, c.lwp, c.thread.get(), tag, a, b));
-    COUNTERS[tag as usize].fetch_add(1, Ordering::Relaxed);
+    let w = SWITCH.load(Relaxed);
+    let blk = Block::mine(w >> EPOCH_SHIFT);
+    let c = &blk.counts[tag as usize];
+    c.store(c.load(Relaxed).wrapping_add(1), Relaxed);
+    if w & TRACING != 0 {
+        let thread = THREAD.with(Cell::get);
+        blk.ring
+            .push(clock::now_cycles(), blk.lwp, thread, tag, a, b);
+    }
 }
 
 /// Tells the tracer which user thread now runs on the calling LWP, so
 /// subsequent events carry its id. The core scheduler calls this at every
-/// dispatch; 0 means "no user thread".
+/// dispatch; 0 means "no user thread". Allocates nothing.
 #[inline]
 pub fn set_current_thread(id: u32) {
-    if cfg!(feature = "off") {
-        return;
-    }
-    let _ = CTX.try_with(|c| c.thread.set(id));
+    THREAD.with(|c| c.set(id));
 }
 
-/// Emits a trace event if tracing is enabled.
+/// Emits a trace event if probes are on.
 ///
 /// `probe!(Tag::X)`, `probe!(Tag::X, a)` and `probe!(Tag::X, a, b)` all
 /// work; payloads are cast to `u64`. The macro body is a single branch on
@@ -189,34 +290,110 @@ macro_rules! probe {
     };
 }
 
-/// Starts a tracing epoch: zeroes the counters, timestamps the epoch (so
-/// stale ring contents are excluded from [`drain`]) and turns probes on.
-pub fn enable() {
-    for c in &COUNTERS {
-        c.store(0, Ordering::Relaxed);
+/// Records one histogram observation while [`COUNTING`] is on; otherwise
+/// one relaxed load and a branch.
+#[inline(always)]
+pub fn record(h: Hs, v: u64) {
+    let w = SWITCH.load(Relaxed);
+    if w & COUNTING != 0 {
+        record_in(w, h, v);
     }
-    EPOCH_NS.store(now_ns(), Ordering::SeqCst);
-    ENABLED.store(true, Ordering::SeqCst);
 }
 
-/// Turns probes off. Ring contents and counters stay readable.
+/// The enabled half of [`record`], kept out of line so only the check
+/// inlines into callers.
+#[inline(never)]
+fn record_in(w: u64, h: Hs, v: u64) {
+    Block::mine(w >> EPOCH_SHIFT).hists[h as usize].record(v);
+}
+
+/// Cycle timestamp for a latency interval, or 0 while [`COUNTING`] is
+/// off. Pair with [`record_since`]; a 0 start makes the pair free.
+#[inline(always)]
+pub fn tick() -> u64 {
+    if counting() {
+        // `| 1` so a (theoretical) zero cycle reading still arms the pair.
+        clock::now_cycles() | 1
+    } else {
+        0
+    }
+}
+
+/// Closes a latency interval opened by [`tick`]: records `now - t0` into
+/// `h`. No-op when `t0 == 0` (counting was off at the start) or counting
+/// is off now.
+#[inline]
+pub fn record_since(h: Hs, t0: u64) {
+    if t0 != 0 && counting() {
+        record(h, clock::now_cycles().saturating_sub(t0));
+    }
+}
+
+// ---------------------------------------------------------------------
+// Control and the read side.
+
+/// Turns a switch bit on. The counters and histograms are one window
+/// shared by both bits: it restarts (each LWP zeroes its own cells on its
+/// next record) only when the other bit is off, so turning on the second
+/// switch never wipes the first one's counts. Turning on [`TRACING`]
+/// also hides older ring contents from [`drain`].
+pub fn switch_on(bit: u64) {
+    if bit == TRACING {
+        EPOCH_START.store(clock::now_cycles(), SeqCst);
+    }
+    let _ = SWITCH.fetch_update(SeqCst, SeqCst, |w| {
+        let other_off = w & (COUNTING | TRACING) & !bit == 0;
+        Some((w + (u64::from(other_off) << EPOCH_SHIFT)) | bit)
+    });
+}
+
+/// Turns a switch bit off. The epoch's data stays readable.
+pub fn switch_off(bit: u64) {
+    SWITCH.fetch_and(!bit, SeqCst);
+}
+
+/// Starts a tracing window ([`switch_on`]`(`[`TRACING`]`)`): hides stale
+/// ring contents from [`drain`] and turns probes on. The per-tag
+/// [`counters`] are shared with `sunmt_stat`: they restart here unless
+/// statistics are already on, in which case they keep counting from
+/// `sunmt_stat::enable`.
+pub fn enable() {
+    switch_on(TRACING);
+}
+
+/// Turns tracing off. Ring contents and counters stay readable.
 pub fn disable() {
-    ENABLED.store(false, Ordering::SeqCst);
+    switch_off(TRACING);
+}
+
+/// The blocks whose cells belong to the current epoch; a block whose LWP
+/// has not recorded since the epoch began still holds older data.
+fn current_blocks() -> Vec<&'static Block> {
+    let epoch = SWITCH.load(SeqCst) >> EPOCH_SHIFT;
+    let mut blocks = registry().clone();
+    blocks.retain(|b| b.epoch.load(Acquire) == epoch);
+    blocks
 }
 
 /// Collects every LWP's ring and merges the current epoch's events into a
 /// single timeline ordered by timestamp (ties broken by LWP id, then by
-/// per-ring push order). Rings are not cleared; the next [`enable`] starts
-/// a fresh epoch instead.
+/// per-ring push order), with stamps converted to nanoseconds. Rings are
+/// not cleared; the next epoch hides them instead.
 pub fn drain() -> Vec<Event> {
-    let since = EPOCH_NS.load(Ordering::SeqCst);
-    let rings: Vec<Arc<Ring>> = registry().lock().expect("trace registry").clone();
+    let since = EPOCH_START.load(SeqCst);
+    let blocks = registry().clone();
     let mut out = Vec::new();
-    for r in &rings {
-        r.collect_into(since, &mut out);
+    for b in &blocks {
+        b.ring.collect_into(since, &mut out);
     }
     // Stable sort: per-ring push order survives for equal (ts, lwp).
     out.sort_by_key(|e| (e.ts_ns, e.lwp));
+    // Each stamp's age in cycles, scaled, back from a paired reading of
+    // both clocks taken now.
+    let (c, n) = (clock::now_cycles(), clock::monotonic_ns());
+    for e in &mut out {
+        e.ts_ns = n.saturating_sub(clock::cycles_to_ns(c.saturating_sub(e.ts_ns)) as u64);
+    }
     out
 }
 
@@ -224,21 +401,30 @@ pub fn drain() -> Vec<Event> {
 /// every LWP's ring. A nonzero value means the timeline from [`drain`] has
 /// holes; scrapers read it through `sunmt-stat`'s report surfaces.
 pub fn dropped() -> u64 {
-    registry()
-        .lock()
-        .expect("trace registry")
-        .iter()
-        .map(|r| r.dropped())
-        .sum()
+    registry().iter().map(|b| b.ring.dropped()).sum()
 }
 
-/// Snapshot of the per-tag totals for the current epoch.
+/// The per-tag totals for the current epoch, summed across LWPs.
 pub fn counters() -> Counters {
     let mut c = Counters::default();
-    for (i, ctr) in COUNTERS.iter().enumerate() {
-        c.counts[i] = ctr.load(Ordering::Relaxed);
+    for b in current_blocks() {
+        for (o, n) in c.counts.iter_mut().zip(&b.counts) {
+            *o += n.load(Relaxed);
+        }
     }
     c
+}
+
+/// The current epoch's histograms, merged across LWPs and indexed like
+/// [`Hs::ALL`], in raw units (see [`Hs::unit`]).
+pub fn hists() -> Vec<Hist> {
+    let mut out = vec![Hist::default(); NHISTS];
+    for b in current_blocks() {
+        for (o, h) in out.iter_mut().zip(&b.hists) {
+            h.add_into(o);
+        }
+    }
+    out
 }
 
 /// Renders events as a human-readable dump, one line per event, with
@@ -386,6 +572,101 @@ mod tests {
         assert!(s.contains("dispatch"));
         assert!(s.contains("switch-out"));
         assert!(s.contains("1.500us"), "relative timestamp missing:\n{s}");
+    }
+
+    #[test]
+    fn drained_stamps_are_nanoseconds_not_cycles() {
+        let _g = test_lock();
+        // A preemption inside the bracket rightly stretches the drained
+        // gap, so retry until one bracket takes under 3 ms of wall time.
+        for _ in 0..100 {
+            enable();
+            let m0 = clock::monotonic_ns();
+            probe!(Tag::Continue, 1);
+            let t0 = clock::monotonic_ns();
+            while clock::monotonic_ns() < t0 + 2_000_000 {
+                std::hint::spin_loop();
+            }
+            probe!(Tag::Continue, 2);
+            disable();
+            if clock::monotonic_ns() - m0 < 3_000_000 {
+                break;
+            }
+        }
+        let mut ev = drain();
+        ev.retain(|e| e.tag == Tag::Continue);
+        let gap = ev[1].ts_ns - ev[0].ts_ns;
+        assert!(
+            (1_000_000..=4_000_000).contains(&gap),
+            "a 2 ms spin drained as {gap} ns apart"
+        );
+    }
+
+    #[test]
+    fn counting_alone_counts_and_writes_no_ring_event() {
+        let _g = test_lock();
+        disable();
+        switch_on(COUNTING);
+        probe!(Tag::SignalDeliver, 9);
+        record(Hs::BenchLat, 100);
+        switch_off(COUNTING);
+        assert_eq!(counters().get(Tag::SignalDeliver), 1);
+        assert_eq!(hists()[Hs::BenchLat as usize].count(), 1);
+        assert!(
+            drain().iter().all(|e| e.tag != Tag::SignalDeliver),
+            "a counting-only probe wrote the ring"
+        );
+    }
+
+    #[test]
+    fn the_second_switch_keeps_the_first_ones_window() {
+        let _g = test_lock();
+        let unparks = || drain().iter().filter(|e| e.tag == Tag::LwpUnpark).count();
+        enable();
+        probe!(Tag::LwpUnpark);
+        switch_on(COUNTING);
+        probe!(Tag::LwpUnpark);
+        assert_eq!(unparks(), 2, "turning counting on hid trace events");
+        disable();
+        enable();
+        probe!(Tag::LwpUnpark);
+        disable();
+        switch_off(COUNTING);
+        assert_eq!(counters().get(Tag::LwpUnpark), 3, "counts were wiped");
+        assert_eq!(unparks(), 1, "re-enabling tracing must hide older events");
+    }
+
+    #[test]
+    fn a_new_epoch_restarts_counts_and_hists_on_every_lwp() {
+        let _g = test_lock();
+        switch_on(COUNTING);
+        std::thread::spawn(|| {
+            probe!(Tag::PiBoost);
+            record(Hs::BenchLat, 7);
+        })
+        .join()
+        .unwrap();
+        probe!(Tag::PiBoost);
+        switch_off(COUNTING);
+        assert_eq!(counters().get(Tag::PiBoost), 2);
+        assert_eq!(hists()[Hs::BenchLat as usize].count(), 1);
+        // The spawned LWP is gone and never records again: its stale
+        // cells must not leak into the next epoch.
+        switch_on(COUNTING);
+        probe!(Tag::PiBoost);
+        switch_off(COUNTING);
+        assert_eq!(counters().get(Tag::PiBoost), 1);
+        assert_eq!(hists()[Hs::BenchLat as usize].count(), 0);
+    }
+
+    #[test]
+    fn histograms_record_only_while_counting() {
+        let _g = test_lock();
+        enable();
+        record(Hs::BenchLat, 5);
+        assert_eq!(tick(), 0, "tracing alone must not arm a latency pair");
+        disable();
+        assert_eq!(hists()[Hs::BenchLat as usize].count(), 0);
     }
 
     #[test]

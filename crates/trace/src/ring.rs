@@ -24,7 +24,8 @@ struct Slot {
     tag: AtomicU32,
     lwp: AtomicU32,
     thread: AtomicU32,
-    ts_ns: AtomicU64,
+    /// Raw [`crate::clock::now_cycles`] stamp.
+    ts: AtomicU64,
     a: AtomicU64,
     b: AtomicU64,
 }
@@ -47,7 +48,7 @@ impl Ring {
 
     /// Appends one event. Must only be called from the ring's owning LWP
     /// (single writer); readers may run concurrently.
-    pub fn push(&self, ts_ns: u64, lwp: u32, thread: u32, tag: Tag, a: u64, b: u64) {
+    pub fn push(&self, ts: u64, lwp: u32, thread: u32, tag: Tag, a: u64, b: u64) {
         let head = self.head.load(Ordering::Relaxed);
         let slot = &self.slots[(head as usize) & (RING_CAP - 1)];
         let seq = slot.seq.load(Ordering::Relaxed);
@@ -58,7 +59,7 @@ impl Ring {
         slot.tag.store(tag as u32, Ordering::Relaxed);
         slot.lwp.store(lwp, Ordering::Relaxed);
         slot.thread.store(thread, Ordering::Relaxed);
-        slot.ts_ns.store(ts_ns, Ordering::Relaxed);
+        slot.ts.store(ts, Ordering::Relaxed);
         slot.a.store(a, Ordering::Relaxed);
         slot.b.store(b, Ordering::Relaxed);
         slot.seq.store(seq.wrapping_add(2), Ordering::Release);
@@ -76,9 +77,10 @@ impl Ring {
         self.pushed().saturating_sub(RING_CAP as u64)
     }
 
-    /// Copies every readable event with `ts_ns >= since_ns` into `out`, in
-    /// push order. Slots torn by a concurrent writer are skipped.
-    pub fn collect_into(&self, since_ns: u64, out: &mut Vec<Event>) {
+    /// Copies every readable event stamped `>= since` into `out`, in push
+    /// order, with its raw stamp in `ts_ns` (the caller converts). Slots
+    /// torn by a concurrent writer are skipped.
+    pub fn collect_into(&self, since: u64, out: &mut Vec<Event>) {
         let head = self.head.load(Ordering::Acquire);
         let n = head.min(RING_CAP as u64);
         for i in (head - n)..head {
@@ -90,7 +92,7 @@ impl Ring {
             let tag = slot.tag.load(Ordering::Relaxed);
             let lwp = slot.lwp.load(Ordering::Relaxed);
             let thread = slot.thread.load(Ordering::Relaxed);
-            let ts_ns = slot.ts_ns.load(Ordering::Relaxed);
+            let ts = slot.ts.load(Ordering::Relaxed);
             let a = slot.a.load(Ordering::Relaxed);
             let b = slot.b.load(Ordering::Relaxed);
             fence(Ordering::Acquire);
@@ -100,9 +102,9 @@ impl Ring {
             let Some(tag) = Tag::from_u16(tag as u16) else {
                 continue;
             };
-            if ts_ns >= since_ns {
+            if ts >= since {
                 out.push(Event {
-                    ts_ns,
+                    ts_ns: ts,
                     lwp,
                     thread,
                     tag,

@@ -1,8 +1,6 @@
 //! End-to-end tests for `sunmt-chan`: blocking MPSC/MPMC handoff across
 //! unbound threads, backpressure on bounded sends, timed receives,
-//! disconnect semantics, `Select` multi-wait, the event bus, and the
-//! async `Waker` bridge (`recv().await` driven by an unbound thread —
-//! the crate's acceptance path).
+//! disconnect semantics and `Select` multi-wait.
 //!
 //! Channels are per-test instances, so these tests run in parallel; the
 //! only shared state is the threads runtime, which `init` makes
@@ -13,7 +11,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use sunos_mt::chan::{self, EventBus, RecvTimeoutError, Select, TryRecvError, TrySendError};
+use sunos_mt::chan::{self, RecvTimeoutError, Select, TryRecvError, TrySendError};
 use sunos_mt::threads::{self, CreateFlags, ThreadBuilder, ThreadId};
 
 /// Spawns an *unbound* joinable thread — the multiplexed kind whose
@@ -225,29 +223,6 @@ fn select_covers_mpsc_receivers_and_disconnects() {
 }
 
 #[test]
-fn event_bus_fans_out_in_order_and_prunes_dead_subscribers() {
-    threads::init();
-    let bus = EventBus::new();
-    let a = bus.subscribe();
-    let b = bus.subscribe();
-    assert_eq!(bus.subscriber_count(), 2);
-
-    for ev in ["open", "write", "close"] {
-        assert_eq!(bus.publish(&ev.to_string()), 2);
-    }
-    for rx in [&a, &b] {
-        assert_eq!(rx.try_recv().expect("fanned out"), "open");
-        assert_eq!(rx.try_recv().expect("fanned out"), "write");
-        assert_eq!(rx.try_recv().expect("fanned out"), "close");
-    }
-
-    drop(b);
-    assert_eq!(bus.publish(&"late".to_string()), 1);
-    assert_eq!(bus.subscriber_count(), 1);
-    assert_eq!(a.recv().expect("surviving subscriber"), "late");
-}
-
-#[test]
 fn mpsc_receiver_blocks_and_drains_like_the_core_channel() {
     threads::init();
     const N: u64 = 1_000;
@@ -270,50 +245,4 @@ fn mpsc_receiver_blocks_and_drains_like_the_core_channel() {
     for id in ids {
         threads::wait(Some(id)).expect("join");
     }
-}
-
-/// The acceptance path: an async task does `recv().await` across the
-/// `Waker` bridge while running on an *unbound* thread, so waits are
-/// user-level sleeps multiplexed over the LWP pool.
-#[test]
-fn async_recv_await_runs_on_an_unbound_thread() {
-    threads::init();
-    let (tx, rx) = chan::bounded::<u64>(4);
-    let (done_tx, done_rx) = chan::bounded::<u64>(1);
-
-    let task = chan::spawn(async move {
-        let mut sum = 0;
-        while let Ok(v) = rx.recv_async().await {
-            sum += v;
-        }
-        done_tx.send(sum).expect("main waits on done_rx");
-    })
-    .expect("spawn async task");
-
-    for v in 1..=100u64 {
-        tx.send(v).expect("task alive");
-    }
-    drop(tx);
-    assert_eq!(done_rx.recv().expect("task finishes"), 5_050);
-    threads::wait(Some(task)).expect("join async task");
-}
-
-#[test]
-fn block_on_drives_futures_on_the_calling_thread() {
-    threads::init();
-    // Trivially ready future: no parks at all.
-    assert_eq!(chan::block_on(async { 2 + 2 }), 4);
-
-    // A pending future woken from another thread.
-    let (tx, rx) = chan::bounded::<&'static str>(1);
-    let sender = unbound(move || {
-        std::thread::sleep(Duration::from_millis(10));
-        tx.send("woken").expect("receiver alive");
-    });
-    assert_eq!(
-        chan::block_on(async { rx.recv_async().await }).expect("sender delivers"),
-        "woken"
-    );
-    threads::wait(Some(sender)).expect("join");
-    assert!(chan::block_on(rx.recv_async()).is_err());
 }

@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use sunos_mt::stat::{self, Ctr, Hs};
+use sunos_mt::stat::{self, Hs};
 use sunos_mt::sync::{Mutex, SyncType};
 use sunos_mt::threads::{self, CreateFlags, ThreadBuilder};
 
@@ -164,12 +164,18 @@ fn trace_drops_are_reported_to_scrapers() {
 fn enable_opens_a_fresh_epoch_and_disabled_probes_record_nothing() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
 
-    // A probe is an `enabled()` branch in front of the raw primitive;
-    // spell that out here rather than importing the macros.
+    use sunos_mt::trace::{self, Tag};
+
+    // A probe is a `counting()` branch in front of the raw primitive;
+    // spell that out here rather than importing the macro. The tag is one
+    // only the simulated kernel uses, so the library's own LWPs never
+    // count it.
     let probe = |c: u64, v: u64| {
-        if stat::enabled() {
-            stat::add(Ctr::BenchProbe, c);
-            stat::record(Hs::BenchLat, v);
+        if trace::counting() {
+            for _ in 0..c {
+                trace::emit(Tag::SyscallEnter, 0, 0);
+            }
+            trace::record(Hs::BenchLat, v);
         }
     };
 
@@ -180,16 +186,16 @@ fn enable_opens_a_fresh_epoch_and_disabled_probes_record_nothing() {
     // Disabled probes are dead: nothing moves between epochs, and a
     // timer pair started while disabled stays disarmed (tick() == 0).
     probe(99, 1 << 20);
-    assert_eq!(stat::tick(), 0);
-    stat::record_since(Hs::BenchLat, 0);
+    assert_eq!(trace::tick(), 0);
+    trace::record_since(Hs::BenchLat, 0);
     let snap = stat::snapshot();
-    assert_eq!(snap.counter(Ctr::BenchProbe), 5);
+    assert_eq!(snap.counter(Tag::SyscallEnter), 5);
     assert_eq!(snap.hist(Hs::BenchLat).count, 1);
 
     // Re-enabling zeroes the previous epoch everywhere.
     stat::enable();
     let fresh = stat::snapshot();
     stat::disable();
-    assert_eq!(fresh.counter(Ctr::BenchProbe), 0);
+    assert_eq!(fresh.counter(Tag::SyscallEnter), 0);
     assert_eq!(fresh.hist(Hs::BenchLat).count, 0);
 }
