@@ -14,8 +14,9 @@
 //!   "wired" to kernel threads: every thread is a kernel entity, every
 //!   create and every block is a kernel operation.
 //!
-//! The deterministic versions of the same comparisons live in
-//! `sunmt-simkernel`'s `threads` module; these are the wall-clock ones.
+//! These are the only versions of the comparison: `abl_mn_vs_11` (ABL-MN)
+//! and `abl_concurrency`'s no-kernel-help row (ABL-SIGW) measure them
+//! beside `sunmt` in wall-clock time.
 
 #![deny(missing_docs)]
 

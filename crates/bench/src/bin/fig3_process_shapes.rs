@@ -7,7 +7,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use sunmt::{CreateFlags, ThreadBuilder};
-use sunmt_simkernel::threads::{install, PkgCosts, PkgModel, TOp, ThreadSpec};
 use sunmt_simkernel::{Op, SchedClass, SimConfig, SimKernel};
 use sunmt_sync::{Sema, SyncType};
 
@@ -95,30 +94,6 @@ fn main() {
         }
     }
     println!("proc 5 (sim half): LWP bound to CPU 1 never dispatched elsewhere: OK");
-
-    // And the mixture inside one simulated process: bound (1:1) package
-    // and multiplexed package semantics coexist per-process in the sim.
-    let mut k = SimKernel::new(SimConfig::default());
-    let pid = k.add_process();
-    let h = install(
-        &mut k,
-        pid,
-        PkgModel::Mn {
-            lwps: 2,
-            activations: false,
-            growable: false,
-        },
-        PkgCosts::default(),
-        (0..5)
-            .map(|_| ThreadSpec {
-                ops: vec![TOp::Compute(100), TOp::Exit],
-            })
-            .collect(),
-        0,
-    );
-    k.run_until_idle(10_000_000);
-    assert!(h.all_done());
-    println!("proc 3/5 (sim half): 5 threads over 2 LWPs completed: OK");
 
     // Restore automatic concurrency for any following benches.
     sunmt::set_concurrency(0).expect("setconcurrency");

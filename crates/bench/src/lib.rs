@@ -51,6 +51,20 @@ pub fn time_once(f: impl FnOnce()) -> Duration {
     sunmt_sys::time::monotonic_now() - start
 }
 
+/// The rows of part `part` when `rows` rows are split among `parts`
+/// threads: equal chunks of `rows / parts`, with the remainder going to the
+/// last part, so the parts cover every row exactly once.
+pub fn row_chunk(rows: usize, parts: usize, part: usize) -> std::ops::Range<usize> {
+    assert!(part < parts, "part {part} of {parts}");
+    let per = rows / parts;
+    let end = if part + 1 == parts {
+        rows
+    } else {
+        (part + 1) * per
+    };
+    part * per..end
+}
+
 /// A paper-style results table (time + ratio-to-previous-row columns).
 #[derive(Default)]
 pub struct PaperTable {

@@ -69,8 +69,6 @@ struct LwpData {
     slice_token: u64,
     slice_start: SimTime,
     wake_token: u64,
-    last_eintr: bool,
-    wake_sigwaiting: bool,
     /// "Profiling is enabled for each LWP individually."
     profiling: bool,
     /// Program-counter histogram (op index → samples), filled at clock
@@ -92,10 +90,8 @@ impl LwpData {
 struct ProcData {
     lwps: Vec<SimLwpId>,
     sigwaiting_count: u64,
-    catch_sigwaiting: bool,
-    /// Delivery edge-trigger: disarmed after a delivery, re-armed by the
-    /// next real wakeup, so an unproductive delivery (nothing to run)
-    /// cannot livelock the process at one virtual instant.
+    /// Posting edge-trigger: disarmed after a post, re-armed by the next
+    /// real wakeup, so one all-blocked episode counts once.
     sigwaiting_armed: bool,
 }
 
@@ -245,21 +241,10 @@ impl SimKernel {
             ProcData {
                 lwps: Vec::new(),
                 sigwaiting_count: 0,
-                catch_sigwaiting: false,
                 sigwaiting_armed: true,
             },
         );
         pid
-    }
-
-    /// Opts a process into `SIGWAITING` delivery (a threads package
-    /// "catching" the signal); without this the signal is counted but
-    /// ignored, its default disposition.
-    pub fn catch_sigwaiting(&mut self, pid: Pid) {
-        self.procs
-            .get_mut(&pid)
-            .expect("no such process")
-            .catch_sigwaiting = true;
     }
 
     /// Times `SIGWAITING` was posted to `pid`.
@@ -288,8 +273,6 @@ impl SimKernel {
                 slice_token: 0,
                 slice_start: 0,
                 wake_token: 0,
-                last_eintr: false,
-                wake_sigwaiting: false,
                 profiling: false,
                 profile: HashMap::new(),
             },
@@ -336,7 +319,7 @@ impl SimKernel {
             }
         ) {
             d.wake_token += 1;
-            self.unblock(lwp, false);
+            self.unblock(lwp);
         }
     }
 
@@ -664,12 +647,11 @@ impl SimKernel {
         self.runnable.push(lwp);
     }
 
-    fn unblock(&mut self, lwp: SimLwpId, eintr: bool) {
+    fn unblock(&mut self, lwp: SimLwpId) {
         let d = self.lwps.get_mut(&lwp).expect("no such LWP");
         debug_assert!(matches!(d.phase, Phase::Blocked { .. }));
         d.phase = Phase::NeedFetch;
         d.ts = ts_wake_boost(d.ts);
-        d.last_eintr = eintr;
         self.make_runnable(lwp);
     }
 
@@ -752,7 +734,7 @@ impl SimKernel {
                                     .get_mut(&other)
                                     .expect("barrier waiter vanished")
                                     .wake_token += 1;
-                                self.unblock(other, false);
+                                self.unblock(other);
                             }
                             continue;
                         }
@@ -774,7 +756,7 @@ impl SimKernel {
                         // Ownership already transferred; the waiter resumes
                         // after its lock op.
                         self.lwps.get_mut(&next).expect("no such LWP").wake_token += 1;
-                        self.unblock(next, false);
+                        self.unblock(next);
                     }
                     continue;
                 }
@@ -807,13 +789,7 @@ impl SimKernel {
     }
 
     fn fetch_op(&mut self, lwp: SimLwpId) -> Op {
-        let (pid, last_eintr, sigw) = {
-            let d = self.lwps.get_mut(&lwp).expect("no such LWP");
-            let out = (d.pid, d.last_eintr, d.wake_sigwaiting);
-            d.last_eintr = false;
-            d.wake_sigwaiting = false;
-            out
-        };
+        let pid = self.lwps[&lwp].pid;
         // Temporarily take the program to satisfy the borrow checker when
         // calling a dynamic closure that may inspect the view.
         let mut program = std::mem::replace(
@@ -832,25 +808,11 @@ impl SimKernel {
                     lwp,
                     pid,
                     now: self.now,
-                    last_eintr,
-                    sigwaiting_pending: sigw,
                     requests: Vec::new(),
                 };
                 let op = f(&mut view);
-                let requests = std::mem::take(&mut view.requests);
-                for req in requests {
-                    match req {
-                        KernelRequest::SpawnLwp { class, program } => {
-                            self.add_lwp(pid, class, program);
-                        }
-                        KernelRequest::TraceNote(what) => {
-                            self.trace
-                                .push(self.now, TraceEvent::UserLevel { lwp, what });
-                        }
-                        KernelRequest::Wake(target) => {
-                            self.post_wakeup(target);
-                        }
-                    }
+                for KernelRequest::Wake(target) in std::mem::take(&mut view.requests) {
+                    self.post_wakeup(target);
                 }
                 op
             }
@@ -896,28 +858,9 @@ impl SimKernel {
             return;
         }
         self.trace.push(self.now, TraceEvent::Sigwaiting { pid });
-        let catching = proc.catch_sigwaiting;
-        {
-            let p = self.procs.get_mut(&pid).expect("no such process");
-            p.sigwaiting_count += 1;
-            p.sigwaiting_armed = false;
-        }
-        if catching {
-            // Deliver like a signal: interrupt one indefinite wait so the
-            // threads package can react (create an LWP, reschedule).
-            let target = live[0];
-            self.trace.push(
-                self.now,
-                TraceEvent::SignalDeliver {
-                    lwp: target,
-                    sig: 32,
-                },
-            );
-            let d = self.lwps.get_mut(&target).expect("no such LWP");
-            d.wake_token += 1;
-            d.wake_sigwaiting = true;
-            self.unblock(target, true);
-        }
+        let p = self.procs.get_mut(&pid).expect("no such process");
+        p.sigwaiting_count += 1;
+        p.sigwaiting_armed = false;
     }
 
     fn do_fork(&mut self, caller: SimLwpId, all_lwps: bool) {
@@ -990,7 +933,7 @@ impl SimKernel {
                         },
                     );
                     self.lwps.get_mut(&l).expect("no such LWP").wake_token += 1;
-                    self.unblock(l, true);
+                    self.unblock(l);
                 }
             }
         }
@@ -1092,7 +1035,7 @@ impl SimKernel {
         if let Some(p) = self.procs.get_mut(&pid) {
             p.sigwaiting_armed = true;
         }
-        self.unblock(lwp, eintr);
+        self.unblock(lwp);
     }
 }
 
@@ -1419,39 +1362,6 @@ mod tests {
         // Both finished, and the run completed.
         assert_eq!(k.lwp_run_state(g1), LwpRunState::Zombie);
         assert_eq!(k.lwp_run_state(g2), LwpRunState::Zombie);
-    }
-
-    #[test]
-    fn dynamic_program_sees_view_and_spawns_lwps() {
-        let mut k = kern(1);
-        let pid = k.add_process();
-        let mut step = 0;
-        k.add_lwp(
-            pid,
-            SchedClass::Ts,
-            LwpProgram::Dynamic(Box::new(move |view| {
-                step += 1;
-                match step {
-                    1 => {
-                        view.requests.push(KernelRequest::SpawnLwp {
-                            class: SchedClass::Ts,
-                            program: LwpProgram::Script(vec![Op::Compute(100), Op::Exit]),
-                        });
-                        view.requests
-                            .push(KernelRequest::TraceNote("spawned helper".to_string()));
-                        Op::Compute(50)
-                    }
-                    _ => Op::Exit,
-                }
-            })),
-        );
-        let end = k.run_until_idle(1_000_000);
-        assert_eq!(end, 150, "helper LWP must run after the spawner");
-        let notes = k
-            .trace()
-            .filter(|e| matches!(e, TraceEvent::UserLevel { .. }))
-            .count();
-        assert_eq!(notes, 1);
     }
 
     #[test]

@@ -3,10 +3,12 @@
 //! The real library in `sunmt` runs on the host kernel, which neither
 //! exposes SunOS scheduling classes (timeshare decay, real-time, **gang**
 //! scheduling, CPU binding) nor lets tests assert exact dispatch orders.
-//! This crate is the missing half of the reproduction: a discrete-event
+//! This crate models only what needs that kernel support: a discrete-event
 //! kernel with virtual CPUs and virtual time, faithful to the paper's LWP
 //! semantics, on which scheduling experiments run *deterministically* —
-//! same inputs, same trace, every run.
+//! same inputs, same trace, every run. Everything the real library can
+//! show (M:N multiplexing, SIGWAITING pool growth, the 1:1 and N:1
+//! comparisons) is measured on the real library, not here.
 //!
 //! What it models (paper section → module):
 //!
@@ -15,16 +17,16 @@
 //!   for 'gang' scheduling" and "the LWP may also ask to be bound to a
 //!   CPU" — [`sched`];
 //! * blocking system calls, page faults, and indefinite waits with
-//!   `SIGWAITING` posted "when all its LWPs are waiting for some
+//!   `SIGWAITING` counted "when all its LWPs are waiting for some
 //!   indefinite, external event" — [`kernel`];
 //! * `fork()` (duplicate all LWPs, `EINTR` to the others' interruptible
 //!   calls) vs `fork1()` (duplicate the calling LWP only) — [`kernel`];
 //! * kernel-level synchronization objects LWPs can block on — [`ksync`];
 //! * the `/proc`-style introspection the paper's debugging section
-//!   describes — [`procfs`];
-//! * user-level threads packages *running inside the simulation* (M:N,
-//!   1:1, N:1, and a scheduler-activations variant for the Anderson 1990
-//!   comparison) — [`threads`].
+//!   describes — [`procfs`].
+//!
+//! LWP behaviour is a script of [`Op`]s, or a closure that picks each next
+//! op (the checker's models run that way).
 //!
 //! Everything is driven from [`kernel::SimKernel::run_until_idle`]; the
 //! result is a [`trace::Trace`] of timestamped events plus per-LWP and
@@ -37,7 +39,6 @@ pub mod ksync;
 pub mod lwp;
 pub mod procfs;
 pub mod sched;
-pub mod threads;
 pub mod trace;
 
 pub use kernel::{SimConfig, SimKernel};

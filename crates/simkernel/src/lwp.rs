@@ -64,8 +64,8 @@ pub enum Op {
 }
 
 /// The behaviour of one LWP: a fixed script or a dynamic closure (used by
-/// the user-level threads packages, which decide each next step from
-/// shared package state).
+/// the checker's models, which decide each next step from shared model
+/// state).
 pub enum LwpProgram {
     /// A fixed list of operations, executed once.
     Script(Vec<Op>),
@@ -92,47 +92,18 @@ pub struct LwpView {
     pub pid: Pid,
     /// Current virtual time.
     pub now: SimTime,
-    /// Result of the op that just finished (e.g. whether a syscall was
-    /// interrupted).
-    pub last_eintr: bool,
-    /// Whether `SIGWAITING` has been posted to this process since the LWP
-    /// last ran (delivered to dynamic programs so a threads package can
-    /// react by creating an LWP).
-    pub sigwaiting_pending: bool,
-    /// Side-channel to the kernel: requests honored after the op is chosen
-    /// (LWP creation, user-level trace notes).
+    /// Side-channel to the kernel: requests honored after the op is chosen.
     pub requests: Vec<KernelRequest>,
 }
 
 /// Requests a dynamic program may issue alongside its next op.
+#[derive(Debug)]
 pub enum KernelRequest {
-    /// Create a new LWP in the calling process — how a user-level threads
-    /// package grows its pool (e.g. on `SIGWAITING`).
-    SpawnLwp {
-        /// Scheduling class for the new LWP.
-        class: crate::sched::SchedClass,
-        /// Behaviour of the new LWP.
-        program: LwpProgram,
-    },
-    /// Record a user-level event in the trace (thread switches etc.).
-    TraceNote(String),
     /// Wake an LWP blocked in an indefinite wait (like
     /// [`crate::SimKernel::post_wakeup`], but issuable from inside a
     /// dynamic program — e.g. a modelled `cv_broadcast` releasing several
     /// sleepers in one step).
     Wake(SimLwpId),
-}
-
-impl core::fmt::Debug for KernelRequest {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            KernelRequest::SpawnLwp { class, .. } => {
-                f.debug_struct("SpawnLwp").field("class", class).finish()
-            }
-            KernelRequest::TraceNote(s) => f.debug_tuple("TraceNote").field(s).finish(),
-            KernelRequest::Wake(id) => f.debug_tuple("Wake").field(id).finish(),
-        }
-    }
 }
 
 /// Scheduler-relevant run states.

@@ -37,13 +37,6 @@ pub enum TraceEvent {
         /// The process.
         pid: Pid,
     },
-    /// A signal was delivered to an LWP.
-    SignalDeliver {
-        /// The LWP.
-        lwp: SimLwpId,
-        /// Signal number.
-        sig: u32,
-    },
     /// A process forked; `all_lwps` distinguishes `fork()` from `fork1()`.
     Fork {
         /// Parent process.
@@ -57,14 +50,6 @@ pub enum TraceEvent {
     LwpExit {
         /// The LWP.
         lwp: SimLwpId,
-    },
-    /// A user-level threads-package event (thread switch, create, ...).
-    /// Free-form, produced by the [`crate::threads`] layer.
-    UserLevel {
-        /// The LWP on which the user-level event happened.
-        lwp: SimLwpId,
-        /// Event label, e.g. `"thread-switch t3 -> t7"`.
-        what: String,
     },
 }
 
@@ -131,7 +116,7 @@ impl Trace {
     /// export) serves the simulated kernel and the real library alike.
     ///
     /// Simulated microseconds become nanoseconds; events with no shared
-    /// tag (`Fork`, free-form `UserLevel`) are dropped.
+    /// tag (`Fork`) are dropped.
     pub fn to_events(&self) -> Vec<sunmt_trace::Event> {
         use sunmt_trace::Tag;
         let mut out = Vec::with_capacity(self.events.len());
@@ -148,11 +133,8 @@ impl Trace {
                     (lwp.0, Tag::SyscallDone, *eintr as u64, 0)
                 }
                 TraceEvent::Sigwaiting { pid } => (0, Tag::SigwaitingPost, pid.0 as u64, 0),
-                TraceEvent::SignalDeliver { lwp, sig } => {
-                    (lwp.0, Tag::SignalDeliver, *sig as u64, 0)
-                }
                 TraceEvent::LwpExit { lwp } => (lwp.0, Tag::LwpExit, lwp.0 as u64, 0),
-                TraceEvent::Fork { .. } | TraceEvent::UserLevel { .. } => continue,
+                TraceEvent::Fork { .. } => continue,
             };
             out.push(sunmt_trace::Event {
                 ts_ns: t * 1_000,

@@ -4,7 +4,6 @@
 //!
 //! Run with: `cargo run --release --example simkernel_trace`
 
-use sunos_mt::simkernel::threads::{install, PkgCosts, PkgModel, TOp, ThreadSpec};
 use sunos_mt::simkernel::{LwpProgram, Op, SchedClass, SimConfig, SimKernel};
 
 fn main() {
@@ -48,40 +47,38 @@ fn main() {
         );
     }
 
-    // Scene 2: an M:N package under SIGWAITING growth.
-    println!("\n== M:N package, SIGWAITING growth ==");
+    // Scene 2: SIGWAITING is posted once every LWP of the process waits
+    // for an indefinite, external event. (The real library's reaction,
+    // growing its LWP pool, runs in `abl_concurrency` and `poll_server`.)
+    println!("\n== SIGWAITING: every LWP in an indefinite wait ==");
     let mut k = SimKernel::new(SimConfig {
         cpus: 2,
         ts_quantum: 10_000,
         dispatch_cost: 10,
     });
     let pid = k.add_process();
-    let threads = vec![
-        ThreadSpec {
-            ops: vec![TOp::Poll { latency: 3_000 }, TOp::SemaV(0), TOp::Exit],
-        },
-        ThreadSpec {
-            ops: vec![TOp::SemaP(0), TOp::Compute(500), TOp::Exit],
-        },
-    ];
-    let h = install(
-        &mut k,
+    let waiter = k.add_lwp(
         pid,
-        PkgModel::Mn {
-            lwps: 1,
-            activations: false,
-            growable: true,
-        },
-        PkgCosts::default(),
-        threads,
-        1,
+        SchedClass::Ts,
+        LwpProgram::Script(vec![Op::Compute(500), Op::WaitIndefinite, Op::Exit]),
+    );
+    k.add_lwp(
+        pid,
+        SchedClass::Ts,
+        LwpProgram::Script(vec![
+            Op::IndefiniteSyscall { latency: 3_000 },
+            Op::WakeLwp(waiter),
+            Op::Exit,
+        ]),
     );
     let end = k.run_until_idle(10_000_000);
+    for (t, e) in k.trace().events() {
+        println!("[{t:>7} us] {e:?}");
+    }
     println!(
-        "finished at {end} virtual us; SIGWAITING posted {} time(s); pool grew by {}",
-        k.sigwaiting_count(pid),
-        h.metrics().lwps_grown
+        "finished at {end} virtual us; SIGWAITING posted {} time(s)",
+        k.sigwaiting_count(pid)
     );
-    assert!(h.all_done());
-    println!("all simulated threads completed: OK");
+    assert_eq!(k.sigwaiting_count(pid), 1);
+    println!("both LWPs completed: OK");
 }

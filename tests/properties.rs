@@ -3,7 +3,7 @@
 //! cases from a fixed-seed `SmallRng` stream, so failures replay exactly.
 
 use sunmt_bench::rng::SmallRng;
-use sunos_mt::simkernel::threads::{install, PkgCosts, PkgModel, TOp, ThreadSpec};
+use sunmt_bench::row_chunk;
 use sunos_mt::simkernel::{LwpProgram, Op, SchedClass, SimConfig, SimKernel};
 use sunos_mt::sync::{Mutex, RwLock, RwType, Sema, SyncType};
 
@@ -227,48 +227,23 @@ fn simkernel_determinism() {
 }
 
 // ---------------------------------------------------------------------
-// The M:N package finishes every compute-only workload, with exactly as
-// many completions as threads.
+// Splitting an array's rows among 1..=64 threads covers every row exactly
+// once, in order, whether or not the thread count divides the row count.
 
 #[test]
-fn mn_package_completes_all_threads() {
-    let mut rng = SmallRng::seed_from_u64(0x3A2D);
-    for case in 0..CASES {
-        let lwps = rng.gen_range(1usize..4);
-        let works: Vec<u64> = (0..rng.gen_range(1usize..20))
-            .map(|_| rng.gen_range(1u64..2_000))
-            .collect();
-        let mut k = SimKernel::new(SimConfig {
-            cpus: 2,
-            ts_quantum: 1_000,
-            dispatch_cost: 5,
-        });
-        let pid = k.add_process();
-        let n = works.len();
-        let h = install(
-            &mut k,
-            pid,
-            PkgModel::Mn {
-                lwps,
-                activations: false,
-                growable: false,
-            },
-            PkgCosts {
-                thread_switch: 3,
-                thread_create: 0,
-                lwp_create: 0,
-            },
-            works
-                .into_iter()
-                .map(|w| ThreadSpec {
-                    ops: vec![TOp::Compute(w), TOp::Exit],
-                })
-                .collect(),
-            0,
-        );
-        k.run_until_idle(u64::MAX);
-        assert!(h.all_done(), "case {case}");
-        assert_eq!(h.metrics().threads_done, n, "case {case}");
+fn row_partition_covers_every_row_once() {
+    let mut rng = SmallRng::seed_from_u64(0x0B0D);
+    for rows in [512usize, 1, 63, 64, 65, rng.gen_range(1usize..5_000)] {
+        for parts in 1..=64 {
+            let covered: Vec<usize> = (0..parts)
+                .flat_map(|part| row_chunk(rows, parts, part))
+                .collect();
+            assert_eq!(
+                covered,
+                (0..rows).collect::<Vec<_>>(),
+                "{rows} rows over {parts} threads"
+            );
+        }
     }
 }
 

@@ -1,97 +1,54 @@
-//! Fast, deterministic versions of the simulator-backed experiments —
-//! these pin the qualitative results the ablation binaries report, so a
-//! regression in the shape of any result fails `cargo test`.
+//! Fast versions of the experiments the ablation binaries report, so a
+//! regression in the shape of any result fails `cargo test`: the
+//! simulator-backed ones deterministically, and ABL-SIGW's on the real
+//! library (alone in this binary, so no other test loads its pool).
 
+use std::time::{Duration, Instant};
+
+use sunos_mt::baselines::coro::N1Scheduler;
 use sunos_mt::simkernel::lwp::LwpRunState;
-use sunos_mt::simkernel::threads::{install, PkgCosts, PkgModel, TOp, ThreadSpec};
 use sunos_mt::simkernel::{LwpProgram, Op, SchedClass, SimConfig, SimKernel, TraceEvent};
+use sunos_mt::threads::{self, blocking, CreateFlags, ThreadBuilder};
 
-fn widget() -> ThreadSpec {
-    ThreadSpec {
-        ops: vec![
-            TOp::Compute(30),
-            TOp::Io { latency: 200 },
-            TOp::Compute(30),
-            TOp::Exit,
-        ],
+/// The paper's case for kernel help: a blocking call stalls every thread
+/// of an N:1 package, while the two-level library gives the caller's LWP
+/// to the call and grows the pool (SIGWAITING) so the other threads run.
+#[test]
+fn a_blocking_call_stalls_n_to_1_not_m_to_n() {
+    const K: u32 = 4;
+    const D: Duration = Duration::from_millis(25);
+
+    threads::set_concurrency(1).expect("setconcurrency");
+    let start = Instant::now();
+    let ids: Vec<_> = (0..K)
+        .map(|_| {
+            ThreadBuilder::new()
+                .flags(CreateFlags::WAIT)
+                .spawn(|| blocking(|| std::thread::sleep(D)))
+                .expect("spawn")
+        })
+        .collect();
+    for id in ids {
+        threads::wait(Some(id)).expect("wait");
     }
-}
+    let mn = start.elapsed();
+    threads::set_concurrency(0).expect("setconcurrency");
 
-#[test]
-fn mn_beats_one_to_one_on_widget_threads() {
-    let run = |model| {
-        let mut k = SimKernel::new(SimConfig {
-            cpus: 2,
-            ts_quantum: 10_000,
-            dispatch_cost: 10,
-        });
-        let pid = k.add_process();
-        let h = install(
-            &mut k,
-            pid,
-            model,
-            PkgCosts::default(),
-            (0..100).map(|_| widget()).collect(),
-            0,
-        );
-        let end = k.run_until_idle(u64::MAX);
-        assert!(h.all_done());
-        end + h.creation_cost
-    };
-    let mn = run(PkgModel::Mn {
-        lwps: 4,
-        activations: false,
-        growable: true,
-    });
-    let one = run(PkgModel::OneToOne);
+    let sched = N1Scheduler::new();
+    let start = Instant::now();
+    for _ in 0..K {
+        sched.spawn(|| std::thread::sleep(D));
+    }
+    assert_eq!(sched.run(), 0);
+    let n1 = start.elapsed();
+
     assert!(
-        mn < one,
-        "M:N ({mn}) must beat 1:1 ({one}) on mostly-idle threads"
+        mn < D * K / 2,
+        "M:N sleeps must overlap: {mn:?} for {K} x {D:?}"
     );
-}
-
-#[test]
-fn sigwaiting_growth_beats_no_help() {
-    let run = |growable| {
-        let mut k = SimKernel::new(SimConfig {
-            cpus: 4,
-            ts_quantum: 10_000,
-            dispatch_cost: 10,
-        });
-        let pid = k.add_process();
-        let threads = (0..8)
-            .flat_map(|_| {
-                [
-                    ThreadSpec {
-                        ops: vec![TOp::Poll { latency: 1_000 }, TOp::SemaV(0), TOp::Exit],
-                    },
-                    ThreadSpec {
-                        ops: vec![TOp::SemaP(0), TOp::Compute(100), TOp::Exit],
-                    },
-                ]
-            })
-            .collect();
-        let h = install(
-            &mut k,
-            pid,
-            PkgModel::Mn {
-                lwps: 1,
-                activations: false,
-                growable,
-            },
-            PkgCosts::default(),
-            threads,
-            1,
-        );
-        let end = k.run_until_idle(u64::MAX);
-        assert!(h.all_done());
-        end
-    };
-    let without = run(false);
-    let with = run(true);
     assert!(
-        with < without,
-        "SIGWAITING growth ({with}) must beat serialized no-help ({without})"
+        n1 >= D * K,
+        "N:1 sleeps must serialize: {n1:?} for {K} x {D:?}"
     );
 }
 
