@@ -59,8 +59,6 @@ pub struct CellResult {
     pub p99_us: f64,
     /// `epoll_ctl` calls per echo operation.
     pub ctl_syscalls_per_op: f64,
-    /// Ctl batches applied in total.
-    pub batch_flushes: u64,
 }
 
 /// Runs one cell **in this process**. The caller is the `--cell`
@@ -68,7 +66,7 @@ pub struct CellResult {
 /// process, which is what keeps the matrix cells independent.
 pub fn run_cell(conns: usize, lwps: usize, rounds: usize) -> CellResult {
     // Size the workload to the fd budget we actually got: two fds per
-    // connection plus slack for the shards' epoll/eventfd pairs. The
+    // connection plus slack for the shards' epoll fds. The
     // nightly job raises the hard limit to ~1M before the 100k sweep;
     // elsewhere we degrade to what the environment allows rather than
     // dying on EMFILE at the tail of the socketpair loop.
@@ -167,15 +165,13 @@ pub fn run_cell(conns: usize, lwps: usize, rounds: usize) -> CellResult {
         let _ = sunmt_io::close(srv);
     }
 
-    let io = sunmt_io::stats();
     CellResult {
         conns,
         lwps,
-        shards: io.shards,
+        shards: io1.shards,
         thpt_ops_s: ops as f64 / elapsed.as_secs_f64().max(1e-9),
         p99_us,
         ctl_syscalls_per_op: (io1.ctl_syscalls - io0.ctl_syscalls) as f64 / ops.max(1) as f64,
-        batch_flushes: io.batch_flushes,
     }
 }
 
@@ -193,8 +189,8 @@ fn read_exact(fd: i32, want: usize) {
 pub fn render_cell(c: &CellResult) -> String {
     format!(
         "abl_io_scale_cell conns={} lwps={} shards={} thpt={:.1} p99_us={:.1} \
-         ctl_per_op={:.4} flushes={}",
-        c.conns, c.lwps, c.shards, c.thpt_ops_s, c.p99_us, c.ctl_syscalls_per_op, c.batch_flushes
+         ctl_per_op={:.4}",
+        c.conns, c.lwps, c.shards, c.thpt_ops_s, c.p99_us, c.ctl_syscalls_per_op
     )
 }
 
@@ -216,7 +212,6 @@ pub fn parse_cell(stdout: &str) -> Option<CellResult> {
         thpt_ops_s: kv.get("thpt")?.parse().ok()?,
         p99_us: kv.get("p99_us")?.parse().ok()?,
         ctl_syscalls_per_op: kv.get("ctl_per_op")?.parse().ok()?,
-        batch_flushes: kv.get("flushes")?.parse().ok()?,
     })
 }
 
@@ -296,11 +291,7 @@ pub fn paper_table(cells: &[CellResult]) -> PaperTable {
             "scale_thpt_per_lwp={thpt_per_lwp:.1} scale_speedup={speedup:.2}"
         ))
         .note(format!("scale_p99_wake_us={p99:.1}"))
-        .note(format!("scale_syscalls_per_op={ctl_per_op:.4}"))
-        .note(format!(
-            "scale_batch_flushes={}",
-            cells.iter().map(|c| c.batch_flushes).sum::<u64>()
-        ));
+        .note(format!("scale_syscalls_per_op={ctl_per_op:.4}"));
     t
 }
 
@@ -317,13 +308,11 @@ mod tests {
             thpt_ops_s: 12345.6,
             p99_us: 789.2,
             ctl_syscalls_per_op: 0.25,
-            batch_flushes: 42,
         };
         let parsed = parse_cell(&format!("noise\n{}\nmore", render_cell(&c))).unwrap();
         assert_eq!(parsed.conns, 1000);
         assert_eq!(parsed.lwps, 4);
         assert!((parsed.ctl_syscalls_per_op - 0.25).abs() < 1e-9);
-        assert_eq!(parsed.batch_flushes, 42);
     }
 
     #[test]
@@ -335,7 +324,6 @@ mod tests {
             thpt_ops_s: thpt,
             p99_us: p99,
             ctl_syscalls_per_op: 0.5,
-            batch_flushes: 1,
         };
         let cells = vec![
             mk(100, 1, 1000.0, 50.0),

@@ -250,7 +250,6 @@ mod tests {
             crits: 0,
             runq_shards: 0,
             chan_caps: vec![],
-            io_shards: 0,
             io_fds: 0,
             kernel_buckets: vec![],
             thread_pris: vec![],

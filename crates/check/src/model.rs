@@ -286,39 +286,28 @@ pub enum SyncOp {
         /// Second channel.
         b: usize,
     },
-    /// Register interest in an fd with a poller shard: atomically insert
-    /// into the fd table *and* append the arm op to the shard's ctl batch
-    /// (one step — the real code holds the fd-table lock across both),
-    /// kick the shard, then park until the shard delivers readiness.
-    /// Mirrors `sunmt_io::poller`'s wait path.
+    /// Read one unit from an fd through `sunmt-io`'s poller wait: try the
+    /// nonblocking read; on `EAGAIN`, one step under the shard's fd-table
+    /// lock takes the fd's ready flag (and retries the read) or joins the
+    /// waiter list, arming the fd edge-triggered on its first wait; then
+    /// park until an edge wakes it, and retry.
     IoWait {
-        /// The poller shard whose batch receives the arm op.
-        shard: usize,
         /// The fd index.
         fd: usize,
     },
-    /// The seeded-buggy wait: enqueues the arm op (and kicks the shard)
-    /// *before* inserting itself into the fd table, then parks blind. A
-    /// flush + readiness event landing in that gap delivers into an empty
-    /// table and the readiness is dropped — the lost wakeup the real
-    /// single-lock registration exists to prevent.
-    IoWaitRacy {
-        /// The poller shard whose batch receives the arm op.
-        shard: usize,
-        /// The fd index.
-        fd: usize,
-    },
-    /// One poller-shard service step: pop one pending ctl op off the
-    /// shard's own batch and arm the fd — delivering any already-raised
-    /// readiness, the level-triggered re-report — or park until a
-    /// registration kicks the shard (the eventfd wakeup).
-    IoFlush {
-        /// The shard whose own batch this flusher drains.
-        shard: usize,
-    },
-    /// The driver: raise readiness on an fd (one step) and let the poller
-    /// deliver it if armed (the next) — the kernel's epoll_wait report.
+    /// The driver: one unit of data arrives on an fd (one step; the
+    /// kernel queues an edge if the fd is armed), then the shard LWP's
+    /// locked step for that edge wakes every listed waiter or, with none
+    /// listed, sets the fd's ready flag.
     IoEvent {
+        /// The fd index.
+        fd: usize,
+    },
+    /// The seeded-buggy edge: an edge-triggered poller without the ready
+    /// flag. An edge that finds no listed waiter is dropped, so a reader
+    /// between its `EAGAIN` and joining the list parks on data that no
+    /// further edge will report.
+    IoEventNoFlag {
         /// The fd index.
         fd: usize,
     },
@@ -419,11 +408,8 @@ pub struct Model {
     /// count). The final-state oracle requires every channel to drain;
     /// the double-recv oracle convicts any message received twice.
     pub chan_caps: Vec<usize>,
-    /// Number of poller shards modelled (0 = no poller). Each shard owns
-    /// a pending-ctl batch that a flusher or stealer drains one op at a
-    /// time; the final-state oracle requires every batch to drain.
-    pub io_shards: usize,
-    /// Number of modelled I/O fds (sizes the armed/ready state vectors).
+    /// Number of modelled I/O fds (0 = no poller). Each lives on its own
+    /// shard, so the fds share no state.
     pub io_fds: usize,
     /// The address bucket of each modelled kernel word (length = word
     /// count). Words with the same bucket share one parker count.
@@ -549,27 +535,21 @@ struct ChanSt {
     hooks: VecDeque<(usize, u32)>,
 }
 
-/// The modelled sharded poller: per-shard pending epoll_ctl batches, the
-/// per-fd armed/readiness words, and the fd table of parked waiters. The
-/// oracle is wakeup integrity — readiness must never be consumed while
-/// the thread that registered for it parks forever.
+/// The modelled poller: per fd, the kernel's readiness and registration
+/// and the shard's fd-table entry. The oracle is wakeup integrity — no
+/// reader may park on readable data that no edge is left to report.
 struct IoSt {
-    /// Per-shard pending ctl ops (fd indices), flushed by the shard's
-    /// own poller LWP.
-    batches: Vec<VecDeque<usize>>,
-    /// fd -> the kernel is watching it (the arm op was applied).
+    /// fd -> units of data the kernel holds (a read takes one).
+    data: Vec<u32>,
+    /// fd -> registered with its shard's epoll set, edge-triggered.
     armed: Vec<bool>,
-    /// fd -> readiness raised and not yet consumed by a delivery.
-    ready: Vec<bool>,
-    /// fd -> a delivery found no registered waiter and dropped the
-    /// readiness on the floor (the lost-wakeup oracle's evidence).
-    dropped: Vec<bool>,
-    /// The fd table: registered I/O waiters as `(thread, fd,
-    /// resume_micro)`.
+    /// fd -> an edge the kernel queued and the shard LWP has not yet
+    /// handled.
+    edge: Vec<bool>,
+    /// fd -> the entry's ready flag: an edge found no listed waiter.
+    flag: Vec<bool>,
+    /// The fd table: listed waiters as `(thread, fd, resume_micro)`.
     waiters: VecDeque<(usize, usize, u32)>,
-    /// Parked flushers waiting for batch work: `(thread, shard watched,
-    /// resume_micro)`.
-    svc_waiters: VecDeque<(usize, usize, u32)>,
 }
 
 /// The modelled kernel-wake gate: private words parked on in the kernel,
@@ -614,11 +594,8 @@ pub enum BlockedOn {
     Runq,
     /// Parked on a channel (as receiver, sender, or select waiter).
     Chan(usize),
-    /// Parked in the poller's fd table waiting for readiness on this fd.
+    /// Parked in the poller's fd table waiting for an edge on this fd.
     Io(usize),
-    /// An idle poller flusher parked waiting for ctl work on this
-    /// shard's batch.
-    IoSvc(usize),
     /// Asleep in the kernel on this modelled kernel word.
     Kernel(usize),
     /// Switched out by a timer preemption, waiting to outrank the
@@ -725,12 +702,11 @@ impl World {
                 })
                 .collect(),
             io: IoSt {
-                batches: vec![VecDeque::new(); model.io_shards],
+                data: vec![0; model.io_fds],
                 armed: vec![false; model.io_fds],
-                ready: vec![false; model.io_fds],
-                dropped: vec![false; model.io_fds],
+                edge: vec![false; model.io_fds],
+                flag: vec![false; model.io_fds],
                 waiters: VecDeque::new(),
-                svc_waiters: VecDeque::new(),
             },
             kernel: KernelSt {
                 set: vec![false; model.kernel_buckets.len()],
@@ -827,13 +803,6 @@ impl World {
                         .iter()
                         .find(|(w, _, _)| *w == t)
                         .map(|(_, fd, _)| BlockedOn::Io(*fd))
-                })
-                .or_else(|| {
-                    self.io
-                        .svc_waiters
-                        .iter()
-                        .find(|(w, _, _)| *w == t)
-                        .map(|(_, s, _)| BlockedOn::IoSvc(*s))
                 })
                 .or_else(|| {
                     self.kernel
@@ -1279,10 +1248,9 @@ impl World {
             SyncOp::ChanRecvRacyPeek { chan } => self.chan_racy_peek_machine(t, chan),
             SyncOp::ChanSelect { a, b } => self.chan_select_machine(t, a, b, false, wakes),
             SyncOp::ChanSelectRacy { a, b } => self.chan_select_machine(t, a, b, true, wakes),
-            SyncOp::IoWait { shard, fd } => self.io_wait_machine(t, shard, fd, false, wakes),
-            SyncOp::IoWaitRacy { shard, fd } => self.io_wait_machine(t, shard, fd, true, wakes),
-            SyncOp::IoFlush { shard } => self.io_service_machine(t, shard, wakes),
-            SyncOp::IoEvent { fd } => self.io_event_machine(t, fd, wakes),
+            SyncOp::IoWait { fd } => self.io_wait_machine(t, fd),
+            SyncOp::IoEvent { fd } => self.io_event_machine(t, fd, true, wakes),
+            SyncOp::IoEventNoFlag { fd } => self.io_event_machine(t, fd, false, wakes),
             SyncOp::KernelPark { word } => self.kernel_park_machine(t, word, false),
             SyncOp::KernelParkRacy { word } => self.kernel_park_machine(t, word, true),
             SyncOp::KernelWake { word } => self.kernel_wake_machine(t, word, wakes),
@@ -2352,154 +2320,93 @@ impl World {
     }
 
     // -----------------------------------------------------------------
-    // The sharded-poller machines. The modelled protocol matches
-    // `sunmt-io`'s poller: a waiter inserts itself into the fd table and
-    // appends the arm op to the shard's ctl batch under one lock (a
-    // single atomic micro-step here), kicks the shard's eventfd, and
-    // parks on its wait word; the shard's own LWP pops ctl ops, arms the
-    // fd, and delivers readiness to every registered waiter. A delivery
-    // that finds no registered waiter consumes the readiness with nobody
-    // to give it to — the lost wakeup the single-lock registration
-    // prevents and the oracle convicts.
+    // The poller machines. The modelled protocol matches `sunmt-io`'s
+    // poller: a reader that sees `EAGAIN` takes the fd's ready flag or
+    // joins the fd table in one locked step, arming the fd edge-triggered
+    // on its first wait, and parks; each edge's locked step on the shard
+    // LWP wakes every listed waiter or sets the flag. Edge-triggered
+    // readiness is reported once, so an edge that neither wakes a waiter
+    // nor sets the flag is lost — the oracle convicts a reader parked on
+    // data with no edge left.
 
-    /// Kicks shard `shard`'s parked flusher (the eventfd write a batch's
-    /// empty→non-empty edge performs).
-    fn io_kick(&mut self, shard: usize, wakes: &mut Vec<usize>) {
-        let mut kicked = Vec::new();
-        self.io.svc_waiters.retain(|&(w, s, resume)| {
-            if s == shard {
-                kicked.push((w, resume));
-                false
-            } else {
-                true
-            }
-        });
-        for (w, resume) in kicked {
-            self.wake(w, resume, wakes);
-        }
-    }
-
-    /// Delivers raised readiness on `fd` to its registered waiters, if
-    /// it is armed. Consumes the readiness either way; a delivery into
-    /// an empty fd table is the dropped wakeup the oracle looks for.
-    fn io_deliver(&mut self, t: usize, fd: usize, wakes: &mut Vec<usize>) {
-        if !(self.io.armed[fd] && self.io.ready[fd]) {
-            return;
-        }
-        let mut taken = Vec::new();
-        self.io.waiters.retain(|&(w, f, resume)| {
-            if f == fd {
-                taken.push((w, resume));
-                false
-            } else {
-                true
-            }
-        });
-        // The readiness is consumed and the waiter list emptied, so the
-        // real shard's rearm-or-remove disarms the fd (enqueues a DEL).
-        self.io.ready[fd] = false;
-        self.io.armed[fd] = false;
-        if taken.is_empty() {
-            self.io.dropped[fd] = true;
-        }
-        for (w, resume) in taken {
-            self.push_event(t, Tag::IoUnpark, fd as u64, w as u64);
-            self.wake(w, resume, wakes);
-        }
-    }
-
-    /// `IoWait` (`racy = false`): micro 0 atomically joins the fd table,
-    /// enqueues the arm op, and kicks the shard (the real code does all
-    /// three under the fd-table lock); micro 1 parks; micro 9 is the
-    /// post-delivery resume. The park needs no re-check: a delivery
-    /// landing between registration and park redirects `micro` to 9
-    /// before the park micro runs — the wait-word check
+    /// `IoWait`: micro 0 is the nonblocking read (one unit, or `EAGAIN`);
+    /// micro 1 the locked step: take the flag and retry, or join the
+    /// table — arming the fd first if this is its first wait, where an
+    /// ADD that finds data already there reports it at once (retry
+    /// instead of joining, the edge the shard would deliver to this
+    /// waiter). Micro 2 parks. An edge redirects the waiter to micro 0,
+    /// also between the join and the park — the wait-word check
     /// `strategy::park` performs.
-    ///
-    /// `IoWaitRacy`: micro 0 enqueues and kicks *without* joining the
-    /// table, micro 1 joins late, micro 2 parks blind — a flush + event
-    /// in the 0→1 gap delivers into an empty table and this thread
-    /// sleeps forever on readiness that already fired.
-    fn io_wait_machine(
-        &mut self,
-        t: usize,
-        shard: usize,
-        fd: usize,
-        racy: bool,
-        wakes: &mut Vec<usize>,
-    ) -> NextStep {
+    fn io_wait_machine(&mut self, t: usize, fd: usize) -> NextStep {
+        let io = &mut self.io;
         match self.threads[t].micro {
             0 => {
-                if !racy {
-                    self.io.waiters.push_back((t, fd, 9));
+                if io.data[fd] > 0 {
+                    io.data[fd] -= 1;
+                    self.advance(t);
+                } else {
+                    self.threads[t].micro = 1;
                 }
-                self.io.batches[shard].push_back(fd);
-                self.push_event(t, Tag::IoRegister, fd as u64, shard as u64);
-                self.io_kick(shard, wakes);
-                self.threads[t].micro = if racy { 1 } else { 2 };
                 NextStep::Yield
             }
             1 => {
-                // Racy only: the late table insert.
-                self.io.waiters.push_back((t, fd, 9));
-                self.threads[t].micro = 2;
+                if std::mem::take(&mut io.flag[fd]) {
+                    self.threads[t].micro = 0;
+                } else if !io.armed[fd] && io.data[fd] > 0 {
+                    io.armed[fd] = true;
+                    self.threads[t].micro = 0;
+                } else {
+                    io.armed[fd] = true;
+                    io.waiters.push_back((t, fd, 0));
+                    self.push_event(t, Tag::IoRegister, fd as u64, 0);
+                    self.threads[t].micro = 2;
+                }
                 NextStep::Yield
             }
-            2 => {
+            _ => {
                 self.push_event(t, Tag::IoPark, fd as u64, 0);
                 self.park(t, None)
             }
-            _ => {
-                self.advance(t);
-                NextStep::Yield
-            }
         }
     }
 
-    /// One poller-shard service step (`IoFlush` on the shard's own
-    /// batch): micro 0 atomically pops one pending ctl op and arms the
-    /// fd — or, when the batch is empty, registers as a shard waiter and
-    /// parks (pop-or-park under "the batch lock"; the enqueue side's
-    /// atomic append+kick closes the gap). Micro 1 delivers any readiness
-    /// the arm uncovered — the level-triggered re-report of an fd that
-    /// was ready before it was armed.
-    fn io_service_machine(&mut self, t: usize, shard: usize, wakes: &mut Vec<usize>) -> NextStep {
+    /// `IoEvent` / `IoEventNoFlag`: micro 0 is the kernel — one unit of
+    /// data arrives, and an armed fd gets an edge; micro 1 is the shard
+    /// LWP's locked step for that edge, if there is one: wake every
+    /// listed waiter, or set the ready flag (`flag = false`: drop it).
+    fn io_event_machine(
+        &mut self,
+        t: usize,
+        fd: usize,
+        flag: bool,
+        wakes: &mut Vec<usize>,
+    ) -> NextStep {
         if self.threads[t].micro == 0 {
-            match self.io.batches[shard].pop_front() {
-                Some(fd) => {
-                    self.io.armed[fd] = true;
-                    self.push_event(t, Tag::IoBatchFlush, shard as u64, 1);
-                    self.threads[t].scratch = fd as u64;
-                    self.threads[t].micro = 1;
-                    NextStep::Yield
-                }
-                None => {
-                    self.io.svc_waiters.push_back((t, shard, 0));
-                    self.push_event(t, Tag::LwpPark, t as u64, 0);
-                    self.park(t, None)
-                }
-            }
-        } else {
-            let fd = self.threads[t].scratch as usize;
-            self.io_deliver(t, fd, wakes);
-            self.advance(t);
-            NextStep::Yield
-        }
-    }
-
-    /// `IoEvent`: the driver playing the kernel. Micro 0 raises
-    /// readiness on the fd; micro 1 delivers it if the fd is armed (the
-    /// epoll_wait report). An event on an unarmed fd leaves the
-    /// readiness pending for the arm to re-report — level-triggered.
-    fn io_event_machine(&mut self, t: usize, fd: usize, wakes: &mut Vec<usize>) -> NextStep {
-        if self.threads[t].micro == 0 {
-            self.io.ready[fd] = true;
-            self.push_event(t, Tag::IoReady, fd as u64, 1);
+            self.io.data[fd] += 1;
+            self.io.edge[fd] |= self.io.armed[fd];
             self.threads[t].micro = 1;
-        } else {
-            self.io_deliver(t, fd, wakes);
-            self.advance(t);
+            return NextStep::Yield;
         }
+        if std::mem::take(&mut self.io.edge[fd]) {
+            self.push_event(t, Tag::IoReady, fd as u64, 1);
+            let mut taken = Vec::new();
+            self.io.waiters.retain(|&(w, f, resume)| {
+                if f == fd {
+                    taken.push((w, resume));
+                    false
+                } else {
+                    true
+                }
+            });
+            if taken.is_empty() && flag {
+                self.io.flag[fd] = true;
+            }
+            for (w, resume) in taken {
+                self.push_event(t, Tag::IoUnpark, fd as u64, w as u64);
+                self.wake(w, resume, wakes);
+            }
+        }
+        self.advance(t);
         NextStep::Yield
     }
 }
@@ -2687,19 +2594,16 @@ fn classify(model: &Model, world: &World) -> Option<String> {
                 }
             }
         }
-        // A thread parked in the poller's fd table whose fd is neither
-        // armed nor pending in any ctl batch, after its readiness fired
-        // (or was consumed by a delivery into an empty table), can never
-        // be woken: the wakeup it registered for was dropped while it
-        // was not yet registered.
+        // A reader parked in the poller's fd table while its fd holds
+        // data and no edge is queued can never be woken: edge-triggered
+        // readiness is reported once, and that report was dropped.
         for (t, on) in &blocked {
             if let BlockedOn::Io(fd) = on {
                 let io = &world.io;
-                let pending = io.batches.iter().any(|b| b.contains(fd));
-                if !io.armed[*fd] && !pending && (io.ready[*fd] || io.dropped[*fd]) {
+                if io.data[*fd] > 0 && !io.edge[*fd] {
                     return Some(format!(
-                        "lost wakeup: thread {t} parked on io fd {fd} whose readiness was \
-                         dropped before it registered"
+                        "lost wakeup: thread {t} parked on io fd {fd}, which holds data \
+                         no edge is left to report"
                     ));
                 }
             }
@@ -2759,12 +2663,11 @@ fn classify(model: &Model, world: &World) -> Option<String> {
             ));
         }
     }
-    // Poller ctl integrity: once every flusher finished, nothing may be
-    // left sitting unapplied in a shard's batch.
-    let batched: usize = world.io.batches.iter().map(VecDeque::len).sum();
-    if batched > 0 {
+    // Poller delivery integrity: every unit of data that arrived was read.
+    let unread: u32 = world.io.data.iter().sum();
+    if unread > 0 {
         return Some(format!(
-            "io lost ctl: {batched} op(s) still batched after all threads finished"
+            "io lost data: {unread} unit(s) unread after all threads finished"
         ));
     }
     None
@@ -2792,7 +2695,6 @@ mod tests {
             crits: 0,
             runq_shards: 0,
             chan_caps: vec![],
-            io_shards: 0,
             io_fds: 0,
             kernel_buckets: vec![],
             final_counters: vec![(0, 2)],

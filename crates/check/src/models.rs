@@ -27,7 +27,6 @@ fn base(name: &'static str, about: &'static str, threads: Vec<Vec<SyncOp>>) -> M
         crits: 0,
         runq_shards: 0,
         chan_caps: vec![],
-        io_shards: 0,
         io_fds: 0,
         kernel_buckets: vec![],
         final_counters: vec![],
@@ -504,21 +503,19 @@ pub fn catalogue() -> Vec<Model> {
         },
         // ------------------------------------------- sharded I/O poller
         Model {
-            io_shards: 2,
             io_fds: 2,
             preemption_bound: Some(2),
             min_schedules: 200,
             variants: vec![Variant::Default],
             ..base(
                 "io_shard",
-                "two waiters register on separate poller shards; each shard's own \
-                 flusher arms its fd, kernel events deliver both wakeups",
+                "readers on two fds (two shards) arm on first wait, edge-triggered; \
+                 fd 0 is read twice, so its second wait meets an armed fd and may \
+                 take the ready flag; every unit of data is read",
                 vec![
-                    vec![IoWait { shard: 0, fd: 0 }],
-                    vec![IoWait { shard: 1, fd: 1 }],
-                    vec![IoFlush { shard: 0 }],
-                    vec![IoFlush { shard: 1 }],
-                    vec![IoEvent { fd: 0 }, IoEvent { fd: 1 }],
+                    vec![IoWait { fd: 0 }, IoWait { fd: 0 }],
+                    vec![IoWait { fd: 1 }],
+                    vec![IoEvent { fd: 0 }, IoEvent { fd: 1 }, IoEvent { fd: 0 }],
                 ],
             )
         },
@@ -682,18 +679,16 @@ pub fn catalogue() -> Vec<Model> {
             )
         },
         Model {
-            io_shards: 1,
             io_fds: 1,
             variants: vec![Variant::Default],
             expect: Expect::FailContaining("lost wakeup"),
             ..base(
                 "neg_io_lost_wakeup",
-                "waiter enqueues its arm op before joining the fd table; the readiness \
-                 event lands in the gap and is dropped",
+                "edge-triggered poller without the ready flag: an edge lands between a \
+                 reader's EAGAIN and its joining the fd table, and is dropped",
                 vec![
-                    vec![IoWaitRacy { shard: 0, fd: 0 }],
-                    vec![IoFlush { shard: 0 }],
-                    vec![IoEvent { fd: 0 }],
+                    vec![IoWait { fd: 0 }, IoWait { fd: 0 }],
+                    vec![IoEventNoFlag { fd: 0 }, IoEventNoFlag { fd: 0 }],
                 ],
             )
         },
@@ -903,17 +898,9 @@ mod tests {
                                 m.name
                             )
                         }
-                        SyncOp::IoWait { shard, fd } | SyncOp::IoWaitRacy { shard, fd } => {
-                            assert!(
-                                shard < m.io_shards && fd < m.io_fds,
-                                "{}: io shard {shard} fd {fd}",
-                                m.name
-                            )
-                        }
-                        SyncOp::IoFlush { shard } => {
-                            assert!(shard < m.io_shards, "{}: io shard {shard}", m.name)
-                        }
-                        SyncOp::IoEvent { fd } => {
+                        SyncOp::IoWait { fd }
+                        | SyncOp::IoEvent { fd }
+                        | SyncOp::IoEventNoFlag { fd } => {
                             assert!(fd < m.io_fds, "{}: io fd {fd}", m.name)
                         }
                         SyncOp::KernelPark { word }

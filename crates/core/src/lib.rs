@@ -79,8 +79,8 @@ mod timeoutq;
 pub use blocking::blocking;
 pub use sched::{init, stats, SchedStats};
 pub use thread::{
-    concurrency, cont, current_has_thread, current_is_unbound, current_shard, exit, get_id,
-    set_concurrency, set_priority, spawn, stop, wait, yield_now, ThreadBuilder,
+    concurrency, cont, current_has_thread, current_is_unbound, exit, get_id, set_concurrency,
+    set_priority, spawn, stop, wait, yield_now, ThreadBuilder,
 };
 pub use types::{CreateFlags, MtError, Result, ThreadId, ThreadState};
 

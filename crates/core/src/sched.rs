@@ -717,13 +717,14 @@ fn commit_sleep(
         probe!(Tag::Sleep, t.id.0, addr);
         probe!(Tag::SleepqShard, addr, shard);
         t.set_state(ThreadState::Sleeping);
+        let seq = t.sleep_seq.fetch_add(1, Ordering::Relaxed) + 1;
         tbl.insert(addr, Arc::clone(&t));
         drop(tbl);
         if let Some(deadline) = deadline {
             // Armed after the insert so an already-passed deadline finds
             // the thread on its queue; registered outside the sleepers lock
             // (the timer LWP takes sleepers when it fires).
-            crate::timeoutq::register(deadline, addr, Arc::downgrade(&t));
+            crate::timeoutq::register(deadline, addr, seq, Arc::downgrade(&t));
         }
     } else {
         drop(tbl);
@@ -735,14 +736,16 @@ fn commit_sleep(
 }
 
 /// Timer-LWP upcall: a timed user-level sleep reached its deadline. Wakes
-/// the thread only if it still sleeps on that same word — a thread leaves
-/// a word's queue only by being woken from it, so one that is gone was
-/// woken normally (and may even have gone back to sleep elsewhere) in the
-/// meantime, and the stale deadline is a no-op. A coincidental re-sleep on
-/// the *same* word can at worst cause a spurious wake, which the
-/// futex-shaped park contract already permits.
-pub(crate) fn timeout_wakeup(addr: usize, t: Arc<Thread>) {
-    let removed = mt().sleepers.remove_thread_at(addr, &t);
+/// the thread only if it is still in that same sleep — on `addr`, with the
+/// sleep number `seq` that [`commit_sleep`] gave it. Both are checked under
+/// `addr`'s shard lock, where a sleep on `addr` is committed, so a deadline
+/// whose sleep ended (the thread was woken, and may be asleep again, even
+/// on the same word) is a no-op.
+pub(crate) fn timeout_wakeup(addr: usize, seq: u64, t: Arc<Thread>) {
+    let removed = {
+        let (_, mut tbl) = mt().sleepers.shard(addr);
+        t.sleep_seq.load(Ordering::Relaxed) == seq && tbl.remove_thread_at(addr, &t)
+    };
     if removed {
         mt().timeout_wakeups.fetch_add(1, Ordering::Relaxed);
         probe!(Tag::SleepTimeout, t.id.0, addr);
@@ -1194,7 +1197,10 @@ pub struct SchedStats {
     pub dispatches: u64,
     /// Total pool-growth events since library init.
     pub pool_grows: u64,
-    /// Total user-level sleeps ended by their deadline since library init.
+    /// Timed user-level sleeps ended by their own deadline since library
+    /// init: real expiries only. A deadline whose sleep was already ended
+    /// by a wake — even if the thread sleeps on the same word again —
+    /// does nothing and is not counted.
     pub timeout_wakeups: u64,
     /// Threads taken from another LWP's run-queue shard since library init.
     pub steals: u64,

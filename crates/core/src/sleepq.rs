@@ -154,11 +154,6 @@ impl ShardedSleepQueue {
         self.shards.iter().any(|s| unpoisoned(s).remove_thread(t))
     }
 
-    /// Removes a specific thread only if it sleeps on `addr`.
-    pub fn remove_thread_at(&self, addr: usize, t: &Arc<Thread>) -> bool {
-        self.shard(addr).1.remove_thread_at(addr, t)
-    }
-
     /// Total number of sleeping threads (locks each shard in turn, so a
     /// concurrent transition can make the sum lag by one; diagnostic use).
     pub fn len(&self) -> usize {
@@ -243,8 +238,8 @@ mod tests {
         q.shard(addr_a).1.insert(addr_a, Arc::clone(&a));
         q.shard(addr_b).1.insert(addr_b, Arc::clone(&b));
         assert_eq!(q.len(), 2);
-        assert!(q.remove_thread_at(addr_b, &b));
-        assert!(!q.remove_thread_at(addr_b, &b));
+        assert!(q.shard(addr_b).1.remove_thread_at(addr_b, &b));
+        assert!(!q.shard(addr_b).1.remove_thread_at(addr_b, &b));
         assert!(q.remove_thread(&a));
         assert_eq!(q.len(), 0);
     }

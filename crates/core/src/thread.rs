@@ -87,6 +87,11 @@ pub(crate) struct Thread {
     /// thread kick that LWP's preempt flag so the change takes effect
     /// within one safepoint instead of at the next voluntary reschedule.
     pub(crate) on_lwp_hint: AtomicU32,
+    /// Counts this thread's user-level sleeps. Bumped under the sleep-queue
+    /// shard lock when a sleep is committed, and stored with the sleep's
+    /// deadline, so an expiring deadline can tell its own sleep from a
+    /// later one on the same word. Never reset: any value works.
+    pub(crate) sleep_seq: AtomicU64,
 }
 
 /// The timeshare decay table: `quantum_ticks -> penalty` (values past the
@@ -142,6 +147,7 @@ impl Thread {
             ts_penalty: AtomicI32::new(0),
             quantum_ticks: AtomicU32::new(0),
             on_lwp_hint: AtomicU32::new(0),
+            sleep_seq: AtomicU64::new(0),
         })
     }
 
@@ -502,15 +508,4 @@ pub fn current_is_unbound() -> bool {
 /// this host thread; like [`current_is_unbound`], never adopts.
 pub fn current_has_thread() -> bool {
     sched::maybe_current().is_some()
-}
-
-/// The home run-queue shard of the pool LWP the caller is executing on, or
-/// `None` off the pool (bound threads, bare host threads, the timer LWP).
-///
-/// Subsystems that shard per pool LWP — the sharded I/O poller — use this
-/// to pick the *local* shard, mirroring the run queue's owner-side
-/// push/pop discipline: an unbound thread arms its fd on the shard of the
-/// LWP it is running on, and strangers fall back to round-robin.
-pub fn current_shard() -> Option<usize> {
-    sched::my_shard()
 }

@@ -41,6 +41,8 @@ struct Entry {
     seq: u64,
     /// The wait word the thread went to sleep on.
     addr: usize,
+    /// The thread's sleep number for that sleep (`Thread::sleep_seq`).
+    sleep: u64,
     /// The sleeper; weak so an exited thread never lingers in the heap.
     thread: Weak<Thread>,
 }
@@ -113,7 +115,7 @@ fn ns_of(d: Duration) -> u64 {
 /// Arms a deadline for a thread that just committed a user-level sleep on
 /// `addr`. Called by the dispatcher after the sleep-table insert; the weak
 /// reference keeps an early wake (or thread exit) from pinning the thread.
-pub(crate) fn register(deadline: Duration, addr: usize, thread: Weak<Thread>) {
+pub(crate) fn register(deadline: Duration, addr: usize, sleep: u64, thread: Weak<Thread>) {
     let q = queue();
     let seq = q.next_seq.fetch_add(1, Ordering::Relaxed);
     {
@@ -122,6 +124,7 @@ pub(crate) fn register(deadline: Duration, addr: usize, thread: Weak<Thread>) {
             deadline,
             seq,
             addr,
+            sleep,
             thread,
         }));
     }
@@ -170,7 +173,7 @@ fn timer_loop(q: &'static TimeoutQueue) {
         }
         for e in due {
             if let Some(t) = e.thread.upgrade() {
-                crate::sched::timeout_wakeup(e.addr, t);
+                crate::sched::timeout_wakeup(e.addr, e.sleep, t);
             }
         }
         // Merge our scan result into the plan; concurrent registrations may
@@ -201,6 +204,7 @@ mod tests {
             deadline: Duration::from_millis(ms),
             seq,
             addr: 0,
+            sleep: 0,
             thread: Weak::new(),
         };
         assert!(mk(1, 9) < mk(2, 0));

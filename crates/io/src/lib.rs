@@ -7,13 +7,14 @@
 //! strategy split the synchronization variables already use:
 //!
 //! * An **unbound thread** calling [`read`] on a nonblocking fd that would
-//!   block registers interest with its pool LWP's *poller shard*
-//!   (`crates/io/src/poller.rs` — one epoll set per pool LWP, its
-//!   `epoll_ctl` traffic batched and applied by that shard's own poller
-//!   LWP at its park boundary) and parks on the user-level sleep queue —
-//!   its LWP immediately runs other threads, and no `SIGWAITING` pool
-//!   growth is needed. The shard count is the pool size when the poller
-//!   first runs (the `set_concurrency` level).
+//!   block waits on a *poller shard* (`crates/io/src/poller.rs` — one
+//!   epoll set per pool LWP; a descriptor's shard is fixed by its number)
+//!   and parks on the user-level sleep queue — its LWP immediately runs
+//!   other threads, and no `SIGWAITING` pool growth is needed. The first
+//!   wait in each direction registers the fd, edge-triggered; it stays
+//!   registered until [`close`], so later waits make no `epoll_ctl` call.
+//!   The shard count is the pool size when the poller first runs (the
+//!   `set_concurrency` level).
 //! * A **bound thread**, an adopted host thread, or a caller that has never
 //!   touched the threads library falls through to a plain blocking wait
 //!   (`poll(2)` + retry), blocking only its own LWP — "much like locking
@@ -26,7 +27,8 @@
 //!
 //! Descriptors are plain `i32`s created nonblocking by the helpers
 //! ([`pipe`], [`socketpair_stream`], [`listen_loopback`]); ownership and
-//! lifetime stay with the caller ([`close`]).
+//! lifetime stay with the caller, who must close a descriptor that was
+//! waited on with [`close`] (see there).
 
 #![deny(missing_docs)]
 
@@ -99,11 +101,17 @@ pub fn connect_loopback(port: u16) -> Result<i32, Errno> {
 
 /// Closes a descriptor.
 ///
-/// Poller-aware: any thread parked on `io_fd` is woken with `EBADF`
-/// *before* the `close(2)` runs. The order matters — the kernel silently
-/// drops a closed fd from its epoll sets, so a close racing a parked
-/// waiter on the sharded poller would otherwise strand that waiter
-/// forever (no readiness event will ever arrive for it).
+/// Poller-aware: it deregisters `io_fd` from its poller shard and wakes
+/// any thread parked on it with `EBADF` *before* the `close(2)` runs. The
+/// order matters — no readiness event will ever arrive for a closed fd,
+/// so a close racing a parked waiter would otherwise strand that waiter
+/// forever.
+///
+/// A descriptor that a thread has waited on stays registered until this
+/// call. Closing it another way (`close(2)` directly) and getting the
+/// same number back from a later `pipe`/`socket` leaves the new file
+/// unwatched: waits on it would find the old registration and never be
+/// woken.
 pub fn close(io_fd: i32) -> Result<(), Errno> {
     if let Some(p) = poller::maybe_global() {
         p.cancel_fd(io_fd);
@@ -223,7 +231,8 @@ fn wait_blocking(io_fd: i32, dir: Dir, deadline: Option<Duration>) -> Result<(),
 pub struct IoStats {
     /// Poller shards serving this process (0 before first use).
     pub shards: usize,
-    /// Interest registrations (one per `EAGAIN` wait by an unbound thread).
+    /// Waits that joined an fd's waiter list (one per `EAGAIN` wait by an
+    /// unbound thread that did not find a ready flag set).
     pub registrations: u64,
     /// Readiness events the shard pollers received from `epoll_wait`.
     pub readies: u64,
@@ -235,16 +244,13 @@ pub struct IoStats {
     pub timeouts: u64,
     /// Times a shard LWP entered `epoll_wait`.
     pub epoll_waits: u64,
-    /// Coalesced `epoll_ctl` batches applied at park boundaries.
-    pub batch_flushes: u64,
-    /// Control operations carried by those batches.
-    pub batched_ops: u64,
-    /// `epoll_ctl` calls spent applying them, fallback retries included
-    /// (the number the scaling bench divides by ops to report syscalls
-    /// per op).
+    /// `epoll_ctl` calls: at most two per descriptor waited on (an ADD,
+    /// and one MOD when the other direction first waits) and one DEL per
+    /// [`close`] of a registered fd. The scaling bench divides it by ops
+    /// to report syscalls per op.
     pub ctl_syscalls: u64,
-    /// Always 0: every batch is flushed by its own shard. Kept so
-    /// existing readers of the field still build.
+    /// Always 0: no shard serves another's descriptors. Kept so existing
+    /// readers of the field still build.
     pub steals: u64,
     /// Threads currently waiting on I/O readiness.
     pub pending_waiters: usize,
@@ -264,8 +270,6 @@ pub fn stats() -> IoStats {
                 unparks: t.unparks,
                 timeouts: t.timeouts,
                 epoll_waits: t.epoll_waits,
-                batch_flushes: t.batch_flushes,
-                batched_ops: t.batched_ops,
                 ctl_syscalls: t.ctl_syscalls,
                 steals: 0,
                 pending_waiters: t.pending_waiters,
@@ -274,8 +278,9 @@ pub fn stats() -> IoStats {
     }
 }
 
-/// The poller's control-plane backend: always `"epoll"` (one `epoll_ctl`
-/// per operation). A constant; it does not start the poller.
+/// The poller's backend: always `"epoll"` (edge-triggered, one `epoll_ctl`
+/// per direction per descriptor). A constant; it does not start the
+/// poller.
 pub fn backend_name() -> &'static str {
     "epoll"
 }

@@ -4,8 +4,8 @@
 //! *LWP*; the threads library keeps the other threads running. This module
 //! is the kernel half of that story: the plain blocking calls (`read`,
 //! `write`, `poll`) that a bound thread issues directly, and the
-//! `epoll`/`eventfd` readiness machinery that `sunmt-io`'s poller LWP uses
-//! to demultiplex nonblocking descriptors for unbound threads.
+//! `epoll` readiness machinery that `sunmt-io`'s poller shards use to
+//! demultiplex nonblocking descriptors for unbound threads.
 //!
 //! All wrappers return `Result<_, Errno>` and perform exactly one system
 //! call; retry policy (`EINTR`, `EAGAIN`) belongs to the caller, with
@@ -32,10 +32,6 @@ pub const SOCK_CLOEXEC: i32 = O_CLOEXEC as i32;
 
 /// `EPOLL_CLOEXEC`.
 pub const EPOLL_CLOEXEC: u32 = O_CLOEXEC;
-/// `EFD_NONBLOCK`.
-pub const EFD_NONBLOCK: u32 = O_NONBLOCK;
-/// `EFD_CLOEXEC`.
-pub const EFD_CLOEXEC: u32 = O_CLOEXEC;
 
 /// `epoll_ctl` op: register a new descriptor.
 pub const EPOLL_CTL_ADD: i32 = 1;
@@ -54,6 +50,8 @@ pub const EPOLLERR: u32 = 0x008;
 pub const EPOLLHUP: u32 = 0x010;
 /// Peer closed its writing half.
 pub const EPOLLRDHUP: u32 = 0x2000;
+/// Edge-triggered: report a readiness change once, not while it lasts.
+pub const EPOLLET: u32 = 1 << 31;
 
 /// `fcntl` command: get file status flags.
 pub const F_GETFL: i32 = 3;
@@ -225,12 +223,6 @@ pub fn connect_in(fd: i32, addr: &SockAddrIn) -> Result<(), Errno> {
         )
     })
     .map(|_| ())
-}
-
-/// `eventfd2(2)`.
-pub fn eventfd2(initval: u32, flags: u32) -> Result<i32, Errno> {
-    // SAFETY: no pointers are passed.
-    check(unsafe { syscall2(nr::EVENTFD2, initval as usize, flags as usize) }).map(|fd| fd as i32)
 }
 
 /// `epoll_create1(2)`.

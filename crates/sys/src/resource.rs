@@ -2,7 +2,7 @@
 //!
 //! The C100K workloads need more file descriptors than the default soft
 //! limit of 1024 allows: a 100k-connection echo sweep holds two fds per
-//! connection plus the per-shard epoll/eventfd pairs. [`raise_nofile`]
+//! connection plus one epoll fd per poller shard. [`raise_nofile`]
 //! lifts `RLIMIT_NOFILE` as far as the hard limit (or the caller's
 //! privileges) permit and reports what it actually achieved, so benches
 //! can scale their workload to the environment instead of dying on

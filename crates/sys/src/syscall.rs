@@ -36,7 +36,6 @@ pub mod nr {
     pub const EPOLL_WAIT: usize = 232;
     pub const EPOLL_CTL: usize = 233;
     pub const ACCEPT4: usize = 288;
-    pub const EVENTFD2: usize = 290;
     pub const EPOLL_CREATE1: usize = 291;
     pub const PIPE2: usize = 293;
     pub const PRLIMIT64: usize = 302;

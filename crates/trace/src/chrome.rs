@@ -73,7 +73,6 @@ fn render_class(tag: Tag) -> RenderClass {
         | Tag::ChanRecv
         | Tag::ChanPark
         | Tag::SelectWake
-        | Tag::IoBatchFlush
         | Tag::Preempt
         | Tag::PrioDecay
         | Tag::PiBoost

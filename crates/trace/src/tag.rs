@@ -123,9 +123,6 @@ vocabulary! {
         /// A select wait was woken by one of its registered channels (`a` =
         /// channel address that fired, `b` = waiter's wait-word address).
         SelectWake => "select-wake",
-        /// A poller shard applied its coalesced epoll_ctl batch (`a` = shard
-        /// index, `b` = ops applied).
-        IoBatchFlush => "io-batch-flush",
         /// A timer tick forced the running thread off the CPU because a
         /// higher-priority thread was runnable (`a` = preempted thread id,
         /// `b` = the effective priority it was preempted at).

@@ -89,21 +89,22 @@ const CORPUS: &[(&str, &str)] = &[
     // deliver every message exactly once.
     ("v1/chan_mpsc/default/1.1.1.1.1.1.1.1.1.1.1.1", ""),
     ("v1/chan_select/default/1.1.0.1.1.0.1.1", ""),
-    // Poller-shard lost wakeup: the racy waiter enqueues its arm op and
-    // kicks the shard before joining the fd table; the flush arms the fd
-    // and the kernel event delivers into an empty table, so the waiter
-    // parks forever on readiness that already fired. Found by the
+    // Edge-triggered poller without the ready flag: the first unit lands
+    // on the unarmed fd after the reader's EAGAIN (no edge); the reader's
+    // arm finds it and reads it. Its second wait sees EAGAIN, the next
+    // unit's edge lands before it joins the fd table and is dropped, and
+    // it parks on data that no further edge will report. Found by the
     // exhaustive sweep.
     (
-        "v1/neg_io_lost_wakeup/default/1.1.0.0.0.0.0.1",
+        "v1/neg_io_lost_wakeup/default/0.0.0.0.0.1.0.1.1",
         "lost wakeup",
     ),
-    // Adversarial passing schedule through the sharded poller: both
-    // shards' own flushers park on empty batches, each is kicked awake by
-    // the registration on its shard, and fd 0's readiness fires *before*
-    // its arm — the level-triggered re-report still delivers both
-    // wakeups.
-    ("v1/io_shard/default/3.2.3.0.1.1.0.1", ""),
+    // Adversarial passing schedule through the poller: both readers arm
+    // on first wait and park, each is woken by its fd's edge, and fd 0's
+    // second edge finds no listed waiter, so it sets the ready flag; the
+    // reader's second wait takes the flag instead of parking and reads
+    // the data. Found by an exhaustive enumeration.
+    ("v1/io_shard/default/0.2.2.0.1.1.1.1.2.2.2.1.1", ""),
     // The kernel-wake gate's lost wakeup: the racy parker checks the word
     // (clear), the waker sets it and reads the bucket's parker count before
     // the parker's increment lands, so it skips the futex wake; the parker

@@ -2,16 +2,16 @@
 //!
 //! Two hazards the per-LWP poller shards introduce are pinned here:
 //!
-//! 1. **Close-while-parked.** A waiter parks on whatever shard its LWP
-//!    picked; `sunmt_io::close` must sweep *every* shard's fd table and
-//!    error the waiter out with `EBADF` — the kernel silently drops a
-//!    closed fd from its epoll sets, so a missed sweep means a thread
-//!    asleep forever on an fd that can never fire.
+//! 1. **Close-while-parked.** A waiter parks on the shard its fd number
+//!    maps to; `sunmt_io::close` must find it there and error it out
+//!    with `EBADF` — no readiness event ever arrives for a closed fd, so
+//!    a missed waiter means a thread asleep forever.
 //!
 //! 2. **Timer liveness under cross-shard churn.** `cv_timedwait`
 //!    deadlines are serviced independently of the poller; churning
-//!    registrations on several shards at once (arming, flushing, waking)
-//!    must not starve or stretch them.
+//!    waits on several shards at once (parking, waking) must not starve
+//!    or stretch them — and must make no `epoll_ctl` call once each fd
+//!    is registered.
 //!
 //! Everything lives in ONE `#[test]`: the shard count is process-global
 //! (the pool size at first poller use), and pool accounting is
@@ -94,9 +94,8 @@ fn close_errors_parked_waiters_and_timedwait_survives_shard_churn() {
     // --- Phase 2: cv_timedwait deadlines under cross-shard churn. ------
     // Blocking echo ping-pong between thread pairs: each side parks in
     // `read` until its peer responds, so every round trip is two poller
-    // registrations on whichever shards the pair's LWPs own (arming,
-    // flushing, waking), and the parked threads keep the pool LWPs free
-    // for the timed waiter.
+    // waits on the shards the pair's fd numbers map to, and the parked
+    // threads keep the pool LWPs free for the timed waiter.
     let stop = Arc::new(AtomicBool::new(false));
     let mut churners = Vec::new();
     for i in 0..CHURN_PAIRS {
@@ -178,10 +177,17 @@ fn close_errors_parked_waiters_and_timedwait_survives_shard_churn() {
         threads::wait(Some(id)).expect("join churner");
     }
 
+    // One registration per descriptor: an ADD (at most one MOD) per fd
+    // waited on, a DEL per close, and nothing per wait.
     let s = sunmt_io::stats();
-    assert!(s.batch_flushes > 0, "no ctl batches were flushed: {s:?}");
+    let waited_fds = (CLOSED_READERS + 2 * CHURN_PAIRS) as u64;
+    let closes = (2 * CLOSED_READERS + 2 * CHURN_PAIRS) as u64;
     assert!(
-        s.batched_ops >= s.registrations,
-        "ops should cover arms: {s:?}"
+        s.ctl_syscalls <= 2 * waited_fds + closes,
+        "epoll_ctl calls must not grow with waits: {s:?}"
+    );
+    assert!(
+        s.registrations >= 10 * s.ctl_syscalls,
+        "the churn should wait far more often than it arms: {s:?}"
     );
 }
