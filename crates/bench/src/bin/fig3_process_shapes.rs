@@ -1,14 +1,17 @@
 //! FIG3 — constructs the paper's Figure 3: the five multi-thread process
-//! shapes, in the real library (procs 1–4) and the simulator (proc 5's
-//! CPU-bound LWP), verifying that bound and unbound threads still
-//! synchronize "in the usual way".
+//! shapes in the real library, verifying that bound and unbound threads
+//! still synchronize "in the usual way" and that proc 5's bound thread can
+//! bind its LWP to one CPU.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use sunmt::{CreateFlags, ThreadBuilder};
-use sunmt_simkernel::{Op, SchedClass, SimConfig, SimKernel};
 use sunmt_sync::{Sema, SyncType};
+use sunmt_sys::task::{sched_getaffinity, sched_setaffinity, sched_yield, CpuSet};
+
+/// Samples of the CPU the CPU-bound LWP runs on.
+const CPU_SAMPLES: usize = 1_000;
 
 fn main() {
     sunmt::init();
@@ -36,9 +39,11 @@ fn main() {
     );
 
     // Process 5: the mixture — multiplexed group + bound threads, with the
-    // bound and unbound threads synchronizing with each other.
+    // bound and unbound threads synchronizing with each other, and one
+    // bound thread's LWP "bound to a CPU".
     let gate = Arc::new(Sema::new(0, SyncType::DEFAULT));
     let hits = Arc::new(AtomicUsize::new(0));
+    let bound_cpu = Arc::new(AtomicUsize::new(usize::MAX));
     let mut ids = Vec::new();
     for i in 0..6 {
         let flags = if i < 2 {
@@ -46,11 +51,14 @@ fn main() {
         } else {
             CreateFlags::WAIT
         };
-        let (g, h) = (Arc::clone(&gate), Arc::clone(&hits));
+        let (g, h, c) = (Arc::clone(&gate), Arc::clone(&hits), Arc::clone(&bound_cpu));
         ids.push(
             ThreadBuilder::new()
                 .flags(flags)
                 .spawn(move || {
+                    if i == 0 {
+                        c.store(bind_own_lwp_to_last_cpu(), Ordering::SeqCst);
+                    }
                     g.p(); // Bound and unbound block on the same variable.
                     h.fetch_add(1, Ordering::SeqCst);
                 })
@@ -64,36 +72,11 @@ fn main() {
         sunmt::wait(Some(id)).expect("wait");
     }
     assert_eq!(hits.load(Ordering::SeqCst), 6);
-    println!("proc 5 (real half): 2 bound + 4 unbound synchronized on one semaphore: OK");
-
-    // Proc 5's CPU binding, which the host cannot guarantee, in the
-    // simulator: an LWP bound to CPU 1 only ever dispatches there.
-    let mut k = SimKernel::new(SimConfig {
-        cpus: 2,
-        ts_quantum: 1_000,
-        dispatch_cost: 0,
-    });
-    let pid = k.add_process();
-    let bound = k.add_lwp(
-        pid,
-        SchedClass::Ts,
-        sunmt_simkernel::LwpProgram::Script(vec![Op::Compute(5_000), Op::Exit]),
+    println!("proc 5: 2 bound + 4 unbound synchronized on one semaphore: OK");
+    println!(
+        "proc 5: bound thread's LWP bound to CPU {}, ran there in all {CPU_SAMPLES} samples: OK",
+        bound_cpu.load(Ordering::SeqCst)
     );
-    k.bind_cpu(bound, Some(1));
-    k.add_lwp(
-        pid,
-        SchedClass::Ts,
-        sunmt_simkernel::LwpProgram::Script(vec![Op::Compute(5_000), Op::Exit]),
-    );
-    k.run_until_idle(1_000_000);
-    for (_, e) in k.trace().events() {
-        if let sunmt_simkernel::TraceEvent::Dispatch { lwp, cpu } = e {
-            if *lwp == bound {
-                assert_eq!(*cpu, 1, "CPU-bound LWP escaped its CPU");
-            }
-        }
-    }
-    println!("proc 5 (sim half): LWP bound to CPU 1 never dispatched elsewhere: OK");
 
     // Restore automatic concurrency for any following benches.
     sunmt::set_concurrency(0).expect("setconcurrency");
@@ -119,4 +102,37 @@ fn run_batch(label: &str, n: usize, flags: CreateFlags) {
     }
     assert_eq!(hits.load(Ordering::SeqCst), n);
     println!("{label}: OK (pool now {} LWPs)", sunmt::concurrency());
+}
+
+/// Binds the calling bound thread's LWP to the last CPU it may run on,
+/// then checks over [`CPU_SAMPLES`] kernel yields that the kernel runs it
+/// nowhere else. Returns the CPU.
+fn bind_own_lwp_to_last_cpu() -> usize {
+    let cpu = sched_getaffinity()
+        .expect("sched_getaffinity")
+        .last()
+        .expect("some CPU is allowed");
+    sched_setaffinity(&CpuSet::single(cpu)).expect("sched_setaffinity");
+    for n in 0..CPU_SAMPLES {
+        sched_yield();
+        let on = current_cpu();
+        assert_eq!(
+            on, cpu,
+            "sample {n}: the LWP bound to CPU {cpu} ran on CPU {on}"
+        );
+    }
+    cpu
+}
+
+/// The CPU the calling LWP last ran on: field 39 (`processor`) of
+/// `/proc/thread-self/stat`. Field 2 may hold spaces, so fields are
+/// counted from the `)` that closes it.
+fn current_cpu() -> usize {
+    let stat = std::fs::read_to_string("/proc/thread-self/stat").expect("read stat");
+    let rest = &stat[stat.rfind(')').expect("comm field") + 1..];
+    rest.split_whitespace()
+        .nth(39 - 3)
+        .expect("processor field")
+        .parse()
+        .expect("numeric processor field")
 }

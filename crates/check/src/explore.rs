@@ -17,9 +17,7 @@
 //! otherwise exponential tree — which is what makes the 3-thread models
 //! tractable in CI.
 
-use std::cell::RefCell;
 use std::fmt;
-use std::rc::Rc;
 
 use crate::lockdep::LockGraph;
 use crate::model::{run_model, Model, PrefixChooser, RunOutcome, Variant};
@@ -162,11 +160,7 @@ pub fn explore(model: &Model, variant: Variant, cfg: &ExploreConfig) -> ExploreR
             break;
         }
         let plen = prefix.len();
-        let out = run_model(
-            model,
-            variant,
-            Rc::new(RefCell::new(PrefixChooser { prefix })),
-        );
+        let out = run_model(model, variant, &mut PrefixChooser { prefix });
         report.schedules += 1;
         report.lockdep.ingest(&out.events);
         if let Some(msg) = &out.failure {
@@ -225,9 +219,9 @@ pub fn replay(models: &[Model], s: &ScheduleString) -> Result<RunOutcome, String
     Ok(run_model(
         model,
         s.variant,
-        Rc::new(RefCell::new(PrefixChooser {
+        &mut PrefixChooser {
             prefix: s.choices.clone(),
-        })),
+        },
     ))
 }
 

@@ -2,7 +2,7 @@
 //!
 //! The exhaustive sweep owns the small end of the schedule space; this
 //! module samples the rest. The strategy is probabilistic concurrency
-//! testing (Burckhardt et al., ASPLOS '10): give every LWP a random
+//! testing (Burckhardt et al., ASPLOS '10): give every thread a random
 //! priority, always run the highest-priority runnable one, and demote the
 //! leader at a few random *change points* during the run. For a bug of
 //! depth `d` this finds it with probability ≥ 1/(n·k^(d-1)) per run —
@@ -14,13 +14,9 @@
 //! [`ScheduleString`] recorded from the run's actual choices — replay
 //! does not need the RNG at all.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use crate::explore::{Failure, ScheduleString};
 use crate::lockdep::LockGraph;
 use crate::model::{run_model, Chooser, Model, Variant};
-use sunmt_simkernel::SimLwpId;
 
 /// How many failing schedules a report keeps (the rest are counted only).
 const MAX_KEPT_FAILURES: usize = 5;
@@ -54,7 +50,8 @@ impl Rng {
 /// the current leader is demoted below everyone.
 struct PctChooser {
     rng: Rng,
-    /// Priority per LWP id (indexed by `SimLwpId.0`), assigned lazily.
+    /// Priority per model thread index, drawn lazily in the order the
+    /// threads are first met.
     prio: Vec<i64>,
     /// Decision ordinals at which to demote the leader.
     change_points: Vec<usize>,
@@ -84,8 +81,7 @@ impl PctChooser {
         }
     }
 
-    fn prio_of(&mut self, id: SimLwpId) -> i64 {
-        let i = id.0 as usize;
+    fn prio_of(&mut self, i: usize) -> i64 {
         if self.prio.len() <= i {
             self.prio.resize(i + 1, 0);
         }
@@ -99,14 +95,13 @@ impl PctChooser {
 }
 
 impl Chooser for PctChooser {
-    fn choose(&mut self, cands: &[SimLwpId], _cont: Option<u32>, pos: usize) -> u32 {
+    fn choose(&mut self, cands: &[usize], _cont: Option<u32>, pos: usize) -> u32 {
         let leader = (0..cands.len())
             .max_by_key(|i| self.prio_of(cands[*i]))
             .expect("cands is non-empty") as u32;
         if self.change_points.contains(&pos) {
             // Demote the leader below everyone and re-pick.
-            let li = cands[leader as usize].0 as usize;
-            self.prio[li] = self.next_low;
+            self.prio[cands[leader as usize]] = self.next_low;
             self.next_low -= 1;
             return (0..cands.len())
                 .max_by_key(|i| self.prio_of(cands[*i]))
@@ -156,8 +151,8 @@ pub fn fuzz(model: &Model, variant: Variant, cfg: &FuzzConfig) -> FuzzReport {
         lockdep: LockGraph::new(),
     };
     for i in 0..cfg.iters {
-        let chooser = Rc::new(RefCell::new(PctChooser::new(cfg.seed.wrapping_add(i))));
-        let out = run_model(model, variant, chooser);
+        let mut chooser = PctChooser::new(cfg.seed.wrapping_add(i));
+        let out = run_model(model, variant, &mut chooser);
         report.schedules += 1;
         report.lockdep.ingest(&out.events);
         if let Some(msg) = &out.failure {

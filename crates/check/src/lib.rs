@@ -4,11 +4,11 @@
 //! The repo's stress tests run the real library on the host kernel, where
 //! the scheduler picks one interleaving per run and the interesting ones —
 //! the CAS that loses, the signal that lands in the park window — may
-//! never happen on a quiet machine. This crate turns the *simulated*
-//! kernel into a model checker in the loom/CHESS tradition: models of the
-//! paper's synchronization primitives run as simkernel LWPs, a schedule
-//! hook makes every dispatch decision explicit, and the explorer drives
-//! the system through *many* schedules instead of one.
+//! never happen on a quiet machine. This crate is a model checker in the
+//! loom/CHESS tradition: models of the paper's synchronization primitives
+//! run on a one-processor run loop whose every dispatch decision is
+//! explicit, and the explorer drives the system through *many* schedules
+//! instead of one.
 //!
 //! The pieces:
 //!

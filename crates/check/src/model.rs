@@ -3,35 +3,31 @@
 //! A [`Model`] is a small concurrent program over modelled synchronization
 //! variables — the paper's suite: `mutex_enter/exit/tryenter`,
 //! `cv_wait/timedwait/signal/broadcast`, `sema_p/v`, and
-//! `rw_enter/exit/downgrade/tryupgrade` — executed on the deterministic
-//! simkernel, one LWP per model thread.
+//! `rw_enter/exit/downgrade/tryupgrade` — executed by [`run_model`]'s
+//! one-processor run loop, one schedulable thread per model thread.
 //!
 //! Every [`SyncOp`] decomposes into *micro-steps*, each of which performs
-//! one atomic action on the shared [`World`] state and then yields the
-//! virtual CPU. The races the checker hunts live between those
+//! one atomic action on the shared [`World`] state and then gives up the
+//! processor. The races the checker hunts live between those
 //! micro-steps, exactly where the futex-shaped implementation in
 //! `sunmt-sync` has its windows: the read of a lock word, the CAS that
 //! claims it, and the check-then-park of the slow path are separate
-//! schedulable actions. The simkernel's schedule hook (installed by
-//! [`run_model`]) chooses which runnable thread performs the next
-//! micro-step, so the explorer sweeps interleavings at the same
+//! schedulable actions. A [`Chooser`] picks which runnable thread performs
+//! the next micro-step, so the explorer sweeps interleavings at the same
 //! granularity the hardware would.
 //!
 //! Blocking is modelled faithfully: a parking micro-step enqueues the
-//! thread on the variable's wait queue and blocks its LWP in one atomic
+//! thread on the variable's wait queue and blocks it in one atomic
 //! action, and a waker *dequeues* the sleeper and redirects its resume
-//! point before issuing the kernel wakeup — so a signal landing between
-//! enqueue and park is consumed, never lost (the `cv_wait` atomicity
-//! guarantee). `cv_timedwait` parks with a virtual-time deadline that
-//! fires only if no wakeup ever arrives, mirroring the timed paths the
-//! `sunmt-io` poller added.
+//! point before the run loop makes it runnable again — so a signal
+//! landing between enqueue and park is consumed, never lost (the
+//! `cv_wait` atomicity guarantee). `cv_timedwait` parks with a
+//! virtual-time deadline that fires only if no wakeup ever arrives,
+//! mirroring the timed paths the `sunmt-io` poller added.
 
-use std::cell::RefCell;
-use std::collections::VecDeque;
-use std::rc::Rc;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
-use sunmt_simkernel::lwp::{KernelRequest, LwpProgram, Op};
-use sunmt_simkernel::{SchedClass, SimConfig, SimKernel, SimLwpId};
 use sunmt_trace::Tag;
 
 /// Micro-steps one run may execute before the checker declares a livelock.
@@ -603,11 +599,17 @@ pub enum BlockedOn {
     Preempted,
 }
 
-/// What a micro-step asks the kernel to do next.
+/// What a micro-step asks the run loop to do with its thread next.
 enum NextStep {
+    /// Stay runnable, behind everything already queued.
     Yield,
+    /// Block until a waker makes the thread runnable.
     Block,
+    /// Block, but fire a wake after this many virtual microseconds unless
+    /// a waker comes first.
     BlockTimed(u64),
+    /// The thread is done.
+    Exit,
 }
 
 /// Shared state of one model execution.
@@ -633,8 +635,6 @@ pub struct World {
     /// resume_micro)`. Woken by a PI boost targeting them or by any
     /// thread completing (both shrink the field they must outrank).
     preempt_parked: Vec<(usize, u32)>,
-    /// Thread index -> simkernel LWP id (filled at setup).
-    lwp_ids: Vec<SimLwpId>,
     /// The run's event log (shared tag vocabulary).
     pub events: Vec<Event>,
     /// First assertion/misuse failure, if any.
@@ -735,7 +735,6 @@ impl World {
             },
             boost: vec![0; model.threads.len()],
             preempt_parked: Vec::new(),
-            lwp_ids: Vec::new(),
             events: Vec::new(),
             failure: None,
             steps: 0,
@@ -846,8 +845,7 @@ impl World {
 
     /// Wakes `w` out of a park. The caller has already dequeued it; this
     /// redirects its resume point and records the kernel round trip. The
-    /// actual `KernelRequest::Wake` is issued by the LWP closure from the
-    /// returned wake list.
+    /// run loop makes `w` runnable from the wake list.
     fn wake(&mut self, w: usize, resume: u32, wakes: &mut Vec<usize>) {
         self.threads[w].micro = resume;
         self.threads[w].parked = false;
@@ -871,20 +869,20 @@ impl World {
         }
     }
 
-    /// Executes one micro-step of thread `t`; returns the simkernel op to
-    /// perform plus the model threads to wake.
-    fn step(&mut self, t: usize) -> (Op, Vec<usize>) {
-        let mut wakes = Vec::new();
+    /// Executes one micro-step of thread `t`: returns what the run loop
+    /// does with `t` next, and appends the model threads to wake to
+    /// `wakes`.
+    fn step(&mut self, t: usize, wakes: &mut Vec<usize>) -> NextStep {
         if self.failure.is_some() {
             // Tear the run down once anything failed.
             self.threads[t].done = true;
-            return (Op::Exit, wakes);
+            return NextStep::Exit;
         }
         self.steps += 1;
         if self.steps > STEP_BUDGET {
             self.fail(t, "step budget exceeded (livelock?)".into());
             self.threads[t].done = true;
-            return (Op::Exit, wakes);
+            return NextStep::Exit;
         }
         // The safepoint gate: a preempted thread re-checks the runnable
         // field before anything else (the real library's preempt-flag
@@ -904,12 +902,7 @@ impl World {
                 self.push_event(t, Tag::Preempt, t as u64, self.eff(t) as u64);
                 let step = self.park(t, None);
                 self.check_unbounded_inversion();
-                let op = match step {
-                    NextStep::Yield => Op::Yield,
-                    NextStep::Block => Op::WaitIndefinite,
-                    NextStep::BlockTimed(latency) => Op::IndefiniteSyscall { latency },
-                };
-                return (op, wakes);
+                return step;
             }
             self.threads[t].preempted = false;
         }
@@ -921,17 +914,11 @@ impl World {
             // outranked, so this terminates — completions are finite).
             let pp = std::mem::take(&mut self.preempt_parked);
             for (w, resume) in pp {
-                self.wake(w, resume, &mut wakes);
+                self.wake(w, resume, wakes);
             }
-            return (Op::Exit, wakes);
+            return NextStep::Exit;
         };
-        let next = self.exec(t, &op, &mut wakes);
-        let op = match next {
-            NextStep::Yield => Op::Yield,
-            NextStep::Block => Op::WaitIndefinite,
-            NextStep::BlockTimed(latency) => Op::IndefiniteSyscall { latency },
-        };
-        (op, wakes)
+        self.exec(t, &op, wakes)
     }
 
     // -----------------------------------------------------------------
@@ -2440,10 +2427,11 @@ pub struct ChoicePointRec {
 /// deterministic in their own state: the same chooser fed the same run
 /// produces the same schedule.
 pub trait Chooser {
-    /// Picks a candidate index given the dispatch-ordered candidates, the
-    /// continuation index (previously running thread, if runnable), and
-    /// the ordinal of this multi-candidate decision within the run.
-    fn choose(&mut self, cands: &[SimLwpId], cont: Option<u32>, pos: usize) -> u32;
+    /// Picks a candidate index given the runnable model threads in
+    /// dispatch order (see [`run_model`]), the continuation index
+    /// (previously running thread, if runnable), and the ordinal of this
+    /// multi-candidate decision within the run.
+    fn choose(&mut self, cands: &[usize], cont: Option<u32>, pos: usize) -> u32;
 }
 
 /// Follows a recorded prefix, then keeps running the current thread
@@ -2455,7 +2443,7 @@ pub struct PrefixChooser {
 }
 
 impl Chooser for PrefixChooser {
-    fn choose(&mut self, cands: &[SimLwpId], cont: Option<u32>, pos: usize) -> u32 {
+    fn choose(&mut self, cands: &[usize], cont: Option<u32>, pos: usize) -> u32 {
         match self.prefix.get(pos) {
             Some(c) => (*c).min(cands.len() as u32 - 1),
             None => cont.unwrap_or(0),
@@ -2463,87 +2451,128 @@ impl Chooser for PrefixChooser {
     }
 }
 
+/// Where a model thread stands in [`run_model`]'s loop.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Run {
+    Runnable,
+    Blocked,
+    Done,
+}
+
+/// The run loop's view of one model thread.
+struct Slot {
+    run: Run,
+    /// Woken out of a block at least once: offered ahead of every thread
+    /// that never was, as a timeshare kernel boosts a thread that slept.
+    woken: bool,
+    /// When the thread last became runnable (FIFO order among equals).
+    since: u64,
+    /// Bumped by every wake, so a timed wake armed before it is stale.
+    token: u64,
+}
+
+impl Slot {
+    /// Queues the thread behind everything already runnable.
+    fn requeue(&mut self, clock: &mut u64) {
+        self.since = *clock;
+        *clock += 1;
+    }
+
+    /// Ends a block: runnable again, boosted, and any timed wake still
+    /// pending for this block cancelled.
+    fn wake(&mut self, clock: &mut u64) {
+        self.run = Run::Runnable;
+        self.woken = true;
+        self.token += 1;
+        self.requeue(clock);
+    }
+}
+
 /// Runs `model` under `variant` with schedule decisions from `chooser`.
+///
+/// One virtual processor runs one micro-step at a time. The runnable
+/// threads are offered in dispatch order: threads woken at least once
+/// first, then FIFO by the time each became runnable. Virtual time moves
+/// only when nothing is runnable: it jumps to the earliest pending timed
+/// wake (ties fire in arm order), which ends its block unless a wake got
+/// there first.
 ///
 /// The run is fully deterministic in `(model, variant, chooser)`; feeding
 /// [`RunOutcome::taken`] back through a [`PrefixChooser`] reproduces it
 /// exactly — that property is what makes printed schedule strings
 /// replayable.
-pub fn run_model(model: &Model, variant: Variant, chooser: Rc<RefCell<dyn Chooser>>) -> RunOutcome {
-    let mut k = SimKernel::new(SimConfig {
-        cpus: 1,
-        ts_quantum: 1 << 40,
-        dispatch_cost: 0,
-    });
-    let pid = k.add_process();
-    let world = Rc::new(RefCell::new(World::new(model, variant)));
-    for t in 0..model.threads.len() {
-        let w = Rc::clone(&world);
-        let id = k.add_lwp(
-            pid,
-            SchedClass::Ts,
-            LwpProgram::Dynamic(Box::new(move |view| {
-                let (op, wakes) = w.borrow_mut().step(t);
-                if !wakes.is_empty() {
-                    let w = w.borrow();
-                    for wt in wakes {
-                        view.requests.push(KernelRequest::Wake(w.lwp_ids[wt]));
-                    }
-                }
-                op
-            })),
-        );
-        world.borrow_mut().lwp_ids.push(id);
-    }
-    // The hook tracks the last-placed LWP to compute continuation indices
-    // and records every multi-candidate decision for the schedule string.
-    struct HookSt {
-        last: Option<SimLwpId>,
-        pos: usize,
-        points: Vec<ChoicePointRec>,
-    }
-    let hook_st = Rc::new(RefCell::new(HookSt {
-        last: None,
-        pos: 0,
-        points: Vec::new(),
-    }));
-    let hs = Rc::clone(&hook_st);
-    k.set_schedule_hook(Box::new(move |cands| {
-        let mut st = hs.borrow_mut();
-        if cands.len() <= 1 {
-            st.last = cands.first().copied();
-            return 0;
+pub fn run_model(model: &Model, variant: Variant, chooser: &mut dyn Chooser) -> RunOutcome {
+    let mut world = World::new(model, variant);
+    let n = model.threads.len();
+    let mut slots: Vec<Slot> = (0..n)
+        .map(|t| Slot {
+            run: Run::Runnable,
+            woken: false,
+            since: t as u64,
+            token: 0,
+        })
+        .collect();
+    let mut clock = n as u64;
+    // Pending timed wakes: `(deadline, arm order, thread, token)`.
+    let mut timers: BinaryHeap<Reverse<(u64, u64, usize, u64)>> = BinaryHeap::new();
+    let (mut now, mut armed) = (0u64, 0u64);
+    let mut last = None;
+    let mut points = Vec::new();
+    let mut cands = Vec::with_capacity(n);
+    let mut wakes = Vec::new();
+    loop {
+        cands.clear();
+        cands.extend((0..n).filter(|&t| slots[t].run == Run::Runnable));
+        if cands.is_empty() {
+            let Some(Reverse((deadline, _, t, token))) = timers.pop() else {
+                break;
+            };
+            now = deadline;
+            if slots[t].run == Run::Blocked && slots[t].token == token {
+                slots[t].wake(&mut clock);
+            }
+            continue;
         }
-        let cont = st
-            .last
-            .and_then(|l| cands.iter().position(|c| *c == l))
-            .map(|i| i as u32);
-        let pos = st.pos;
-        let chosen = chooser
-            .borrow_mut()
-            .choose(cands, cont, pos)
-            .min(cands.len() as u32 - 1);
-        st.points.push(ChoicePointRec {
-            arity: cands.len() as u32,
-            chosen,
-            cont,
-        });
-        st.pos += 1;
-        st.last = Some(cands[chosen as usize]);
-        chosen as usize
-    }));
-    k.run_until_idle(1 << 60);
-
-    let world = world.borrow();
-    let hook_st = hook_st.borrow();
+        cands.sort_unstable_by_key(|&t| (!slots[t].woken, slots[t].since));
+        let mut chosen = 0;
+        if cands.len() > 1 {
+            let cont = last
+                .and_then(|l| cands.iter().position(|&c| c == l))
+                .map(|i| i as u32);
+            chosen = chooser
+                .choose(&cands, cont, points.len())
+                .min(cands.len() as u32 - 1);
+            points.push(ChoicePointRec {
+                arity: cands.len() as u32,
+                chosen,
+                cont,
+            });
+        }
+        let t = cands[chosen as usize];
+        last = Some(t);
+        let next = world.step(t, &mut wakes);
+        for w in wakes.drain(..) {
+            if slots[w].run == Run::Blocked {
+                slots[w].wake(&mut clock);
+            }
+        }
+        match next {
+            NextStep::Yield => slots[t].requeue(&mut clock),
+            NextStep::Block => slots[t].run = Run::Blocked,
+            NextStep::BlockTimed(us) => {
+                slots[t].run = Run::Blocked;
+                timers.push(Reverse((now + us, armed, t, slots[t].token)));
+                armed += 1;
+            }
+            NextStep::Exit => slots[t].run = Run::Done,
+        }
+    }
     let failure = classify(model, &world);
-    let points = hook_st.points.clone();
-    let taken = points.iter().map(|p| p.chosen).collect();
     RunOutcome {
+        taken: points.iter().map(|p| p.chosen).collect(),
         points,
-        taken,
         failure,
-        events: world.events.clone(),
+        events: world.events,
     }
 }
 
@@ -2709,7 +2738,7 @@ mod tests {
     /// round-robin.
     struct Alt;
     impl Chooser for Alt {
-        fn choose(&mut self, cands: &[SimLwpId], _cont: Option<u32>, pos: usize) -> u32 {
+        fn choose(&mut self, cands: &[usize], _cont: Option<u32>, pos: usize) -> u32 {
             (pos as u32 + 1) % cands.len() as u32
         }
     }
@@ -2717,8 +2746,7 @@ mod tests {
     #[test]
     fn serial_schedule_passes() {
         let m = two_thread_mutex();
-        let c = Rc::new(RefCell::new(PrefixChooser { prefix: vec![] }));
-        let out = run_model(&m, Variant::Default, c);
+        let out = run_model(&m, Variant::Default, &mut PrefixChooser { prefix: vec![] });
         assert_eq!(out.failure, None);
         assert!(out
             .events
@@ -2729,11 +2757,11 @@ mod tests {
     #[test]
     fn replay_reproduces_choices_and_outcome() {
         let m = two_thread_mutex();
-        let out = run_model(&m, Variant::Default, Rc::new(RefCell::new(Alt)));
-        let replay = Rc::new(RefCell::new(PrefixChooser {
+        let out = run_model(&m, Variant::Default, &mut Alt);
+        let mut replay = PrefixChooser {
             prefix: out.taken.clone(),
-        }));
-        let again = run_model(&m, Variant::Default, replay);
+        };
+        let again = run_model(&m, Variant::Default, &mut replay);
         assert_eq!(out.taken, again.taken);
         assert_eq!(out.failure, again.failure);
         assert_eq!(out.events.len(), again.events.len());
@@ -2742,7 +2770,7 @@ mod tests {
     #[test]
     fn mutex_protects_against_adversarial_schedule() {
         let m = two_thread_mutex();
-        let out = run_model(&m, Variant::Default, Rc::new(RefCell::new(Alt)));
+        let out = run_model(&m, Variant::Default, &mut Alt);
         assert_eq!(out.failure, None);
     }
 
@@ -2756,7 +2784,7 @@ mod tests {
             final_counters: vec![(0, 2)],
             ..two_thread_mutex()
         };
-        let out = run_model(&m, Variant::Default, Rc::new(RefCell::new(Alt)));
+        let out = run_model(&m, Variant::Default, &mut Alt);
         assert!(
             out.failure
                 .as_deref()
@@ -2774,8 +2802,7 @@ mod tests {
             variants: vec![Variant::Debug],
             ..two_thread_mutex()
         };
-        let c = Rc::new(RefCell::new(PrefixChooser { prefix: vec![] }));
-        let out = run_model(&m, Variant::Debug, c);
+        let out = run_model(&m, Variant::Debug, &mut PrefixChooser { prefix: vec![] });
         assert!(out
             .failure
             .as_deref()
@@ -2801,8 +2828,7 @@ mod tests {
             final_counters: vec![],
             ..two_thread_mutex()
         };
-        let c = Rc::new(RefCell::new(PrefixChooser { prefix: vec![] }));
-        let out = run_model(&m, Variant::Default, c);
+        let out = run_model(&m, Variant::Default, &mut PrefixChooser { prefix: vec![] });
         assert_eq!(out.failure, None, "{:?}", out.failure);
     }
 
@@ -2837,12 +2863,129 @@ mod tests {
             final_counters: vec![],
             ..two_thread_mutex()
         };
-        for chooser in [
-            Rc::new(RefCell::new(PrefixChooser { prefix: vec![] })) as Rc<RefCell<dyn Chooser>>,
-            Rc::new(RefCell::new(Alt)),
-        ] {
+        let choosers: [&mut dyn Chooser; 2] = [&mut PrefixChooser { prefix: vec![] }, &mut Alt];
+        for chooser in choosers {
             let out = run_model(&m, Variant::Default, chooser);
             assert_eq!(out.failure, None, "{:?}", out.failure);
         }
+    }
+
+    /// Always takes the first candidate, and records every offer.
+    #[derive(Default)]
+    struct Record(Vec<Vec<usize>>);
+    impl Chooser for Record {
+        fn choose(&mut self, cands: &[usize], _cont: Option<u32>, _pos: usize) -> u32 {
+            self.0.push(cands.to_vec());
+            0
+        }
+    }
+
+    #[test]
+    fn woken_thread_is_offered_first_and_the_rest_fifo() {
+        // Thread 0 parks on the semaphore; thread 1 posts it; thread 2
+        // never blocks.
+        let m = Model {
+            threads: vec![
+                vec![SyncOp::Work(1), SyncOp::SemaP(0)],
+                vec![SyncOp::Work(1), SyncOp::SemaV(0)],
+                vec![SyncOp::Work(4)],
+            ],
+            mutexes: 0,
+            sema_init: vec![0],
+            final_counters: vec![],
+            ..two_thread_mutex()
+        };
+        let mut rec = Record::default();
+        let out = run_model(&m, Variant::Default, &mut rec);
+        assert_eq!(out.failure, None, "{:?}", out.failure);
+        // Never-blocked threads rotate FIFO: the first offer is in
+        // creation order, and each step sends its thread to the back.
+        assert_eq!(rec.0[0], vec![0, 1, 2]);
+        assert_eq!(rec.0[1], vec![1, 2, 0]);
+        // Once posted, thread 0 is offered ahead of thread 2, which has
+        // been runnable all along.
+        let back = rec
+            .0
+            .iter()
+            .skip_while(|c| c.contains(&0))
+            .find(|c| c.contains(&0))
+            .expect("thread 0 is woken while thread 2 still runs");
+        assert_eq!(back[0], 0, "{back:?}");
+        assert!(back.contains(&2), "{back:?}");
+    }
+
+    #[test]
+    fn a_timed_block_ended_by_a_wake_never_fires_later() {
+        // Thread 0's first wait is signalled long before its deadline.
+        // Its second wait is untimed and never signalled, so only the
+        // first wait's cancelled deadline could end it.
+        let m = Model {
+            threads: vec![
+                vec![
+                    SyncOp::MutexEnter(0),
+                    SyncOp::TimedWaitUntilFlag {
+                        flag: 0,
+                        cv: 0,
+                        mutex: 0,
+                        timeout: 100,
+                    },
+                    SyncOp::AssertTimedOut(false),
+                    SyncOp::WaitUntilFlag {
+                        flag: 1,
+                        cv: 0,
+                        mutex: 0,
+                    },
+                    SyncOp::MutexExit(0),
+                ],
+                vec![
+                    SyncOp::MutexEnter(0),
+                    SyncOp::SetFlag(0),
+                    SyncOp::CvSignal(0),
+                    SyncOp::MutexExit(0),
+                ],
+            ],
+            cvs: 1,
+            flags: 2,
+            final_counters: vec![],
+            ..two_thread_mutex()
+        };
+        let out = run_model(&m, Variant::Default, &mut PrefixChooser { prefix: vec![] });
+        assert_eq!(out.failure.as_deref(), Some("deadlock: thread 0 on Cv(0)"));
+        assert!(!out.events.iter().any(|e| e.tag == Tag::SleepTimeout));
+    }
+
+    #[test]
+    fn equal_deadlines_fire_in_arm_order() {
+        let timed_wait = |i: usize| {
+            vec![
+                SyncOp::MutexEnter(i),
+                SyncOp::TimedWaitUntilFlag {
+                    flag: i,
+                    cv: i,
+                    mutex: i,
+                    timeout: 100,
+                },
+                SyncOp::AssertTimedOut(true),
+                SyncOp::MutexExit(i),
+            ]
+        };
+        let m = Model {
+            threads: vec![timed_wait(0), timed_wait(1)],
+            mutexes: 2,
+            cvs: 2,
+            flags: 2,
+            final_counters: vec![],
+            ..two_thread_mutex()
+        };
+        // Thread 1 runs first, so it arms its deadline first.
+        let out = run_model(&m, Variant::Default, &mut PrefixChooser { prefix: vec![1] });
+        assert_eq!(out.failure, None, "{:?}", out.failure);
+        let fired: Vec<usize> = out
+            .events
+            .iter()
+            .filter(|e| e.tag == Tag::SleepTimeout)
+            .map(|e| e.thread)
+            .collect();
+        assert_eq!(fired, vec![1, 0]);
     }
 }

@@ -76,7 +76,7 @@ pub(crate) struct Thread {
     /// Timeshare decay: how far below its base priority this thread
     /// currently schedules. Grown by the preemption tick while the thread
     /// hogs a processor, reset to 0 when it sleeps and is woken (the
-    /// simkernel's ts_sleep-boost analogue). `priority()` keeps returning
+    /// timeshare class's sleep boost). `priority()` keeps returning
     /// the base — the decay is scheduler state, not an API-visible change.
     pub(crate) ts_penalty: AtomicI32,
     /// Whole ticks this thread has run in its current stint on an LWP
@@ -95,9 +95,9 @@ pub(crate) struct Thread {
 }
 
 /// The timeshare decay table: `quantum_ticks -> penalty` (values past the
-/// end clamp to the last entry). Mirrors the simkernel timeshare class: a
-/// thread that keeps the processor across ticks drops by 10 per tick until
-/// its effective priority floors at 0.
+/// end clamp to the last entry). A classic timeshare decay: a thread that
+/// keeps the processor across ticks drops by 10 per tick until its
+/// effective priority floors at 0.
 pub(crate) const TS_DECAY: [i32; 5] = [0, 10, 20, 30, 40];
 
 // SAFETY: `cont` is accessed only by the single LWP currently running or

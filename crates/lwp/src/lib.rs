@@ -19,9 +19,10 @@
 //!   ([`raise_preempt_all`]),
 //! * the LWP registry with `SIGWAITING` detection ([`registry`]).
 //!
-//! Scheduling class and priority (`priocntl`, gang scheduling, CPU binding)
-//! are kernel policies we cannot impose on the host; they are reproduced
-//! faithfully in the deterministic `sunmt-simkernel` crate instead.
+//! CPU binding is the host's own: a bound thread binds its LWP with
+//! `sunmt_sys::task::sched_setaffinity`. Scheduling classes (`priocntl`,
+//! gang scheduling) are kernel policies the host does not offer, and are
+//! not reproduced (DESIGN §2).
 
 #![deny(missing_docs)]
 

@@ -6,8 +6,8 @@
 //! a multithreaded Rust process safely without libc, so cooperating
 //! processes are created by re-executing the current binary with a role
 //! argument — the child opens the same [`crate::SharedFile`] and runs its
-//! half of the protocol. (Full `fork`/`fork1` semantics are reproduced in
-//! `sunmt-simkernel`.)
+//! half of the protocol. (Linux `fork` duplicates only the calling LWP,
+//! which is the paper's `fork1`; DESIGN §2 records the substitution.)
 
 use std::io;
 use std::path::Path;

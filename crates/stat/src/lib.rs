@@ -189,12 +189,12 @@ mod tests {
         let _g = test_lock();
         enable();
         disable();
-        probe!(Tag::SyscallEnter);
+        probe!(Tag::Stop);
         record(Hs::BenchLat, 42);
         assert_eq!(tick(), 0);
         record_since(Hs::BenchLat, 0);
         let s = snapshot();
-        assert_eq!(s.counter(Tag::SyscallEnter), 0);
+        assert_eq!(s.counter(Tag::Stop), 0);
         assert_eq!(s.hist(Hs::BenchLat).count, 0);
     }
 
@@ -206,7 +206,7 @@ mod tests {
         for t in 0..4u64 {
             handles.push(std::thread::spawn(move || {
                 for i in 0..1000u64 {
-                    probe!(Tag::SyscallEnter);
+                    probe!(Tag::Stop);
                     record(Hs::BenchLat, t * 1000 + i);
                 }
             }));
@@ -216,7 +216,7 @@ mod tests {
         }
         disable();
         let s = snapshot();
-        assert_eq!(s.counter(Tag::SyscallEnter), 4000);
+        assert_eq!(s.counter(Tag::Stop), 4000);
         let v = s.hist(Hs::BenchLat);
         assert_eq!(v.count, 4000);
         // Display values are ns-scaled (BenchLat is a cycles histogram);

@@ -32,6 +32,8 @@ pub mod nr {
     pub const FCNTL: usize = 72;
     pub const GETTID: usize = 186;
     pub const FUTEX: usize = 202;
+    pub const SCHED_SETAFFINITY: usize = 203;
+    pub const SCHED_GETAFFINITY: usize = 204;
     pub const CLOCK_GETTIME: usize = 228;
     pub const EPOLL_WAIT: usize = 232;
     pub const EPOLL_CTL: usize = 233;

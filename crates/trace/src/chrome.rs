@@ -47,8 +47,6 @@ fn render_class(tag: Tag) -> RenderClass {
         | Tag::LwpExit
         | Tag::LwpPark
         | Tag::LwpUnpark
-        | Tag::SyscallEnter
-        | Tag::SyscallDone
         | Tag::IoRegister
         | Tag::IoReady
         | Tag::IoPark

@@ -25,7 +25,7 @@
 //!   histograms ([`hists`]) with its lock-site table into reports.
 //!
 //! The crate deliberately depends only on `sunmt-sys` so every layer above
-//! it (sync, lwp, core, simkernel) can host probes without a dependency
+//! it (sync, lwp, core, io, chan) can host probes without a dependency
 //! cycle.
 
 #![deny(missing_docs)]

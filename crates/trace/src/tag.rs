@@ -1,9 +1,9 @@
 //! The shared event vocabulary.
 //!
-//! One tag namespace serves both the real threads library (probes in
-//! `sunmt-core` / `sunmt-sync` / `sunmt-lwp`) and the simulated kernel
-//! (`sunmt-simkernel` converts its `TraceEvent` log into these tags), so a
-//! single collector/exporter understands either world.
+//! One tag namespace serves the real threads library (probes in
+//! `sunmt-core` / `sunmt-sync` / `sunmt-lwp`) and the schedule checker
+//! (`sunmt-check` logs its models' events with these tags), so one
+//! collector/exporter and one lock-order graph understand both.
 
 vocabulary! {
     /// A probe's event kind. Stored in events as its `u16` discriminant,
@@ -53,10 +53,6 @@ vocabulary! {
         LwpPark => "lwp-park",
         /// LWP unparked (`a` = target kernel tid).
         LwpUnpark => "lwp-unpark",
-        /// Simulated kernel: LWP entered a blocking system call.
-        SyscallEnter => "syscall-enter",
-        /// Simulated kernel: system call completed (`a` = 1 if EINTR).
-        SyscallDone => "syscall-done",
         /// I/O interest registered with the poller (`a` = fd, `b` = 0 read /
         /// 1 write).
         IoRegister => "io-register",

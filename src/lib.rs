@@ -14,7 +14,6 @@
 //! | [`lwp`] | `sunmt-lwp` | kernel-supported threads of control |
 //! | [`context`] | `sunmt-context` | register context switch + stacks |
 //! | [`shm`] | `sunmt-shm` | sync variables in `MAP_SHARED` files |
-//! | [`simkernel`] | `sunmt-simkernel` | deterministic kernel for scheduling experiments |
 //! | [`baselines`] | `sunmt-baselines` | N:1 (`liblwp`) and 1:1 (C Threads) comparisons |
 //! | [`trace`] | `sunmt-trace` | TNF-style probes, per-LWP rings, Chrome export |
 //! | [`stat`] | `sunmt-stat` | lockstat/mpstat-style contention & latency stats |
@@ -72,11 +71,6 @@ pub mod context {
 /// Shared-memory mappings (`sunmt-shm`).
 pub mod shm {
     pub use sunmt_shm::*;
-}
-
-/// The deterministic simulated kernel (`sunmt-simkernel`).
-pub mod simkernel {
-    pub use sunmt_simkernel::*;
 }
 
 /// Baseline thread packages (`sunmt-baselines`).

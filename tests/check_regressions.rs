@@ -3,7 +3,7 @@
 //! Each entry is a schedule string that `sunmt-check` printed during
 //! development — harvested from real exhaustive-DFS and PCT-fuzz runs —
 //! committed so the exact interleaving replays deterministically forever.
-//! If a model, the micro-step machines, or the simkernel's dispatch
+//! If a model, the micro-step machines, or the run loop's dispatch
 //! placement ever changes behaviour, these replays are the first thing
 //! that notices: a corpus entry either stops producing its recorded
 //! outcome or stops being replayable at all.

@@ -1,10 +1,9 @@
-//! Seeded randomized property tests on the synchronization variables and
-//! the simulated kernel's invariants. Each property runs many generated
-//! cases from a fixed-seed `SmallRng` stream, so failures replay exactly.
+//! Seeded randomized property tests on the synchronization variables. Each
+//! property runs many generated cases from a fixed-seed `SmallRng` stream,
+//! so failures replay exactly.
 
 use sunmt_bench::rng::SmallRng;
 use sunmt_bench::row_chunk;
-use sunos_mt::simkernel::{LwpProgram, Op, SchedClass, SimConfig, SimKernel};
 use sunos_mt::sync::{Mutex, RwLock, RwType, Sema, SyncType};
 
 const CASES: usize = 64;
@@ -137,92 +136,6 @@ fn mutex_try_protocol() {
             }
             assert_eq!(m.is_locked(), held, "case {case}");
         }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Simulated kernel: work conservation. For any set of compute-only LWPs
-// on any CPU count, total CPU time equals total work and the makespan is
-// bounded by serial/parallel limits.
-
-#[test]
-fn simkernel_work_conservation() {
-    let mut rng = SmallRng::seed_from_u64(0xC025);
-    for case in 0..CASES {
-        let cpus = rng.gen_range(1usize..4);
-        let works: Vec<u64> = (0..rng.gen_range(1usize..12))
-            .map(|_| rng.gen_range(1u64..5_000))
-            .collect();
-        let mut k = SimKernel::new(SimConfig {
-            cpus,
-            ts_quantum: 700,
-            dispatch_cost: 0,
-        });
-        let pid = k.add_process();
-        let lwps: Vec<_> = works
-            .iter()
-            .map(|w| {
-                k.add_lwp(
-                    pid,
-                    SchedClass::Ts,
-                    LwpProgram::Script(vec![Op::Compute(*w), Op::Exit]),
-                )
-            })
-            .collect();
-        let end = k.run_until_idle(u64::MAX);
-        let total: u64 = works.iter().sum();
-        let longest: u64 = works.iter().copied().max().unwrap_or(0);
-        for (lwp, w) in lwps.iter().zip(&works) {
-            assert_eq!(k.lwp_cpu_time(*lwp), *w, "case {case}: work not conserved");
-        }
-        // Parallel lower bound and serial upper bound.
-        assert!(end >= longest.max(total / cpus as u64), "case {case}");
-        assert!(end <= total, "case {case}");
-    }
-}
-
-// ---------------------------------------------------------------------
-// Simulated kernel: determinism for mixed workloads.
-
-#[test]
-fn simkernel_determinism() {
-    let mut rng = SmallRng::seed_from_u64(0xDE7E);
-    for case in 0..CASES {
-        let cpus = rng.gen_range(1usize..3);
-        let seed_ops: Vec<(u8, u64)> = (0..rng.gen_range(1usize..10))
-            .map(|_| (rng.gen_range(0u8..4), rng.gen_range(1u64..1_000)))
-            .collect();
-        let build = |k: &mut SimKernel, pid| {
-            for (kind, amt) in &seed_ops {
-                let ops = match kind {
-                    0 => vec![Op::Compute(*amt), Op::Exit],
-                    1 => vec![
-                        Op::Syscall {
-                            latency: *amt,
-                            interruptible: false,
-                        },
-                        Op::Exit,
-                    ],
-                    2 => vec![Op::Compute(*amt), Op::Yield, Op::Compute(*amt), Op::Exit],
-                    _ => vec![Op::PageFault { latency: *amt }, Op::Compute(*amt), Op::Exit],
-                };
-                k.add_lwp(pid, SchedClass::Ts, LwpProgram::Script(ops));
-            }
-        };
-        let run = || {
-            let mut k = SimKernel::new(SimConfig {
-                cpus,
-                ts_quantum: 500,
-                dispatch_cost: 5,
-            });
-            let pid = k.add_process();
-            build(&mut k, pid);
-            let end = k.run_until_idle(u64::MAX);
-            (end, format!("{:?}", k.trace().events()))
-        };
-        let a = run();
-        let b = run();
-        assert_eq!(a, b, "case {case}: same inputs must give identical traces");
     }
 }
 

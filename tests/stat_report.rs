@@ -167,13 +167,13 @@ fn enable_opens_a_fresh_epoch_and_disabled_probes_record_nothing() {
     use sunos_mt::trace::{self, Tag};
 
     // A probe is a `counting()` branch in front of the raw primitive;
-    // spell that out here rather than importing the macro. The tag is one
-    // only the simulated kernel uses, so the library's own LWPs never
-    // count it.
+    // spell that out here rather than importing the macro. The library
+    // emits this tag only when a thread is stopped, which no test here
+    // does, so the library's own LWPs never count it.
     let probe = |c: u64, v: u64| {
         if trace::counting() {
             for _ in 0..c {
-                trace::emit(Tag::SyscallEnter, 0, 0);
+                trace::emit(Tag::Stop, 0, 0);
             }
             trace::record(Hs::BenchLat, v);
         }
@@ -189,13 +189,13 @@ fn enable_opens_a_fresh_epoch_and_disabled_probes_record_nothing() {
     assert_eq!(trace::tick(), 0);
     trace::record_since(Hs::BenchLat, 0);
     let snap = stat::snapshot();
-    assert_eq!(snap.counter(Tag::SyscallEnter), 5);
+    assert_eq!(snap.counter(Tag::Stop), 5);
     assert_eq!(snap.hist(Hs::BenchLat).count, 1);
 
     // Re-enabling zeroes the previous epoch everywhere.
     stat::enable();
     let fresh = stat::snapshot();
     stat::disable();
-    assert_eq!(fresh.counter(Tag::SyscallEnter), 0);
+    assert_eq!(fresh.counter(Tag::Stop), 0);
     assert_eq!(fresh.hist(Hs::BenchLat).count, 0);
 }
