@@ -98,13 +98,16 @@ impl N1Scheduler {
         unsafe impl<F> Send for AssertSend<F> {}
         let f = AssertSend(f);
         let stack = Stack::new(DEFAULT_STACK_SIZE).expect("coroutine stack");
-        let cont = Continuation::new(stack, move || {
-            // Capture the whole wrapper (edition-2021 disjoint capture
-            // would otherwise grab the non-Send field directly).
-            let f = f;
-            (f.0)();
-            finish_current();
-        });
+        let cont = Continuation::new(
+            stack,
+            move || {
+                // Capture the whole wrapper (edition-2021 disjoint capture
+                // would otherwise grab the non-Send field directly).
+                let f = f;
+                (f.0)();
+            },
+            finish_current,
+        );
         let inner = self.inner();
         inner.slots.push(Slot {
             cont: Some(cont),
@@ -211,7 +214,8 @@ pub fn yield_now() {
     sched().switch_out(Action::Yield);
 }
 
-fn finish_current() {
+/// A coroutine's exit hook: its closure has returned and been dropped.
+fn finish_current() -> ! {
     sched().switch_out(Action::Done);
     unreachable!("finished coroutine was resumed");
 }

@@ -25,41 +25,35 @@
 //! spill holds messages.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{fence, AtomicU32, AtomicU64, AtomicUsize, Ordering::SeqCst};
+use std::sync::atomic::{fence, AtomicU32, AtomicUsize, Ordering::SeqCst};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use sunmt_sync::strategy;
+use sunmt_trace::gauge::{self, Gauge};
 use sunmt_trace::{Hs, Tag};
 
 use crate::error::{RecvError, RecvTimeoutError, SendError, TryRecvError, TrySendError};
 use crate::queue::Ring;
 
 // ---------------------------------------------------------------------
-// Always-on subsystem gauges, reported through the "chan" stat source.
-
-pub(crate) static LIVE: AtomicU64 = AtomicU64::new(0);
-pub(crate) static SENDS: AtomicU64 = AtomicU64::new(0);
-pub(crate) static RECVS: AtomicU64 = AtomicU64::new(0);
-pub(crate) static RECV_PARKS: AtomicU64 = AtomicU64::new(0);
-pub(crate) static SEND_PARKS: AtomicU64 = AtomicU64::new(0);
-pub(crate) static SPILLS: AtomicU64 = AtomicU64::new(0);
-pub(crate) static SELECT_WAITS: AtomicU64 = AtomicU64::new(0);
-pub(crate) static SELECT_WAKES: AtomicU64 = AtomicU64::new(0);
+// Always-on gauges (counted per LWP by `sunmt_trace::gauge`), reported
+// through the "chan" stat source.
 
 fn chan_stat_source() -> Vec<(String, u64)> {
+    let t = gauge::totals();
     [
-        ("channels", LIVE.load(SeqCst)),
-        ("sends", SENDS.load(SeqCst)),
-        ("recvs", RECVS.load(SeqCst)),
-        ("recv_parks", RECV_PARKS.load(SeqCst)),
-        ("send_parks", SEND_PARKS.load(SeqCst)),
-        ("spills", SPILLS.load(SeqCst)),
-        ("select_waits", SELECT_WAITS.load(SeqCst)),
-        ("select_wakes", SELECT_WAKES.load(SeqCst)),
+        ("channels", Gauge::Channels),
+        ("sends", Gauge::Sends),
+        ("recvs", Gauge::Recvs),
+        ("recv_parks", Gauge::RecvParks),
+        ("send_parks", Gauge::SendParks),
+        ("spills", Gauge::Spills),
+        ("select_waits", Gauge::SelectWaits),
+        ("select_wakes", Gauge::SelectWakes),
     ]
     .into_iter()
-    .map(|(k, v)| (k.to_string(), v))
+    .map(|(k, g)| (k.to_string(), t.get(g)))
     .collect()
 }
 
@@ -159,7 +153,7 @@ impl<T> Chan<T> {
         };
         for ev in drained {
             sunmt_trace::probe!(Tag::SelectWake, self.addr(), ev.word.as_ptr() as usize);
-            SELECT_WAKES.fetch_add(1, SeqCst);
+            gauge::inc(Gauge::SelectWakes);
             ev.fire();
         }
     }
@@ -180,7 +174,7 @@ impl<T> Chan<T> {
 impl<T: Send> Chan<T> {
     fn new(cap: Option<usize>) -> Arc<Chan<T>> {
         register_stat_source_once();
-        LIVE.fetch_add(1, SeqCst);
+        gauge::inc(Gauge::Channels);
         Arc::new(Chan {
             ring: Ring::with_capacity(cap.unwrap_or(UNBOUNDED_RING)),
             spill: cap.is_none().then(|| Spill {
@@ -247,7 +241,7 @@ impl<T: Send> Chan<T> {
         q.push_back(v);
         sp.len.fetch_add(1, SeqCst);
         drop(q);
-        SPILLS.fetch_add(1, SeqCst);
+        gauge::inc(Gauge::Spills);
         self.after_send();
         Ok(())
     }
@@ -259,11 +253,16 @@ impl<T: Send> Chan<T> {
     /// the message and reading the waiter count: without it a receiver
     /// could register + re-check + park entirely inside our store
     /// buffer's shadow and the wake would be lost.
+    ///
+    /// The depth is read only for an enabled probe: it loads the consumers'
+    /// `head` line, which a send otherwise never needs.
     fn after_send(&self) {
-        let depth = self.len();
-        sunmt_trace::probe!(Tag::ChanSend, self.addr(), depth);
-        sunmt_trace::record(Hs::ChanDepth, depth as u64);
-        SENDS.fetch_add(1, SeqCst);
+        if sunmt_trace::enabled() {
+            let depth = self.len() as u64;
+            sunmt_trace::emit(Tag::ChanSend, self.addr() as u64, depth);
+            sunmt_trace::record(Hs::ChanDepth, depth);
+        }
+        gauge::inc(Gauge::Sends);
         fence(SeqCst);
         if self.recv_waiters.load(SeqCst) > 0 {
             self.recv_event.fetch_add(1, SeqCst);
@@ -295,7 +294,7 @@ impl<T: Send> Chan<T> {
                 continue;
             }
             sunmt_trace::probe!(Tag::ChanPark, self.addr(), 1u32);
-            SEND_PARKS.fetch_add(1, SeqCst);
+            gauge::inc(Gauge::SendParks);
             strategy::park(&self.send_event, seen, false);
             self.send_waiters.fetch_sub(1, SeqCst);
         }
@@ -351,7 +350,7 @@ impl<T: Send> Chan<T> {
     /// sender (same fence rationale as [`Chan::after_send`]).
     fn after_recv(&self) {
         sunmt_trace::probe!(Tag::ChanRecv, self.addr(), self.len());
-        RECVS.fetch_add(1, SeqCst);
+        gauge::inc(Gauge::Recvs);
         fence(SeqCst);
         if self.send_waiters.load(SeqCst) > 0 {
             self.send_event.fetch_add(1, SeqCst);
@@ -380,7 +379,7 @@ impl<T: Send> Chan<T> {
                 continue;
             }
             sunmt_trace::probe!(Tag::ChanPark, self.addr(), 0u32);
-            RECV_PARKS.fetch_add(1, SeqCst);
+            gauge::inc(Gauge::RecvParks);
             strategy::park(&self.recv_event, seen, false);
             self.recv_waiters.fetch_sub(1, SeqCst);
         }
@@ -413,7 +412,7 @@ impl<T: Send> Chan<T> {
                 return Err(RecvTimeoutError::Timeout);
             }
             sunmt_trace::probe!(Tag::ChanPark, self.addr(), 0u32);
-            RECV_PARKS.fetch_add(1, SeqCst);
+            gauge::inc(Gauge::RecvParks);
             strategy::park_timeout(&self.recv_event, seen, false, deadline - now);
             self.recv_waiters.fetch_sub(1, SeqCst);
         }
@@ -422,7 +421,7 @@ impl<T: Send> Chan<T> {
 
 impl<T> Drop for Chan<T> {
     fn drop(&mut self) {
-        LIVE.fetch_sub(1, SeqCst);
+        gauge::dec(Gauge::Channels);
     }
 }
 

@@ -19,8 +19,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use sunmt_sync::strategy;
+use sunmt_trace::gauge::{self, Gauge};
 
-use crate::channel::{Receiver, SelectEvent, SELECT_WAITS};
+use crate::channel::{Receiver, SelectEvent};
 
 pub(crate) mod sealed {
     use std::sync::Arc;
@@ -91,7 +92,7 @@ impl<'a> Select<'a> {
     /// Panics if no ports were added (there is nothing to wait for).
     pub fn wait(&mut self) -> usize {
         assert!(!self.ports.is_empty(), "select with no ports");
-        SELECT_WAITS.fetch_add(1, SeqCst);
+        gauge::inc(Gauge::SelectWaits);
         let ev = self.event();
         loop {
             let seen = ev.word.load(SeqCst);
@@ -110,7 +111,7 @@ impl<'a> Select<'a> {
     /// Like [`Select::wait`] with a deadline; `None` on timeout.
     pub fn wait_timeout(&mut self, timeout: Duration) -> Option<usize> {
         assert!(!self.ports.is_empty(), "select with no ports");
-        SELECT_WAITS.fetch_add(1, SeqCst);
+        gauge::inc(Gauge::SelectWaits);
         let deadline = sunmt_sys::time::monotonic_now().saturating_add(timeout);
         let ev = self.event();
         loop {

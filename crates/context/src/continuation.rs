@@ -5,6 +5,13 @@ use crate::stack::Stack;
 
 type Payload = Box<dyn FnOnce() + Send + 'static>;
 
+/// What the trampoline receives: the entry closure and the exit hook it
+/// calls once the closure has returned and both boxes are freed.
+struct Entry {
+    f: Payload,
+    exit: fn() -> !,
+}
+
 /// A suspended thread of control: a stack, the machine context saved in
 /// process memory (the "thread state" box of the paper's Figure 2), and —
 /// until first resumed — the entry closure.
@@ -15,9 +22,10 @@ type Payload = Box<dyn FnOnce() + Send + 'static>;
 pub struct Continuation {
     ctx: MachContext,
     stack: Stack,
-    /// Entry closure, still owned by us until the first resume consumes it.
-    /// A raw pointer because its address is baked into the prepared context.
-    pending: *mut Payload,
+    /// Entry closure and exit hook, still owned by us until the first
+    /// resume consumes them. A raw pointer because its address is baked
+    /// into the prepared context.
+    pending: *mut Entry,
 }
 
 // SAFETY: The stack and context are exclusively owned, and the payload
@@ -28,15 +36,20 @@ unsafe impl Send for Continuation {}
 impl Continuation {
     /// Prepares `f` to run on `stack` when first resumed.
     ///
-    /// `f` must not return normally: a thread leaves its stack only by
-    /// context-switching away forever (e.g. the threads library's
-    /// `thread_exit`). If `f` does return, the process aborts with a
-    /// diagnostic rather than executing off the end of the stack.
-    pub fn new<F>(stack: Stack, f: F) -> Continuation
+    /// When `f` returns, the trampoline drops everything it owned — the
+    /// closure and the boxes that carried it — and then calls `exit`, which
+    /// must leave the stack by context-switching away forever (the threads
+    /// library's exit switch to its dispatcher). A thread therefore exits
+    /// by returning, and nothing it allocated is stranded on a stack that
+    /// is never unwound.
+    pub fn new<F>(stack: Stack, f: F, exit: fn() -> !) -> Continuation
     where
         F: FnOnce() + Send + 'static,
     {
-        let pending: *mut Payload = Box::into_raw(Box::new(Box::new(f) as Payload));
+        let pending: *mut Entry = Box::into_raw(Box::new(Entry {
+            f: Box::new(f),
+            exit,
+        }));
         // SAFETY: `stack.top()` is the high end of a live writable mapping,
         // and `cont_entry` never returns.
         let ctx = unsafe { arch::prepare(stack.top(), cont_entry, pending as usize) };
@@ -125,16 +138,16 @@ impl core::fmt::Debug for Continuation {
 }
 
 extern "C" fn cont_entry(arg: usize) -> ! {
-    {
+    let exit = {
         // SAFETY: `arg` is the Box::into_raw pointer from `new`, handed to
         // exactly one first resume.
-        let f = unsafe { Box::from_raw(arg as *mut Payload) };
+        let Entry { f, exit } = *unsafe { Box::from_raw(arg as *mut Entry) };
+        // Calling the boxed closure consumes and frees it; the outer box
+        // was freed by the move above.
         f();
-    }
-    // The closure returned instead of switching away; there is no caller to
-    // return to on this stack.
-    eprintln!("sunmt-context: continuation entry returned; aborting");
-    std::process::abort();
+        exit
+    };
+    exit()
 }
 
 #[cfg(test)]
@@ -143,50 +156,63 @@ mod tests {
     use std::sync::atomic::{AtomicU32, Ordering};
     use std::sync::Arc;
 
-    // A scratch cell letting the test closure switch back out. Each test
-    // builds one; the closure captures raw pointers to it.
-    struct Yielder {
-        main: MachContext,
-        thread: *mut MachContext,
+    use std::cell::Cell;
+
+    thread_local! {
+        // The exit hook takes no arguments, so each test leaves it the
+        // switch it should make: (this thread's save slot, main's context).
+        static BACK: Cell<(*mut MachContext, *const MachContext)> =
+            const { Cell::new((core::ptr::null_mut(), core::ptr::null())) };
+    }
+
+    fn switch_back() -> ! {
+        let (save, main) = BACK.with(Cell::get);
+        // SAFETY: The test set both pointers before resuming; `main` was
+        // saved by that resume on this host thread.
+        unsafe { arch::switch_context(save, main) };
+        unreachable!("an exited continuation was resumed");
+    }
+
+    fn never_resumed() -> ! {
+        unreachable!("an unstarted continuation ran its exit hook");
     }
 
     #[test]
     fn dropped_unstarted_continuation_frees_closure() {
         let flag = Arc::new(AtomicU32::new(0));
         let f2 = Arc::clone(&flag);
-        let cont = Continuation::new(Stack::new(32 * 1024).unwrap(), move || {
-            f2.store(1, Ordering::SeqCst);
-        });
+        let cont = Continuation::new(
+            Stack::new(32 * 1024).unwrap(),
+            move || {
+                f2.store(1, Ordering::SeqCst);
+            },
+            never_resumed,
+        );
         drop(cont);
         assert_eq!(flag.load(Ordering::SeqCst), 0, "closure must not run");
         assert_eq!(Arc::strong_count(&flag), 1, "captured Arc must be freed");
     }
 
     #[test]
-    fn continuation_runs_closure_and_suspends() {
-        let mut y = Box::new(Yielder {
-            main: MachContext::zeroed(),
-            thread: core::ptr::null_mut(),
-        });
+    fn closure_returns_and_is_freed_before_the_exit_hook() {
         let log: Arc<AtomicU32> = Arc::new(AtomicU32::new(0));
         let log2 = Arc::clone(&log);
-        let y_addr = &mut *y as *mut Yielder as usize;
-        let mut cont = Continuation::new(Stack::new(64 * 1024).unwrap(), move || {
-            log2.store(7, Ordering::SeqCst);
-            // SAFETY: The test keeps `y` alive and single-threaded.
-            let y = unsafe { &mut *(y_addr as *mut Yielder) };
-            // SAFETY: `y.thread` points at this continuation's context slot,
-            // set before resume; `y.main` was saved by that resume.
-            unsafe { arch::switch_context(y.thread, &y.main) };
-            unreachable!("never resumed again");
-        });
-        y.thread = cont.context_ptr();
-        // SAFETY: Continuation is fresh; `y.main` lives across the switch.
-        unsafe { cont.resume(&mut y.main) };
+        let mut main = MachContext::zeroed();
+        let mut cont = Continuation::new(
+            Stack::new(64 * 1024).unwrap(),
+            move || log2.store(7, Ordering::SeqCst),
+            switch_back,
+        );
+        BACK.with(|b| b.set((cont.context_ptr(), &main)));
+        // SAFETY: Continuation is fresh; `main` lives across the switch.
+        unsafe { cont.resume(&mut main) };
         assert_eq!(log.load(Ordering::SeqCst), 7);
-        // Leak the continuation: its closure is parked forever mid-stack and
-        // must not be dropped while "running". (Test-only; the threads
-        // library always runs threads to exit.)
-        core::mem::forget(cont);
+        assert_eq!(
+            Arc::strong_count(&log),
+            1,
+            "the closure's captures must be dropped before the exit hook runs"
+        );
+        // SAFETY: The closure finished and the hook switched away for good.
+        drop(unsafe { cont.into_stack() });
     }
 }

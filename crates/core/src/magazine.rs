@@ -16,10 +16,11 @@
 //! their pages handed back to the kernel (`MADV_FREE`) by the cache itself.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use sunmt_context::stack::{Stack, StackCache, DEFAULT_STACK_SIZE};
+use sunmt_trace::gauge::{self, Gauge};
 use sunmt_trace::{probe, Tag};
 
 use crate::runq::unpoisoned;
@@ -48,34 +49,6 @@ thread_local! {
     static MAGAZINE: RefCell<Magazine> = RefCell::new(Magazine::default());
 }
 
-/// Allocation-free create-path services (stack or thread object came from a
-/// magazine or depot). Always counted — one relaxed increment — so
-/// `sched::stats` reports the hit ratio without tracing enabled.
-static HITS: AtomicU64 = AtomicU64::new(0);
-/// Create-path services that fell through to a fresh allocation.
-static MISSES: AtomicU64 = AtomicU64::new(0);
-
-/// Counts a magazine/depot hit (also called by the thread-object reuse path
-/// in `sched::create_thread`).
-pub(crate) fn note_hit() {
-    HITS.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Counts a magazine/depot miss (see [`note_hit`]).
-pub(crate) fn note_miss() {
-    MISSES.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Total magazine/depot hits since process start.
-pub(crate) fn hit_count() -> u64 {
-    HITS.load(Ordering::Relaxed)
-}
-
-/// Total magazine/depot misses since process start.
-pub(crate) fn miss_count() -> u64 {
-    MISSES.load(Ordering::Relaxed)
-}
-
 /// Takes a default-sized stack: magazine first, then a batch refill from
 /// the depot, then (cold path) a fresh mapping.
 pub(crate) fn take_stack(depot: &StackCache) -> Result<Stack, sunmt_sys::Errno> {
@@ -88,12 +61,12 @@ pub(crate) fn take_stack(depot: &StackCache) -> Result<Stack, sunmt_sys::Errno> 
     });
     match cached {
         Some(s) => {
-            note_hit();
+            gauge::inc(Gauge::MagazineHits);
             probe!(Tag::MagazineHit, 0u32, 1u32);
             Ok(s)
         }
         None => {
-            note_miss();
+            gauge::inc(Gauge::MagazineMisses);
             probe!(Tag::MagazineMiss, 0u32, 1u32);
             Stack::new(DEFAULT_STACK_SIZE)
         }

@@ -198,12 +198,28 @@ struct Shard<T> {
     top: AtomicI32,
     /// Pops served from this shard, for the [`FAIR_EVERY`] rotation.
     ticks: AtomicUsize,
-    /// Owner pushes accepted by this shard (spills excluded).
+    /// Owner pushes accepted by this shard (spills excluded). This and the
+    /// two counts below change only under the shard lock, so they are
+    /// plain load+store cells on a line that the lock already owns.
     pushes: AtomicU64,
     /// Owner pops served from this shard's own queue.
     pops: AtomicU64,
     /// Items thieves took from this shard (this shard as victim).
     stolen: AtomicU64,
+}
+
+/// Adds one to a counter written only under the lock that guards it.
+fn bump(c: &AtomicU64) {
+    c.store(c.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+}
+
+/// The injection queue and its traffic counts, all under one lock.
+struct Inject<T> {
+    q: RunQueue<T>,
+    /// Pushes routed through injection.
+    pushes: u64,
+    /// The subset of `pushes` that spilled from a shard at [`SHARD_CAP`].
+    overflows: u64,
 }
 
 impl<T: RunItem> Shard<T> {
@@ -249,16 +265,15 @@ pub struct ShardStat {
 ///   drains it before stealing.
 pub struct ShardedRunQueue<T> {
     shards: Vec<Shard<T>>,
-    inject: Mutex<RunQueue<T>>,
+    inject: Mutex<Inject<T>>,
     /// [`RunQueue::top_level`] of `inject`, republished under the inject
     /// lock on every mutation — the preemption check reads it without the
     /// lock, like the shard `top` advertisements.
     inject_top: AtomicI32,
-    total: AtomicUsize,
+    /// The injection queue's length, republished likewise; a popper that
+    /// reads 0 skips the inject lock.
+    inject_len: AtomicUsize,
     next_shard: AtomicUsize,
-    steals: AtomicU64,
-    injects: AtomicU64,
-    overflows: AtomicU64,
 }
 
 /// Where a pushed item landed (so wakeups can target the right LWP).
@@ -275,13 +290,14 @@ impl<T: RunItem> ShardedRunQueue<T> {
     pub fn new(shards: usize) -> ShardedRunQueue<T> {
         ShardedRunQueue {
             shards: (0..shards.max(1)).map(|_| Shard::new()).collect(),
-            inject: Mutex::new(RunQueue::new()),
+            inject: Mutex::new(Inject {
+                q: RunQueue::new(),
+                pushes: 0,
+                overflows: 0,
+            }),
             inject_top: AtomicI32::new(-1),
-            total: AtomicUsize::new(0),
+            inject_len: AtomicUsize::new(0),
             next_shard: AtomicUsize::new(0),
-            steals: AtomicU64::new(0),
-            injects: AtomicU64::new(0),
-            overflows: AtomicU64::new(0),
         }
     }
 
@@ -300,31 +316,38 @@ impl<T: RunItem> ShardedRunQueue<T> {
     pub fn push(&self, shard: usize, t: T) -> Placement {
         let s = &self.shards[shard % self.shards.len()];
         if s.len.load(Ordering::Relaxed) >= SHARD_CAP {
-            self.overflows.fetch_add(1, Ordering::Relaxed);
-            self.push_inject(t);
-            return Placement::Injected;
+            return self.inject(t, true);
         }
         let mut q = unpoisoned(&s.q);
         q.push(t);
         s.len.store(q.len(), Ordering::Release);
         s.top.store(q.top_level(), Ordering::Release);
+        bump(&s.pushes);
         drop(q);
-        s.pushes.fetch_add(1, Ordering::Relaxed);
-        self.total.fetch_add(1, Ordering::Release);
         Placement::Shard(shard % self.shards.len())
     }
 
     /// Pushes `t` onto the global injection queue — the path for wakeups
     /// from contexts that have no home shard.
     pub fn push_inject(&self, t: T) -> Placement {
+        self.inject(t, false)
+    }
+
+    fn inject(&self, t: T, overflow: bool) -> Placement {
         probe!(Tag::RunqInject, t.trace_id());
-        let mut q = unpoisoned(&self.inject);
-        q.push(t);
-        self.inject_top.store(q.top_level(), Ordering::Release);
-        drop(q);
-        self.total.fetch_add(1, Ordering::Release);
-        self.injects.fetch_add(1, Ordering::Relaxed);
+        let mut inj = unpoisoned(&self.inject);
+        inj.q.push(t);
+        inj.pushes += 1;
+        inj.overflows += u64::from(overflow);
+        self.publish_inject(&inj);
         Placement::Injected
+    }
+
+    /// Republishes the injection queue's advertisements; called under its
+    /// lock after every mutation.
+    fn publish_inject(&self, inj: &Inject<T>) {
+        self.inject_len.store(inj.q.len(), Ordering::Release);
+        self.inject_top.store(inj.q.top_level(), Ordering::Release);
     }
 
     /// Dequeues the next item for the LWP whose home shard is `shard`:
@@ -372,23 +395,21 @@ impl<T: RunItem> ShardedRunQueue<T> {
         let t = q.pop();
         s.len.store(q.len(), Ordering::Release);
         s.top.store(q.top_level(), Ordering::Release);
-        drop(q);
         if t.is_some() {
-            s.pops.fetch_add(1, Ordering::Relaxed);
-            self.total.fetch_sub(1, Ordering::Release);
+            bump(&s.pops);
         }
         t
     }
 
-    /// Pops from the injection queue only.
+    /// Pops from the injection queue only; reads its length advertisement
+    /// first and leaves the lock alone while it says 0.
     pub fn pop_inject(&self) -> Option<T> {
-        let mut q = unpoisoned(&self.inject);
-        let t = q.pop();
-        self.inject_top.store(q.top_level(), Ordering::Release);
-        drop(q);
-        if t.is_some() {
-            self.total.fetch_sub(1, Ordering::Release);
+        if self.inject_len.load(Ordering::Acquire) == 0 {
+            return None;
         }
+        let mut inj = unpoisoned(&self.inject);
+        let t = inj.q.pop();
+        self.publish_inject(&inj);
         t
     }
 
@@ -432,11 +453,11 @@ impl<T: RunItem> ShardedRunQueue<T> {
             let t = q.pop();
             s.len.store(q.len(), Ordering::Release);
             s.top.store(q.top_level(), Ordering::Release);
+            if t.is_some() {
+                bump(&s.stolen);
+            }
             drop(q);
             if let Some(t) = t {
-                self.total.fetch_sub(1, Ordering::Release);
-                self.steals.fetch_add(1, Ordering::Relaxed);
-                s.stolen.fetch_add(1, Ordering::Relaxed);
                 probe!(Tag::RunqSteal, t.trace_id(), victim);
                 return Some(t);
             }
@@ -448,32 +469,34 @@ impl<T: RunItem> ShardedRunQueue<T> {
     /// was present.
     pub fn remove(&self, t: &T) -> bool {
         {
-            let mut q = unpoisoned(&self.inject);
-            if q.remove(t) {
-                self.inject_top.store(q.top_level(), Ordering::Release);
-                drop(q);
-                self.total.fetch_sub(1, Ordering::Release);
+            let mut inj = unpoisoned(&self.inject);
+            if inj.q.remove(t) {
+                self.publish_inject(&inj);
                 return true;
             }
         }
         for s in &self.shards {
             let mut q = unpoisoned(&s.q);
-            let removed = q.remove(t);
-            if removed {
+            if q.remove(t) {
                 s.len.store(q.len(), Ordering::Release);
                 s.top.store(q.top_level(), Ordering::Release);
-                drop(q);
-                self.total.fetch_sub(1, Ordering::Release);
                 return true;
             }
         }
         false
     }
 
-    /// Total queued items across all shards and the injection queue (a
-    /// racy-but-exact counter: every push/pop adjusts it exactly once).
+    /// Total queued items across all shards and the injection queue: the
+    /// sum of their length advertisements. Each is republished under its
+    /// queue's lock, so the sum is exact once the queue is quiescent and
+    /// can lag a concurrent push or pop otherwise. No push or pop writes a
+    /// queue-wide word to keep it.
     pub fn len(&self) -> usize {
-        self.total.load(Ordering::Acquire)
+        self.shards
+            .iter()
+            .map(|s| s.len.load(Ordering::Acquire))
+            .sum::<usize>()
+            + self.inject_len.load(Ordering::Acquire)
     }
 
     /// Whether nothing is queued anywhere.
@@ -481,20 +504,24 @@ impl<T: RunItem> ShardedRunQueue<T> {
         self.len() == 0
     }
 
-    /// Successful steals since creation.
+    /// Successful steals since creation: the sum of the shards' `stolen`
+    /// counts.
     pub fn steal_count(&self) -> u64 {
-        self.steals.load(Ordering::Relaxed)
+        self.shards
+            .iter()
+            .map(|s| s.stolen.load(Ordering::Relaxed))
+            .sum()
     }
 
     /// Injection-queue pushes since creation.
     pub fn inject_count(&self) -> u64 {
-        self.injects.load(Ordering::Relaxed)
+        unpoisoned(&self.inject).pushes
     }
 
     /// Owner pushes that spilled to injection because their shard was at
     /// [`SHARD_CAP`] (a subset of [`Self::inject_count`]).
     pub fn overflow_count(&self) -> u64 {
-        self.overflows.load(Ordering::Relaxed)
+        unpoisoned(&self.inject).overflows
     }
 
     /// Per-shard traffic counters and instantaneous depths, in shard order.

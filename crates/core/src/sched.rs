@@ -13,13 +13,14 @@
 
 use std::cell::{RefCell, UnsafeCell};
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use sunmt_context::arch::{self, MachContext};
 use sunmt_context::stack::{Stack, StackCache};
 use sunmt_lwp::{registry, Lwp, LwpState};
 use sunmt_sync::{Sema, SyncType};
+use sunmt_trace::gauge::{self, Gauge};
 use sunmt_trace::{probe, Tag};
 
 use crate::runq::{unpoisoned, Placement, ShardedRunQueue};
@@ -72,6 +73,9 @@ pub(crate) struct Mt {
     /// Pool LWPs currently parked with nothing to run, with their home
     /// shard so a push can wake the LWP whose queue received the work.
     pub idle: Mutex<Vec<(Arc<LwpState>, usize)>>,
+    /// `idle.len()`, republished under the `idle` lock; a push that reads
+    /// 0 skips the lock.
+    idle_count: AtomicUsize,
     pub stacks: StackCache,
     /// Retired unbound thread objects awaiting reuse — the global depot
     /// behind the per-LWP thread magazines ([`crate::magazine`]).
@@ -90,21 +94,6 @@ pub(crate) struct Mt {
     /// Interrupts sent while every thread had them masked "pend on the
     /// process until a thread unmasks that signal".
     pub proc_pending: std::sync::atomic::AtomicU64,
-    /// Total user-level dispatches ever performed (always counted).
-    pub dispatches: AtomicU64,
-    /// Total pool-growth events (setconcurrency, NEW_LWP, SIGWAITING).
-    pub pool_grows: AtomicU64,
-    /// Total user-level sleeps ended by their deadline (timer LWP wakeups).
-    pub timeout_wakeups: AtomicU64,
-    /// Parked pool LWPs unparked because a push handed them work.
-    pub idle_wakes: AtomicU64,
-    /// Running threads switched out at a tick because something better was
-    /// runnable on their shard or the injection queue.
-    pub preempts: AtomicU64,
-    /// Timeshare decay steps applied at preemption ticks.
-    pub decays: AtomicU64,
-    /// Effective priority-inheritance boosts pushed by blocked waiters.
-    pub pi_boosts: AtomicU64,
 }
 
 static MT: OnceLock<Mt> = OnceLock::new();
@@ -124,6 +113,7 @@ pub(crate) fn mt() -> &'static Mt {
             runq: ShardedRunQueue::new(default_shards()),
             sleepers: ShardedSleepQueue::new(),
             idle: Mutex::new(Vec::new()),
+            idle_count: AtomicUsize::new(0),
             stacks: StackCache::new(),
             thread_depot: Mutex::new(Vec::new()),
             next_id: AtomicU32::new(1),
@@ -133,13 +123,6 @@ pub(crate) fn mt() -> &'static Mt {
             pool_auto: AtomicBool::new(true),
             handlers: Mutex::new(HashMap::new()),
             proc_pending: std::sync::atomic::AtomicU64::new(0),
-            dispatches: AtomicU64::new(0),
-            pool_grows: AtomicU64::new(0),
-            timeout_wakeups: AtomicU64::new(0),
-            idle_wakes: AtomicU64::new(0),
-            preempts: AtomicU64::new(0),
-            decays: AtomicU64::new(0),
-            pi_boosts: AtomicU64::new(0),
         }
     })
 }
@@ -194,12 +177,12 @@ pub(crate) fn preempt_check() {
     }
     let m = mt();
     let decayed = t.decay_tick();
-    m.decays.fetch_add(1, Ordering::Relaxed);
+    gauge::inc(Gauge::Decays);
     probe!(Tag::PrioDecay, t.id.0, decayed);
     let eff = decayed.max(sunmt_lwp::boost_of(me.running_hint()));
     let Some(shard) = my_shard() else { return };
     if m.runq.preempt_priority(shard) > eff {
-        m.preempts.fetch_add(1, Ordering::Relaxed);
+        gauge::inc(Gauge::Preempts);
         probe!(Tag::Preempt, t.id.0, eff);
         drop(t);
         drop(me);
@@ -372,12 +355,12 @@ pub(crate) fn create_thread(
             Arc::get_mut(&mut t)
                 .expect("magazine returned a shared thread object")
                 .reinit(id, flags, priority, sigmask, cont, tls_len, initial);
-            crate::magazine::note_hit();
+            gauge::inc(Gauge::MagazineHits);
             probe!(Tag::MagazineHit, 1u64, 0u64);
             t
         }
         None => {
-            crate::magazine::note_miss();
+            gauge::inc(Gauge::MagazineMisses);
             probe!(Tag::MagazineMiss, 1u64, 0u64);
             Thread::new(
                 id,
@@ -409,12 +392,18 @@ fn new_continuation(
     stack: Stack,
     f: Box<dyn FnOnce() + Send + 'static>,
 ) -> sunmt_context::Continuation {
-    sunmt_context::Continuation::new(stack, move || {
-        crate::thread::run_thread_body(f);
-        // Exit: hand the carcass to the scheduler; never resumed.
-        deschedule(Action::Exit);
-        unreachable!("exited thread was rescheduled");
-    })
+    sunmt_context::Continuation::new(
+        stack,
+        move || crate::thread::run_thread_body(f),
+        exit_current,
+    )
+}
+
+/// An unbound thread's exit hook: its body has returned and everything it
+/// owned is dropped; hand the carcass to the scheduler, never resumed.
+fn exit_current() -> ! {
+    deschedule(Action::Exit);
+    unreachable!("exited thread was rescheduled");
 }
 
 fn bound_main(t: Arc<Thread>, f: Box<dyn FnOnce() + Send + 'static>) {
@@ -482,8 +471,15 @@ fn sched_loop() {
             return;
         }
         // Advertise as idle, then re-check to close the race with a
-        // concurrent make_runnable, then park in the kernel.
-        unpoisoned(&m.idle).push((Arc::clone(&me), shard));
+        // concurrent make_runnable, then park in the kernel. Count, fence,
+        // re-check: with `wake_one_idle`'s push, fence, count read, one
+        // side always sees the other (DESIGN §9, "Idle handoff").
+        {
+            let mut idle = unpoisoned(&m.idle);
+            idle.push((Arc::clone(&me), shard));
+            m.idle_count.store(idle.len(), Ordering::SeqCst);
+        }
+        fence(Ordering::SeqCst);
         if let Some(t) = m.runq.pop(shard) {
             remove_self_from_idle(&me);
             run_one(t);
@@ -495,9 +491,11 @@ fn sched_loop() {
 }
 
 fn remove_self_from_idle(me: &Arc<LwpState>) {
-    let mut idle = unpoisoned(&mt().idle);
+    let m = mt();
+    let mut idle = unpoisoned(&m.idle);
     if let Some(pos) = idle.iter().position(|(x, _)| Arc::ptr_eq(x, me)) {
         idle.remove(pos);
+        m.idle_count.store(idle.len(), Ordering::Relaxed);
     }
 }
 
@@ -505,7 +503,7 @@ fn run_one(t: Arc<Thread>) {
     t.set_state(ThreadState::Running);
     let q0 = t.queued_cy.swap(0, Ordering::Relaxed);
     sunmt_trace::record_since(sunmt_trace::Hs::RunqWait, q0);
-    mt().dispatches.fetch_add(1, Ordering::Relaxed);
+    gauge::inc(Gauge::Dispatches);
     t.ctx_switches.fetch_add(1, Ordering::Relaxed);
     // A fresh quantum: a tick aimed at the previous occupant of this LWP
     // and any PI boost it carried die here, and the thread publishes where
@@ -646,7 +644,11 @@ fn push_runnable(t: Arc<Thread>) {
 
 fn wake_one_idle(placement: Placement) {
     let m = mt();
-    let lwp = {
+    // The pusher's half of the idle handshake (see `sched_loop`).
+    fence(Ordering::SeqCst);
+    let lwp = if m.idle_count.load(Ordering::Relaxed) == 0 {
+        None
+    } else {
         let mut idle = unpoisoned(&m.idle);
         // Prefer the parked LWP whose home shard just received the work —
         // its pop is a local hit; any other idle LWP must steal.
@@ -654,13 +656,15 @@ fn wake_one_idle(placement: Placement) {
             Placement::Shard(s) => idle.iter().position(|(_, sh)| *sh == s),
             Placement::Injected => None,
         };
-        match pos {
+        let lwp = match pos {
             Some(p) => Some(idle.remove(p).0),
             None => idle.pop().map(|(l, _)| l),
-        }
+        };
+        m.idle_count.store(idle.len(), Ordering::Relaxed);
+        lwp
     };
     if let Some(lwp) = lwp {
-        m.idle_wakes.fetch_add(1, Ordering::Relaxed);
+        gauge::inc(Gauge::IdleWakes);
         lwp.parker().unpark();
         return;
     }
@@ -747,7 +751,7 @@ pub(crate) fn timeout_wakeup(addr: usize, seq: u64, t: Arc<Thread>) {
         t.sleep_seq.load(Ordering::Relaxed) == seq && tbl.remove_thread_at(addr, &t)
     };
     if removed {
-        mt().timeout_wakeups.fetch_add(1, Ordering::Relaxed);
+        gauge::inc(Gauge::TimeoutWakeups);
         probe!(Tag::SleepTimeout, t.id.0, addr);
         t.wake_restore();
         make_runnable(t);
@@ -1064,7 +1068,7 @@ fn add_pool_lwp() {
     match Lwp::spawn_named("sunmt-pool".to_string(), sched_loop) {
         Ok(lwp) => {
             drop(lwp); // Detached; pool membership is the identity.
-            m.pool_grows.fetch_add(1, Ordering::Relaxed);
+            gauge::inc(Gauge::PoolGrows);
             probe!(Tag::PoolGrow, m.pool_count.load(Ordering::SeqCst));
             if preempt_ticks() {
                 crate::timeoutq::start();
@@ -1096,10 +1100,11 @@ fn sigwaiting_handler() {
 /// Diagnostic snapshot used by tests and the experiment harness.
 ///
 /// The locked collections are read under one consistent hold. `runnable`
-/// is the sharded queue's atomic total — exact (every push/pop adjusts it
-/// exactly once) but read without stopping the shards, so it can lag a
-/// concurrent transition by one; quiesce the process for exact snapshots,
-/// as the tests do.
+/// sums the run-queue shards' and the injection queue's length
+/// advertisements, and the event counts sum every LWP's gauge block
+/// ([`sunmt_trace::gauge`]); both are read without stopping the LWPs, so
+/// they can lag a concurrent transition. Quiesce the process for exact
+/// snapshots, as the tests do.
 ///
 /// Lock ordering (the library's canonical order — nothing else in the
 /// library holds two of these at once, so this function defines it):
@@ -1111,6 +1116,7 @@ fn sigwaiting_handler() {
 pub fn stats() -> SchedStats {
     let m = mt();
     let sleeping = m.sleepers.len();
+    let g = gauge::totals();
     let idle = unpoisoned(&m.idle);
     let threads = unpoisoned(&m.threads);
     SchedStats {
@@ -1119,19 +1125,19 @@ pub fn stats() -> SchedStats {
         pool_lwps: m.pool_count.load(Ordering::SeqCst),
         idle_lwps: idle.len(),
         live_threads: threads.len(),
-        dispatches: m.dispatches.load(Ordering::Relaxed),
-        pool_grows: m.pool_grows.load(Ordering::Relaxed),
-        timeout_wakeups: m.timeout_wakeups.load(Ordering::Relaxed),
+        dispatches: g.get(Gauge::Dispatches),
+        pool_grows: g.get(Gauge::PoolGrows),
+        timeout_wakeups: g.get(Gauge::TimeoutWakeups),
         steals: m.runq.steal_count(),
         injects: m.runq.inject_count(),
         overflows: m.runq.overflow_count(),
-        idle_wakes: m.idle_wakes.load(Ordering::Relaxed),
-        preempts: m.preempts.load(Ordering::Relaxed),
-        decays: m.decays.load(Ordering::Relaxed),
-        pi_boosts: m.pi_boosts.load(Ordering::Relaxed),
-        magazine_hits: crate::magazine::hit_count(),
-        magazine_misses: crate::magazine::miss_count(),
-        futex_wakes_avoided: sunmt_sync::strategy::wakes_avoided(),
+        idle_wakes: g.get(Gauge::IdleWakes),
+        preempts: g.get(Gauge::Preempts),
+        decays: g.get(Gauge::Decays),
+        pi_boosts: g.get(Gauge::PiBoosts),
+        magazine_hits: g.get(Gauge::MagazineHits),
+        magazine_misses: g.get(Gauge::MagazineMisses),
+        futex_wakes_avoided: g.get(Gauge::FutexWakesAvoided),
     }
 }
 
@@ -1160,6 +1166,7 @@ fn sched_stat_source() -> Vec<(String, u64)> {
         ("magazine_hits".to_string(), s.magazine_hits),
         ("magazine_misses".to_string(), s.magazine_misses),
         ("futex_wakes_avoided".to_string(), s.futex_wakes_avoided),
+        ("timeouts_armed".into(), crate::timeoutq::armed() as u64),
     ];
     for (i, sh) in m.runq.shard_stats().iter().enumerate() {
         out.push((format!("runq_shard{i}_pushes"), sh.pushes));

@@ -150,9 +150,7 @@ impl BlockStrategy for MtStrategy {
         };
         let pri = t.priority();
         if pri > 0 && sunmt_lwp::boost_raise(owner_hint, pri) {
-            sched::mt()
-                .pi_boosts
-                .fetch_add(1, core::sync::atomic::Ordering::Relaxed);
+            sunmt_trace::gauge::inc(sunmt_trace::Gauge::PiBoosts);
             pri
         } else {
             0

@@ -47,6 +47,28 @@ struct Entry {
     thread: Weak<Thread>,
 }
 
+impl Entry {
+    /// Whether this deadline can no longer end a sleep: its thread is gone,
+    /// or has begun a later sleep. `sleep_seq` only grows, so a stale entry
+    /// stays stale; [`crate::sched::timeout_wakeup`] would find it a no-op.
+    fn is_stale(&self) -> bool {
+        self.thread
+            .upgrade()
+            .is_none_or(|t| t.sleep_seq.load(Ordering::Relaxed) != self.sleep)
+    }
+}
+
+/// Pops the stale entries off the top of one shard's heap, so an early
+/// wake does not leave its deadline behind to hold memory and to plan
+/// timer wakes that cannot fire. Only the top is examined: a live entry
+/// there stops the purge, and the deadlines below it get their turn when
+/// they reach the top.
+fn purge_top(heap: &mut BinaryHeap<Reverse<Entry>>) {
+    while heap.peek().is_some_and(|Reverse(e)| e.is_stale()) {
+        heap.pop();
+    }
+}
+
 impl PartialEq for Entry {
     fn eq(&self, other: &Entry) -> bool {
         self.deadline == other.deadline && self.seq == other.seq
@@ -120,6 +142,7 @@ pub(crate) fn register(deadline: Duration, addr: usize, sleep: u64, thread: Weak
     let seq = q.next_seq.fetch_add(1, Ordering::Relaxed);
     {
         let mut heap = unpoisoned(&q.shards[shard_of(addr)]);
+        purge_top(&mut heap);
         heap.push(Reverse(Entry {
             deadline,
             seq,
@@ -138,6 +161,14 @@ pub(crate) fn register(deadline: Duration, addr: usize, sleep: u64, thread: Weak
         q.generation.fetch_add(1, Ordering::SeqCst);
         let _ = futex::wake(&q.generation, 1, Scope::Private);
     }
+}
+
+/// Deadlines currently held in the heaps (the `"sched"` stat source's
+/// `timeouts_armed`); 0 before the first timed sleep.
+pub(crate) fn armed() -> usize {
+    QUEUE
+        .get()
+        .map_or(0, |q| q.shards.iter().map(|h| unpoisoned(h).len()).sum())
 }
 
 fn timer_loop(q: &'static TimeoutQueue) {
@@ -162,8 +193,10 @@ fn timer_loop(q: &'static TimeoutQueue) {
         let mut next: Option<Duration> = next_tick;
         for shard in q.shards.iter() {
             let mut heap = unpoisoned(shard);
+            purge_top(&mut heap);
             while heap.peek().is_some_and(|Reverse(e)| e.deadline <= now) {
                 due.push(heap.pop().expect("peeked entry vanished").0);
+                purge_top(&mut heap);
             }
             if let Some(Reverse(e)) = heap.peek() {
                 if next.is_none_or(|n| e.deadline < n) {

@@ -30,7 +30,7 @@
 //! and woken in the kernel unconditionally: a parker in another process
 //! is not counted here.
 
-use core::sync::atomic::{fence, AtomicU32, AtomicU64, Ordering};
+use core::sync::atomic::{fence, AtomicU32, Ordering};
 use core::time::Duration;
 use std::sync::OnceLock;
 
@@ -202,30 +202,21 @@ pub fn kernel_park(word: &AtomicU32, expected: u32, timeout: Option<Duration>) {
     count.fetch_sub(1, Ordering::SeqCst);
 }
 
-/// Wakes skipped by [`kernel_unpark`] (a statistic; publishes nothing).
-static AVOIDED: AtomicU64 = AtomicU64::new(0);
-
 /// The kernel half of a wake of up to `n` parkers on a private `word`,
 /// whose new value the caller has already stored: a `futex_wake` system
 /// call when some kernel thread is inside [`kernel_park`] on a word of
-/// the same bucket, otherwise nothing (counted by [`wakes_avoided`]).
+/// the same bucket, otherwise nothing (counted by the `FutexWakesAvoided` gauge).
 pub fn kernel_unpark(word: &AtomicU32, n: u32) {
     // The waker's half of the handshake (see `kernel_park`): the SeqCst
     // fence orders the caller's store to `word` before the count load,
     // which may then be relaxed.
     fence(Ordering::SeqCst);
     if parkers(word).load(Ordering::Relaxed) == 0 {
-        AVOIDED.fetch_add(1, Ordering::Relaxed);
+        sunmt_trace::gauge::inc(sunmt_trace::Gauge::FutexWakesAvoided);
         return;
     }
     sunmt_trace::probe!(sunmt_trace::Tag::FutexWake, word.as_ptr() as usize, n);
     let _ = futex::wake(word, n, Scope::Private);
-}
-
-/// Kernel wakes [`kernel_unpark`] skipped because no kernel thread was
-/// parked in the word's bucket, since process start.
-pub fn wakes_avoided() -> u64 {
-    AVOIDED.load(Ordering::Relaxed)
 }
 
 static KERNEL_BLOCK: KernelBlock = KernelBlock;

@@ -23,6 +23,9 @@
 //!   hit, including events later overwritten in a full ring).
 //! - `sunmt-stat` is the read side: it merges the counters and
 //!   histograms ([`hists`]) with its lock-site table into reports.
+//! - The always-on statistics behind `sunmt::stats()` and the stat
+//!   sources need no switch at all: [`gauge`] counts them in a small
+//!   block per LWP, recycled when the LWP exits.
 //!
 //! The crate deliberately depends only on `sunmt-sys` so every layer above
 //! it (sync, lwp, core, io, chan) can host probes without a dependency
@@ -66,6 +69,7 @@ macro_rules! vocabulary {
 
 pub mod chrome;
 pub mod clock;
+pub mod gauge;
 pub mod hist;
 pub mod ring;
 pub mod tag;
@@ -76,6 +80,7 @@ use std::sync::atomic::Ordering::{Acquire, Relaxed, Release, SeqCst};
 use std::sync::{Mutex, MutexGuard};
 
 pub use chrome::export_chrome;
+pub use gauge::{Gauge, NGAUGES};
 pub use hist::{Hist, Hs, Unit, NBUCKETS, NHISTS};
 pub use tag::{Tag, NTAGS};
 

@@ -6,8 +6,11 @@
 //! the allocator hands a thread's next wait the same address often, and in
 //! a server every such stale deadline was a spurious wake.
 //!
-//! One `#[test]`: it reads the process-wide `timeout_wakeups` counter,
-//! which a sibling test's timed waits would move.
+//! An early-woken deadline is also dropped from the timer's heaps once it
+//! reaches the top of its shard, rather than kept until it expires.
+//!
+//! The first test reads the process-wide `timeout_wakeups` counter; the
+//! second's timed waits never expire, so they leave it alone.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -71,4 +74,59 @@ fn a_deadline_ends_only_its_own_sleep() {
     });
     threads::wait(Some(id)).expect("join sleeper");
     assert_eq!(threads::stats().timeout_wakeups - before, 1);
+}
+
+/// The `"sched"` stat source's `timeouts_armed`: deadlines the timer heaps
+/// hold.
+fn timeouts_armed() -> u64 {
+    let snap = sunos_mt::stat::snapshot();
+    let (_, sched) = snap
+        .sources
+        .iter()
+        .find(|(name, _)| *name == "sched")
+        .expect("sunmt::init registers the sched source");
+    sched
+        .iter()
+        .find(|(n, _)| n == "timeouts_armed")
+        .expect("sched source has timeouts_armed")
+        .1
+}
+
+#[test]
+fn early_woken_deadlines_leave_the_heaps() {
+    const WAITS: u64 = 10_000;
+    threads::init();
+    let go = Arc::new(Sema::new(0, SyncType::DEFAULT));
+    let slept = Arc::new(std::sync::atomic::AtomicU64::new(0));
+    let sleeper = {
+        let (go, slept) = (Arc::clone(&go), Arc::clone(&slept));
+        ThreadBuilder::new()
+            .flags(CreateFlags::WAIT)
+            .spawn(move || {
+                for _ in 0..WAITS {
+                    assert!(go.timed_p(Duration::from_secs(10)), "a post was missed");
+                    slept.fetch_add(1, Ordering::SeqCst);
+                }
+            })
+            .expect("spawn sleeper")
+    };
+    for i in 0..WAITS {
+        // Post only once the sleeper is asleep, so every wait arms its
+        // deadline and every deadline is left behind by an early wake.
+        while threads::debug::thread_info(sleeper).map(|t| t.state)
+            != Some(threads::ThreadState::Sleeping)
+        {
+            std::thread::yield_now();
+        }
+        go.v();
+        while slept.load(Ordering::SeqCst) == i {
+            std::thread::yield_now();
+        }
+    }
+    threads::wait(Some(sleeper)).expect("join sleeper");
+    let armed = timeouts_armed();
+    assert!(
+        armed < 64,
+        "{armed} deadlines still armed after {WAITS} early-woken 10 s waits"
+    );
 }
