@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Lint: no process-wide statistics word in the hot-path crates.
+"""Lint: no process-wide statistics word or lock in the hot-path crates.
 
 Every `static NAME: ...Atomic...` in `crates/{core,sync,chan}/src` is a
 cache line that any LWP may write. A statistic kept in one is written by
@@ -7,10 +7,14 @@ every LWP that counts it, which puts a shared line on the very paths the
 library keeps in user space (dispatch, create, channel send/receive). The
 always-on statistics are counted per LWP instead (`sunmt_trace::gauge`).
 
+A `static NAME: ...Mutex<...` or `...RwLock<...` is the same line, written
+by every lock and unlock. Such a static stays only where no hot path
+takes it.
+
 This script lists every such static and fails on any name that is not in
-the allowlist below. Each allowlist entry says why the word is not a
-statistic. To add one, state the same: what the word decides, and why
-its writes are rare.
+its allowlist below. An atomic's entry says why the word is not a
+statistic: what it decides, and why its writes are rare. A lock's entry
+says which paths take the lock.
 
 Run from the root of a checkout: `python3 ci/hot_statics.py`.
 """
@@ -33,11 +37,33 @@ ALLOWED = {
     ),
 }
 
-STATIC = re.compile(r"\bstatic\s+(?:mut\s+)?([A-Za-z_][A-Za-z_0-9]*)\s*:[^=;]*\bAtomic")
+# (file relative to the repo root, static name) -> which paths take the lock.
+ALLOWED_LOCKS = {
+    ("crates/core/src/tls.rs", "LAYOUT"): (
+        "taken by `Unshared::register` and by the first create only"
+    ),
+}
+
+NAME = r"\bstatic\s+(?:mut\s+)?([A-Za-z_][A-Za-z_0-9]*)\s*:[^=;]*"
+KINDS = (
+    (
+        "atomic",
+        re.compile(NAME + r"\bAtomic"),
+        ALLOWED,
+        "count statistics per LWP with sunmt_trace::gauge, or add an "
+        "allowlist entry that says why the word is not a statistic",
+    ),
+    (
+        "lock",
+        re.compile(NAME + r"\b(?:Mutex|RwLock)<"),
+        ALLOWED_LOCKS,
+        "keep the state per LWP or per object, or add an allowlist entry "
+        "that says which paths take the lock",
+    ),
+)
 
 
-def main() -> int:
-    root = pathlib.Path(__file__).resolve().parent.parent
+def scan(root, pattern):
     found = []
     for crate in CRATES:
         for path in sorted((root / "crates" / crate / "src").rglob("*.rs")):
@@ -45,25 +71,33 @@ def main() -> int:
             for lineno, line in enumerate(path.read_text().splitlines(), 1):
                 if line.lstrip().startswith("//"):
                     continue
-                for m in STATIC.finditer(line):
+                for m in pattern.finditer(line):
                     found.append((rel, lineno, m.group(1)))
-    bad = [(f, n, s) for f, n, s in found if (f, s) not in ALLOWED]
-    for f, n, s in found:
-        verdict = "FAIL" if (f, n, s) in bad else "ok  "
-        print(f"{verdict} {f}:{n} static {s}")
-    stale = sorted(set(ALLOWED) - {(f, s) for f, _, s in found})
-    for f, s in stale:
-        print(f"note allowlist entry {f} {s} matches no static")
-    if bad:
-        print(
-            f"{len(bad)} process-wide atomic static(s) outside the allowlist; "
-            "count statistics per LWP with sunmt_trace::gauge, or add an "
-            "allowlist entry that says why the word is not a statistic",
-            file=sys.stderr,
-        )
-        return 1
-    print(f"{len(found)} atomic static(s), all allowlisted")
-    return 0
+    return found
+
+
+def main() -> int:
+    root = pathlib.Path(__file__).resolve().parent.parent
+    failed = False
+    for kind, pattern, allowed, advice in KINDS:
+        found = scan(root, pattern)
+        bad = [(f, n, s) for f, n, s in found if (f, s) not in allowed]
+        for f, n, s in found:
+            verdict = "FAIL" if (f, n, s) in bad else "ok  "
+            print(f"{verdict} {f}:{n} {kind} static {s}")
+        stale = sorted(set(allowed) - {(f, s) for f, _, s in found})
+        for f, s in stale:
+            print(f"note {kind} allowlist entry {f} {s} matches no static")
+        if bad:
+            print(
+                f"{len(bad)} process-wide {kind} static(s) outside the "
+                f"allowlist; {advice}",
+                file=sys.stderr,
+            )
+            failed = True
+        else:
+            print(f"{len(found)} {kind} static(s), all allowlisted")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

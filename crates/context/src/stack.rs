@@ -9,7 +9,9 @@
 //! "a default stack that is cached by the threads package" —
 //! [`StackCache`] is that cache.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
 
 use sunmt_sys::mem::{self, Prot, PAGE_SIZE};
 use sunmt_sys::Errno;
@@ -110,8 +112,9 @@ impl Stack {
     /// Tells the kernel the usable pages may be lazily reclaimed
     /// (`MADV_FREE`). The mapping — and the guard page's `PROT_NONE` —
     /// stays intact; the next thread to run on this stack just writes over
-    /// whatever survived. Called on stacks parked deep in the cache, so an
-    /// idle process's stack hoard costs address space, not memory.
+    /// whatever survived. Called on cached stacks that stayed unused for a
+    /// trim period, so an idle process's stack hoard costs address space,
+    /// not memory.
     pub fn advise_free(&self) {
         if self.owned {
             // SAFETY: `limit()..top()` is a page-aligned sub-range of our
@@ -132,25 +135,49 @@ impl Drop for Stack {
     }
 }
 
-/// How many of the hottest cached stacks keep their pages. The cache is a
-/// LIFO, so the top `CACHE_LOW_WATER` entries are the ones the next
-/// creates will pop; everything that sinks deeper than that has its pages
-/// handed back to the kernel with `MADV_FREE` — a burst of thread churn
-/// can strand hundreds of 128 KiB stacks here, and below the waterline
-/// their memory is pure waste. The mark is deliberately generous (8 MiB
-/// of hot stacks): reusing an advised stack pays zero-fill faults, so
-/// advising inside a cache depth a workload actually cycles through
-/// (Figure 5 circulates dozens) would silently tax every create.
+/// How many of the hottest cached stacks keep their pages however long
+/// they sit unused. The cache is a LIFO, so the top `CACHE_LOW_WATER`
+/// entries are the ones the next creates will pop; reusing an advised
+/// stack pays zero-fill faults, so a quiet process keeps this reserve
+/// (8 MiB of address space, far less resident) for its next burst.
 pub const CACHE_LOW_WATER: usize = 64;
+
+/// How long a cached stack below the waterline must go untouched before
+/// [`StackCache::trim`] hands its pages back to the kernel.
+pub const TRIM_PERIOD: Duration = Duration::from_secs(1);
 
 #[derive(Debug, Default)]
 struct CacheInner {
     free: Vec<Stack>,
-    /// `free[..advised]` have had their pages `MADV_FREE`d. Tracking the
-    /// boundary keeps the advise one-shot per entry: a cache hovering
-    /// around the waterline must not re-advise the same cold stack on
-    /// every put.
+    /// `free[..advised]` have had their pages `MADV_FREE`d. A take that
+    /// reaches below the boundary pulls it down with it, so an entry is
+    /// advised again only after it was reused and then went cold again.
     advised: usize,
+    /// The shallowest `free.len()` since the trim interval began:
+    /// `free[..low]` went the whole interval untouched — the depot's
+    /// working set lies above it.
+    low: usize,
+    /// When the current trim interval began; `None` before the first trim.
+    since: Option<Instant>,
+    /// `MADV_FREE` calls made by [`StackCache::trim`].
+    advises: u64,
+    /// Batch exchanges with the per-LWP magazines: [`StackCache::take_batch`]
+    /// and [`StackCache::put_batch`] calls (a [`StackCache::put`] is a
+    /// batch of one).
+    batches: u64,
+}
+
+impl CacheInner {
+    /// Records that the depot shrank to its current depth.
+    fn took(&mut self) {
+        self.advised = self.advised.min(self.free.len());
+        self.low = self.low.min(self.free.len());
+    }
+
+    /// Whether entries beyond the waterline still hold their pages.
+    fn surplus(&self) -> bool {
+        self.free.len().saturating_sub(CACHE_LOW_WATER) > self.advised
+    }
 }
 
 /// Locks `m`, ignoring poison: the cache's critical sections only move
@@ -161,6 +188,15 @@ fn unpoisoned<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// The depot's traffic counts, as returned by [`StackCache::counts`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct DepotCounts {
+    /// Stacks whose pages [`StackCache::trim`] `MADV_FREE`d.
+    pub advises: u64,
+    /// Batch exchanges with the per-LWP magazines.
+    pub batches: u64,
+}
+
 /// A free list of default-sized stacks.
 ///
 /// Thread exit returns the stack here; thread creation takes one without
@@ -168,10 +204,17 @@ fn unpoisoned<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// orders of magnitude cheaper than LWP creation in Figure 5. The per-LWP
 /// magazines in the core crate batch their refills and drains through this
 /// depot ([`Self::take_batch`]/[`Self::put_batch`]), paying its lock once
-/// per batch rather than once per create/exit.
+/// per batch rather than once per create/exit. Neither path advises
+/// memory: only [`Self::trim`], which an LWP with nothing to run calls,
+/// returns the pages of stacks that stayed cold for a [`TRIM_PERIOD`].
 #[derive(Debug, Default)]
 pub struct StackCache {
     inner: Mutex<CacheInner>,
+    /// Set under the lock by a put that leaves entries beyond the
+    /// waterline unadvised; cleared by the trim that finds none. An idle
+    /// LWP with nothing to trim reads only this, taking no lock and no
+    /// clock reading, and writing no shared line.
+    surplus: AtomicBool,
 }
 
 impl StackCache {
@@ -181,7 +224,12 @@ impl StackCache {
             inner: Mutex::new(CacheInner {
                 free: Vec::new(),
                 advised: 0,
+                low: 0,
+                since: None,
+                advises: 0,
+                batches: 0,
             }),
+            surplus: AtomicBool::new(false),
         }
     }
 
@@ -190,7 +238,7 @@ impl StackCache {
         let popped = {
             let mut c = unpoisoned(&self.inner);
             let s = c.free.pop();
-            c.advised = c.advised.min(c.free.len());
+            c.took();
             s
         };
         match popped {
@@ -202,17 +250,15 @@ impl StackCache {
     /// Takes up to `n` cached default stacks (possibly none); never maps.
     pub fn take_batch(&self, n: usize) -> Vec<Stack> {
         let mut c = unpoisoned(&self.inner);
+        c.batches += 1;
         let at = c.free.len() - n.min(c.free.len());
         let batch = c.free.split_off(at);
-        c.advised = c.advised.min(c.free.len());
+        c.took();
         batch
     }
 
     /// Returns a default-sized stack to the cache; other sizes are unmapped
     /// and caller-supplied regions are simply released (never freed).
-    /// Entries pushed deeper than [`CACHE_LOW_WATER`] below the top have
-    /// their pages `MADV_FREE`d — the hot top of the LIFO stays resident
-    /// for the next creates.
     pub fn put(&self, stack: Stack) {
         self.put_batch(std::iter::once(stack));
     }
@@ -220,14 +266,76 @@ impl StackCache {
     /// Returns a batch of stacks under one lock hold; see [`Self::put`].
     pub fn put_batch(&self, stacks: impl IntoIterator<Item = Stack>) {
         let mut c = unpoisoned(&self.inner);
+        c.batches += 1;
         for stack in stacks {
             if stack.is_owned() && stack.usable() == DEFAULT_STACK_SIZE {
                 c.free.push(stack);
             }
         }
-        while c.free.len() > CACHE_LOW_WATER && c.advised < c.free.len() - CACHE_LOW_WATER {
-            c.free[c.advised].advise_free();
-            c.advised += 1;
+        // Only a put can create surplus.
+        if c.surplus() && !self.surplus.load(Ordering::Relaxed) {
+            self.surplus.store(true, Ordering::Release);
+        }
+    }
+
+    /// Hands back to the kernel (`MADV_FREE`) the pages of cached stacks
+    /// that are both below the [`CACHE_LOW_WATER`] top entries and went a
+    /// whole [`TRIM_PERIOD`] without a take reaching them; each such entry
+    /// is advised once. The stacks a busy process keeps cycling through are
+    /// never advised, however deep the depot gets between their reuses.
+    ///
+    /// Returns how long until a later call could return more memory, or
+    /// `None` when every entry beyond the waterline is already advised.
+    /// Called by an LWP about to park with nothing to run, which bounds its
+    /// park by the returned time so that a burst followed by quiet still
+    /// returns its surplus.
+    pub fn trim(&self) -> Option<Duration> {
+        if !self.surplus.load(Ordering::Acquire) {
+            return None;
+        }
+        self.trim_at(Instant::now())
+    }
+
+    fn trim_at(&self, now: Instant) -> Option<Duration> {
+        let mut c = unpoisoned(&self.inner);
+        if !c.surplus() {
+            self.surplus.store(false, Ordering::Relaxed);
+            return None;
+        }
+        match c.since {
+            // The first call only opens an interval.
+            None => {}
+            Some(since) if now < since + TRIM_PERIOD => {
+                return Some(since + TRIM_PERIOD - now);
+            }
+            Some(_) => {
+                // `free[..low]` sat untouched for the whole interval.
+                let cold = c.low.min(c.free.len() - CACHE_LOW_WATER);
+                for i in c.advised..cold {
+                    c.free[i].advise_free();
+                    c.advises += 1;
+                }
+                c.advised = c.advised.max(cold);
+            }
+        }
+        c.low = c.free.len();
+        c.since = Some(now);
+        if c.surplus() {
+            Some(TRIM_PERIOD)
+        } else {
+            self.surplus.store(false, Ordering::Relaxed);
+            None
+        }
+    }
+
+    /// The depot's `MADV_FREE` calls and magazine batch exchanges since it
+    /// was created. Both are counted under the depot's own lock, so
+    /// counting adds no shared write to any path.
+    pub fn counts(&self) -> DepotCounts {
+        let c = unpoisoned(&self.inner);
+        DepotCounts {
+            advises: c.advises,
+            batches: c.batches,
         }
     }
 
@@ -238,7 +346,7 @@ impl StackCache {
         for _ in 0..n {
             v.push(Stack::new(DEFAULT_STACK_SIZE)?);
         }
-        unpoisoned(&self.inner).free.extend(v);
+        self.put_batch(v);
         Ok(())
     }
 
@@ -328,6 +436,33 @@ mod tests {
         let cache = StackCache::new();
         cache.put(s);
         assert!(cache.is_empty());
+    }
+
+    #[test]
+    fn trim_advises_only_what_a_whole_period_left_untouched() {
+        let cache = StackCache::new();
+        let t0 = Instant::now();
+        cache.prime(CACHE_LOW_WATER).expect("prime");
+        assert_eq!(cache.trim_at(t0), None, "nothing beyond the waterline");
+        cache.prime(16).expect("prime");
+        // The first trim opens an interval and advises nothing.
+        assert_eq!(cache.trim_at(t0), Some(TRIM_PERIOD));
+        // Churn reaches all but the bottom 6 entries: those stay cold.
+        let churn = cache.take_batch(74);
+        cache.put_batch(churn);
+        let early = t0 + TRIM_PERIOD / 2;
+        assert_eq!(cache.trim_at(early), Some(TRIM_PERIOD / 2));
+        assert_eq!(cache.counts().advises, 0, "advised before a full period");
+        let t1 = t0 + TRIM_PERIOD;
+        assert_eq!(cache.trim_at(t1), Some(TRIM_PERIOD));
+        assert_eq!(cache.counts().advises, 6);
+        // A quiet period returns the rest, each entry once.
+        assert_eq!(cache.trim_at(t1 + TRIM_PERIOD), None);
+        assert_eq!(cache.counts().advises, 16);
+        assert_eq!(cache.trim_at(t1 + TRIM_PERIOD * 3), None);
+        assert_eq!(cache.counts().advises, 16);
+        // Two primes, one take and one put.
+        assert_eq!(cache.counts().batches, 4);
     }
 
     #[test]

@@ -10,7 +10,6 @@
 
 use std::sync::atomic::Ordering;
 
-use crate::runq::unpoisoned;
 use crate::sched;
 use crate::types::{CreateFlags, ThreadId, ThreadState};
 
@@ -54,16 +53,15 @@ fn info_of(t: &std::sync::Arc<crate::thread::Thread>) -> ThreadInfo {
     }
 }
 
-/// A consistent snapshot of the library's thread table, ordered by id.
+/// A snapshot of the library's thread table, ordered by id. The registry
+/// is read one shard at a time, so a thread created or reaped meanwhile
+/// may or may not appear.
 ///
 /// "Threads are actually represented by data structures in the address
 /// space of a program" — this reads them out, which is exactly what a
 /// debugger attached via `/proc` would do with the library's cooperation.
 pub fn threads_snapshot() -> Vec<ThreadInfo> {
-    let mut out: Vec<ThreadInfo> = unpoisoned(&sched::mt().threads)
-        .values()
-        .map(info_of)
-        .collect();
+    let mut out: Vec<ThreadInfo> = sched::mt().threads.all().iter().map(info_of).collect();
     out.sort_by_key(|t| t.id);
     out
 }
@@ -72,7 +70,7 @@ pub fn threads_snapshot() -> Vec<ThreadInfo> {
 /// the full snapshot, so a debugger polling one thread doesn't pay O(n)
 /// per probe.
 pub fn thread_info(id: ThreadId) -> Option<ThreadInfo> {
-    unpoisoned(&sched::mt().threads).get(&id.0).map(info_of)
+    sched::mt().threads.get(id).as_ref().map(info_of)
 }
 
 #[cfg(test)]

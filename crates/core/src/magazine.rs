@@ -12,8 +12,10 @@
 //! Magazines overflow and refill a batch at a time against the global
 //! depots (the [`StackCache`] for stacks, `Mt::thread_depot` for thread
 //! objects), so the depot locks are paid once per [`MAG_BATCH`] operations
-//! rather than once per create. Stacks parked deep in the *depot* have
-//! their pages handed back to the kernel (`MADV_FREE`) by the cache itself.
+//! rather than once per create. Neither exchange advises memory: stacks
+//! that stay cold in the *depot* for a trim period have their pages handed
+//! back to the kernel (`MADV_FREE`) by an LWP with nothing to run
+//! ([`StackCache::trim`]).
 
 use std::cell::RefCell;
 use std::sync::atomic::Ordering;

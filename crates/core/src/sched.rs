@@ -11,22 +11,21 @@
 //! the `THREAD_NEW_LWP` creation flag, and the `SIGWAITING` mechanism (all
 //! LWPs blocked in indefinite waits while runnable threads exist).
 
-use std::cell::{RefCell, UnsafeCell};
-use std::collections::{HashMap, VecDeque};
+use std::cell::{Cell, RefCell, UnsafeCell};
+use std::collections::HashMap;
 use std::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use sunmt_context::arch::{self, MachContext};
 use sunmt_context::stack::{Stack, StackCache};
 use sunmt_lwp::{registry, Lwp, LwpState};
-use sunmt_sync::{Sema, SyncType};
 use sunmt_trace::gauge::{self, Gauge};
 use sunmt_trace::{probe, Tag};
 
 use crate::runq::{unpoisoned, Placement, ShardedRunQueue};
 use crate::signals::Disposition;
 use crate::sleepq::ShardedSleepQueue;
-use crate::thread::Thread;
+use crate::thread::{Thread, CLAIMED, EXITED, LIVE};
 use crate::types::{CreateFlags, MtError, Result, ThreadId, ThreadState};
 
 /// Hard ceiling on pool size; a backstop against runaway SIGWAITING growth.
@@ -56,16 +55,77 @@ pub(crate) enum Action {
     Exit,
 }
 
+/// Consecutive thread ids an LWP takes from `Mt::next_id` at a time. The
+/// registry shard is chosen by id block, so the threads one LWP creates
+/// share a shard, and two LWPs creating at once rarely do.
+const ID_BLOCK: u32 = 64;
+
+/// One registry shard, on a cache line of its own.
+#[repr(align(64))]
+struct RegistryShard(Mutex<HashMap<u32, Arc<Thread>>>);
+
+/// Every live thread, and every exited `THREAD_WAIT` thread not yet
+/// reaped, by id: one locked map per processor (rounded up to a power of
+/// two), chosen by id block.
+pub(crate) struct Registry {
+    shards: Box<[RegistryShard]>,
+}
+
+impl Registry {
+    fn new(processors: usize) -> Registry {
+        Registry {
+            shards: (0..processors.next_power_of_two())
+                .map(|_| RegistryShard(Mutex::new(HashMap::new())))
+                .collect(),
+        }
+    }
+
+    fn shard(&self, id: ThreadId) -> MutexGuard<'_, HashMap<u32, Arc<Thread>>> {
+        let i = (id.0 / ID_BLOCK) as usize & (self.shards.len() - 1);
+        unpoisoned(&self.shards[i].0)
+    }
+
+    fn insert(&self, t: &Arc<Thread>) {
+        self.shard(t.id).insert(t.id.0, Arc::clone(t));
+    }
+
+    pub(crate) fn get(&self, id: ThreadId) -> Option<Arc<Thread>> {
+        self.shard(id).get(&id.0).cloned()
+    }
+
+    fn remove(&self, id: ThreadId) -> Option<Arc<Thread>> {
+        self.shard(id).remove(&id.0)
+    }
+
+    /// Registered threads, counted shard by shard.
+    fn len(&self) -> usize {
+        self.shards.iter().map(|s| unpoisoned(&s.0).len()).sum()
+    }
+
+    /// Every registered thread, collected shard by shard (so not one
+    /// atomic snapshot of the process).
+    pub(crate) fn all(&self) -> Vec<Arc<Thread>> {
+        let mut out = Vec::new();
+        for s in self.shards.iter() {
+            out.extend(unpoisoned(&s.0).values().cloned());
+        }
+        out
+    }
+}
+
 /// Process-global state of the threads library.
 pub(crate) struct Mt {
-    /// All live (and zombie) threads by id.
-    pub threads: Mutex<HashMap<u32, Arc<Thread>>>,
-    /// Exited `THREAD_WAIT` threads not yet claimed by a specific waiter.
-    pub zombies: Mutex<VecDeque<ThreadId>>,
-    /// Posted once per zombie routed to the any-waiter pool.
-    pub anywait: Sema,
-    /// Outstanding (unreaped) `THREAD_WAIT` threads.
-    pub waitable: AtomicUsize,
+    /// The thread registry, sharded by id block.
+    pub threads: Registry,
+    /// `wait(None)` callers currently registered. Written only by
+    /// any-waits; read by every `THREAD_WAIT` exit and claim, which post
+    /// [`Self::anywait`] only while it is nonzero.
+    any_waiters: AtomicUsize,
+    /// The any-wait eventcount: bumped, with its sleepers woken, when a
+    /// `THREAD_WAIT` thread exits unclaimed or is claimed while an any-wait
+    /// is registered. With no any-wait registered nothing touches it, so
+    /// unclaimed exits bank nothing.
+    anywait: AtomicU32,
     /// The sharded run queues: one per-LWP shard plus the injection queue.
     pub runq: ShardedRunQueue<Arc<Thread>>,
     /// The hashed sleep queues (their shard locks are internal).
@@ -80,6 +140,7 @@ pub(crate) struct Mt {
     /// Retired unbound thread objects awaiting reuse — the global depot
     /// behind the per-LWP thread magazines ([`crate::magazine`]).
     pub thread_depot: Mutex<Vec<Arc<Thread>>>,
+    /// The next unhanded id block ([`ID_BLOCK`] ids per LWP refill).
     next_id: AtomicU32,
     pub pool_count: AtomicUsize,
     /// Pool LWPs currently inside a `blocking()` region (their thread is
@@ -106,17 +167,16 @@ pub(crate) fn mt() -> &'static Mt {
         registry::global().set_sigwaiting_hook(sigwaiting_handler);
         sunmt_stat::register_source("sched", sched_stat_source);
         Mt {
-            threads: Mutex::new(HashMap::new()),
-            zombies: Mutex::new(VecDeque::new()),
-            anywait: Sema::new(0, SyncType::DEFAULT),
-            waitable: AtomicUsize::new(0),
+            threads: Registry::new(default_shards()),
+            any_waiters: AtomicUsize::new(0),
+            anywait: AtomicU32::new(0),
             runq: ShardedRunQueue::new(default_shards()),
             sleepers: ShardedSleepQueue::new(),
             idle: Mutex::new(Vec::new()),
             idle_count: AtomicUsize::new(0),
             stacks: StackCache::new(),
             thread_depot: Mutex::new(Vec::new()),
-            next_id: AtomicU32::new(1),
+            next_id: AtomicU32::new(0),
             pool_count: AtomicUsize::new(0),
             pool_blocked: AtomicUsize::new(0),
             pool_target: AtomicUsize::new(1),
@@ -254,7 +314,7 @@ pub(crate) fn current_thread() -> Arc<Thread> {
     let _ = sunmt_lwp::current();
     t.dispatch_cpu0_ns
         .store(sunmt_lwp::cpu_time().as_nanos() as u64, Ordering::Relaxed);
-    unpoisoned(&m.threads).insert(id.0, Arc::clone(&t));
+    m.threads.insert(&t);
     CURRENT.with(|c| *c.borrow_mut() = Some(Arc::clone(&t)));
     // `try_with`: a host thread touching the library from a late TLS
     // destructor keeps an entry rather than panicking.
@@ -263,14 +323,14 @@ pub(crate) fn current_thread() -> Arc<Thread> {
 }
 
 /// The adopted identity of this host thread, if it has one. Its drop at
-/// host-thread exit takes the entry out of `mt().threads`, so the registry
+/// host-thread exit takes the entry out of the registry, so the registry
 /// never offers a dead host thread to `send_interrupt` or `stats()`.
 struct Adopted(std::cell::Cell<Option<ThreadId>>);
 
 impl Drop for Adopted {
     fn drop(&mut self) {
         if let Some(id) = self.0.get() {
-            if let Some(t) = unpoisoned(&mt().threads).remove(&id.0) {
+            if let Some(t) = mt().threads.remove(id) {
                 t.set_state(ThreadState::Dead);
             }
         }
@@ -288,8 +348,24 @@ pub(crate) fn is_adopted(t: &Arc<Thread>) -> bool {
         && ADOPTED.try_with(|a| a.0.get().is_some()).unwrap_or(false)
 }
 
+thread_local! {
+    /// The next id of this LWP's current block; a multiple of [`ID_BLOCK`]
+    /// means the block is used up (or none was taken yet).
+    static NEXT_ID: Cell<u32> = const { Cell::new(0) };
+}
+
+/// A fresh thread id from the calling LWP's block, which it refills
+/// [`ID_BLOCK`] ids at a time from `next_id`: one shared write per 64
+/// creates, not one per create. Id 0 is never handed out.
 fn alloc_id(m: &Mt) -> ThreadId {
-    ThreadId(m.next_id.fetch_add(1, Ordering::SeqCst))
+    NEXT_ID.with(|next| {
+        let mut id = next.get();
+        if id % ID_BLOCK == 0 {
+            id = m.next_id.fetch_add(ID_BLOCK, Ordering::Relaxed).max(1);
+        }
+        next.set(id.wrapping_add(1));
+        ThreadId(id)
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -314,9 +390,6 @@ pub(crate) fn create_thread(
         id.0,
         flags.contains(CreateFlags::BIND_LWP) as u64
     );
-    if flags.contains(CreateFlags::WAIT) {
-        m.waitable.fetch_add(1, Ordering::SeqCst);
-    }
 
     if flags.contains(CreateFlags::BIND_LWP) {
         let t = Thread::new(
@@ -333,7 +406,7 @@ pub(crate) fn create_thread(
                 ThreadState::Running
             },
         );
-        unpoisoned(&m.threads).insert(id.0, Arc::clone(&t));
+        m.threads.insert(&t);
         let t2 = Arc::clone(&t);
         let lwp = Lwp::spawn_named("sunmt-bound".to_string(), move || bound_main(t2, f))
             .map_err(MtError::SpawnFailed)?;
@@ -374,7 +447,7 @@ pub(crate) fn create_thread(
             )
         }
     };
-    unpoisoned(&m.threads).insert(id.0, Arc::clone(&t));
+    m.threads.insert(&t);
     if flags.contains(CreateFlags::NEW_LWP) {
         m.pool_target.fetch_add(1, Ordering::SeqCst);
         add_pool_lwp();
@@ -470,6 +543,10 @@ fn sched_loop() {
         {
             return;
         }
+        // About to park: the one place the stack depot returns memory, so
+        // no create or exit ever waits on an `madvise`. A depot still
+        // holding stacks that may go cold bounds the park by when they do.
+        let trim = m.stacks.trim();
         // Advertise as idle, then re-check to close the race with a
         // concurrent make_runnable, then park in the kernel. Count, fence,
         // re-check: with `wake_one_idle`'s push, fence, count read, one
@@ -485,7 +562,12 @@ fn sched_loop() {
             run_one(t);
             continue;
         }
-        me.parker().park();
+        match trim {
+            Some(wait) => {
+                me.parker().park_timeout(wait);
+            }
+            None => me.parker().park(),
+        }
         remove_self_from_idle(&me);
     }
 }
@@ -790,19 +872,17 @@ pub(crate) fn finish_thread_common(t: &Arc<Thread>) {
     probe!(Tag::ThreadExit, t.id.0);
     if t.flags.contains(CreateFlags::WAIT) {
         t.set_state(ThreadState::Zombie);
-        let zombies = unpoisoned(&m.zombies);
-        if t.claimed.load(Ordering::SeqCst) {
-            drop(zombies);
+        // One RMW on the thread's own word decides who reaps it: a waiter
+        // that claimed it first (`CLAIMED -> REAPED`) gets the permit;
+        // otherwise (`LIVE -> EXITED`) the next waiter takes it by CAS.
+        if t.exit.fetch_or(EXITED, Ordering::SeqCst) == CLAIMED {
             t.exit_sema.v();
         } else {
-            let mut zombies = zombies;
-            zombies.push_back(t.id);
-            drop(zombies);
-            m.anywait.v();
+            notify_any_waiters(m);
         }
     } else {
         t.set_state(ThreadState::Dead);
-        unpoisoned(&m.threads).remove(&t.id.0);
+        m.threads.remove(t.id);
         if !t.bound {
             crate::magazine::retire_thread(m, Arc::clone(t));
         }
@@ -813,16 +893,24 @@ pub(crate) fn finish_thread_common(t: &Arc<Thread>) {
 // Waiting (thread_wait / waitid).
 
 pub(crate) fn lookup(id: ThreadId) -> Result<Arc<Thread>> {
-    unpoisoned(&mt().threads)
-        .get(&id.0)
-        .cloned()
-        .ok_or(MtError::UnknownThread(id))
+    mt().threads.get(id).ok_or(MtError::UnknownThread(id))
+}
+
+/// Wakes the registered `wait(None)` callers, if there are any, to rescan:
+/// a `THREAD_WAIT` thread just exited unclaimed or was claimed. The
+/// caller's SeqCst RMW on the thread's exit word comes first, then this
+/// SeqCst load; `wait_any` registers, then scans the exit words. So
+/// either the scan sees the change or this load sees the registration.
+fn notify_any_waiters(m: &Mt) {
+    if m.any_waiters.load(Ordering::SeqCst) != 0 {
+        m.anywait.fetch_add(1, Ordering::SeqCst);
+        sunmt_sync::strategy::unpark(&m.anywait, u32::MAX, false);
+    }
 }
 
 fn finish_reap(t: &Arc<Thread>) {
     let m = mt();
-    unpoisoned(&m.threads).remove(&t.id.0);
-    m.waitable.fetch_sub(1, Ordering::SeqCst);
+    m.threads.remove(t.id);
     if !t.bound {
         crate::magazine::retire_thread(m, Arc::clone(t));
     }
@@ -842,47 +930,62 @@ pub(crate) fn wait_specific(id: ThreadId) -> Result<ThreadId> {
     if Arc::ptr_eq(&t, &current_thread()) {
         return Err(MtError::CurrentThread);
     }
+    match t
+        .exit
+        .compare_exchange(LIVE, CLAIMED, Ordering::SeqCst, Ordering::SeqCst)
     {
-        let mut zombies = unpoisoned(&mt().zombies);
-        if t.claimed.swap(true, Ordering::SeqCst) {
-            return Err(MtError::AlreadyWaited(id));
+        Ok(_) => {
+            // Claimed before it exited: the exit posts `exit_sema` for us
+            // alone. The thread left the any-wait pool, which may leave a
+            // parked any-waiter with nothing to wait for.
+            notify_any_waiters(mt());
+            t.exit_sema.p();
         }
-        if let Some(pos) = zombies.iter().position(|z| *z == id) {
-            // Already exited into the any-pool; steal it. Any-waiters
-            // tolerate the resulting surplus permit by re-checking.
-            zombies.remove(pos);
-            drop(zombies);
-            finish_reap(&t);
-            return Ok(id);
-        }
+        // Exited unclaimed: reap it without blocking, unless an any-wait
+        // takes it first.
+        Err(EXITED) if t.take_exited() => {}
+        Err(_) => return Err(MtError::AlreadyWaited(id)),
     }
-    t.exit_sema.p();
     finish_reap(&t);
     Ok(id)
 }
 
+/// `wait(None)`: reaps any exited `THREAD_WAIT` thread that no specific
+/// waiter claimed. "Any" is the paper's word; the order is not FIFO.
+///
+/// Registers in `any_waiters`, then scans the registry: an exited thread
+/// is taken by its `EXITED -> REAPED` CAS. When none has exited but some
+/// unclaimed one is still live, parks on the `anywait` eventcount, which
+/// that thread's exit (or claim) bumps; when none is left at all, returns
+/// [`MtError::NothingToWait`].
 pub(crate) fn wait_any() -> Result<ThreadId> {
     let m = mt();
-    loop {
-        {
-            let zombies = unpoisoned(&m.zombies);
-            if zombies.is_empty() && m.waitable.load(Ordering::SeqCst) == 0 {
-                return Err(MtError::NothingToWait);
+    let me = current_thread();
+    m.any_waiters.fetch_add(1, Ordering::SeqCst);
+    let taken = 'scan: loop {
+        let seen = m.anywait.load(Ordering::SeqCst);
+        let mut live = false;
+        for shard in m.threads.shards.iter() {
+            for t in unpoisoned(&shard.0).values() {
+                if !t.flags.contains(CreateFlags::WAIT) || Arc::ptr_eq(t, &me) {
+                    continue;
+                }
+                match t.exit.load(Ordering::SeqCst) {
+                    LIVE => live = true,
+                    EXITED if t.take_exited() => break 'scan Some(Arc::clone(t)),
+                    _ => {}
+                }
             }
         }
-        m.anywait.p();
-        let popped = unpoisoned(&m.zombies).pop_front();
-        if let Some(id) = popped {
-            let t = unpoisoned(&m.threads)
-                .get(&id.0)
-                .cloned()
-                .expect("zombie must still be registered");
-            t.claimed.store(true, Ordering::SeqCst);
-            finish_reap(&t);
-            return Ok(id);
+        if !live {
+            break None;
         }
-        // The permit's zombie was stolen by a specific waiter; retry.
-    }
+        sunmt_sync::strategy::park(&m.anywait, seen, false);
+    };
+    m.any_waiters.fetch_sub(1, Ordering::SeqCst);
+    let t = taken.ok_or(MtError::NothingToWait)?;
+    finish_reap(&t);
+    Ok(t.id)
 }
 
 // ---------------------------------------------------------------------------
@@ -1108,8 +1211,8 @@ fn sigwaiting_handler() {
 ///
 /// Lock ordering (the library's canonical order — nothing else in the
 /// library holds two of these at once, so this function defines it):
-/// `idle` → `threads`, with any single run-queue shard lock strictly
-/// innermost. Sleep-queue shard locks are self-contained: no code path
+/// `idle` → a registry shard (one at a time), with any single run-queue
+/// shard lock strictly innermost. Sleep-queue shard locks are self-contained: no code path
 /// holds two of them, or one together with the locks above, and `sleeping`
 /// below sums them shard by shard before `idle` is taken. Any future code
 /// that must nest them has to follow the same order.
@@ -1118,13 +1221,13 @@ pub fn stats() -> SchedStats {
     let sleeping = m.sleepers.len();
     let g = gauge::totals();
     let idle = unpoisoned(&m.idle);
-    let threads = unpoisoned(&m.threads);
+    let live_threads = m.threads.len();
     SchedStats {
         runnable: m.runq.len(),
         sleeping,
         pool_lwps: m.pool_count.load(Ordering::SeqCst),
         idle_lwps: idle.len(),
-        live_threads: threads.len(),
+        live_threads,
         dispatches: g.get(Gauge::Dispatches),
         pool_grows: g.get(Gauge::PoolGrows),
         timeout_wakeups: g.get(Gauge::TimeoutWakeups),
@@ -1142,11 +1245,13 @@ pub fn stats() -> SchedStats {
 }
 
 /// The `"sched"` gauge source `sunmt-stat` snapshots: the [`stats`]
-/// aggregates plus the per-shard run-queue traffic and the sleep-queue
-/// occupancy distribution.
+/// aggregates, the stack depot's `madvise` calls and magazine exchanges,
+/// the per-shard run-queue traffic and the sleep-queue occupancy
+/// distribution.
 fn sched_stat_source() -> Vec<(String, u64)> {
     let s = stats();
     let m = mt();
+    let depot = m.stacks.counts();
     let mut out = vec![
         ("runnable".to_string(), s.runnable as u64),
         ("sleeping".to_string(), s.sleeping as u64),
@@ -1167,6 +1272,8 @@ fn sched_stat_source() -> Vec<(String, u64)> {
         ("magazine_misses".to_string(), s.magazine_misses),
         ("futex_wakes_avoided".to_string(), s.futex_wakes_avoided),
         ("timeouts_armed".into(), crate::timeoutq::armed() as u64),
+        ("stack_advises".into(), depot.advises),
+        ("stack_depot_batches".into(), depot.batches),
     ];
     for (i, sh) in m.runq.shard_stats().iter().enumerate() {
         out.push((format!("runq_shard{i}_pushes"), sh.pushes));
@@ -1233,4 +1340,48 @@ pub struct SchedStats {
     /// kernel thread was parked in the word's address bucket (process
     /// lifetime, including wakes made before library init).
     pub futex_wakes_avoided: u64,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Exits that nobody any-waits for post nothing. (An any-wait
+    /// semaphore once gained a permit per unclaimed exit, and its `u32`
+    /// count wrapped after 2^32 of them.) No unit test in this crate
+    /// any-waits, so the eventcount must not move at all.
+    #[test]
+    fn unclaimed_exits_post_nothing_without_an_any_wait() {
+        const BATCH: usize = 32;
+        const CHILDREN: usize = 100_000;
+        init();
+        let before = mt().anywait.load(Ordering::SeqCst);
+        let mut ids = Vec::with_capacity(BATCH);
+        for _ in 0..CHILDREN / BATCH {
+            for _ in 0..BATCH {
+                ids.push(
+                    crate::ThreadBuilder::new()
+                        .flags(CreateFlags::WAIT)
+                        .spawn(|| {})
+                        .expect("spawn"),
+                );
+            }
+            // Every child exits before its waiter comes for it by id.
+            for &id in &ids {
+                let t = lookup(id).expect("unreaped child is registered");
+                while t.exit.load(Ordering::SeqCst) != EXITED {
+                    std::thread::yield_now();
+                }
+            }
+            for id in ids.drain(..) {
+                assert_eq!(crate::wait(Some(id)).expect("join"), id);
+            }
+        }
+        assert_eq!(mt().any_waiters.load(Ordering::SeqCst), 0);
+        assert_eq!(
+            mt().anywait.load(Ordering::SeqCst),
+            before,
+            "an exit with no any-wait registered posted the any-wait count"
+        );
+    }
 }

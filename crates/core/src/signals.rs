@@ -179,8 +179,7 @@ pub fn thread_kill(id: ThreadId, signo: SigNo) -> Result<()> {
 /// `sigsend(P_THREAD_ALL)`: sends `signo` to every thread in the process.
 pub fn sigsend_all(signo: SigNo) -> Result<()> {
     let bit = validate(signo)?;
-    let threads: Vec<Arc<crate::thread::Thread>> =
-        unpoisoned(&sched::mt().threads).values().cloned().collect();
+    let threads = sched::mt().threads.all();
     for t in threads {
         if !matches!(t.state(), ThreadState::Zombie | ThreadState::Dead) {
             t.pending.fetch_or(bit, Ordering::SeqCst);
@@ -198,8 +197,7 @@ pub fn sigsend_all(signo: SigNo) -> Result<()> {
 /// pends on the process.
 pub fn send_interrupt(signo: SigNo) -> Result<()> {
     let bit = validate(signo)?;
-    let threads: Vec<Arc<crate::thread::Thread>> =
-        unpoisoned(&sched::mt().threads).values().cloned().collect();
+    let threads = sched::mt().threads.all();
     // Prefer a thread that will reach a delivery point soon.
     let pick = threads
         .iter()

@@ -23,6 +23,19 @@ use crate::types::{CreateFlags, MtError, Result, ThreadId, ThreadState};
 /// destructors on the thread's stack run before the thread is reaped.
 pub(crate) struct ExitToken;
 
+/// `Thread::exit`: not exited, and no waiter has claimed it.
+pub(crate) const LIVE: u8 = 0;
+/// A `wait(Some(id))` claimed the thread before it exited; that waiter
+/// blocks on `exit_sema`.
+pub(crate) const CLAIMED: u8 = 1;
+/// Exited unclaimed: the next waiter (specific or any) takes it by CAS.
+pub(crate) const EXITED: u8 = 2;
+/// Exited and taken by exactly one waiter. The exit sets the [`EXITED`]
+/// bit with one `fetch_or`, so it turns [`LIVE`] into [`EXITED`] and
+/// [`CLAIMED`] into this state; a waiter's `EXITED -> REAPED` CAS is the
+/// other way in.
+pub(crate) const REAPED: u8 = CLAIMED | EXITED;
+
 /// The in-memory representation of one thread.
 pub(crate) struct Thread {
     pub(crate) id: ThreadId,
@@ -44,10 +57,13 @@ pub(crate) struct Thread {
     pub(crate) stop_event: Sema,
     /// Kernel parker a *bound* thread suspends on when stopped.
     pub(crate) stop_park: Parker,
-    /// Posted on exit for the (single) `thread_wait` waiter.
+    /// Posted on exit for the (single) `thread_wait` waiter, and only when
+    /// one had claimed the thread before it exited.
     pub(crate) exit_sema: Sema,
-    /// Set once a specific waiter has claimed this thread.
-    pub(crate) claimed: AtomicBool,
+    /// The `thread_wait` claim of a `THREAD_WAIT` thread: [`LIVE`],
+    /// [`CLAIMED`], [`EXITED`] or [`REAPED`]. It lives on the thread, so a
+    /// create, an exit and a join write only the thread's own line.
+    pub(crate) exit: AtomicU8,
     /// The suspended execution state; `None` for bound threads (they live
     /// on their LWP's own stack). Touched only by the LWP that owns the
     /// thread at that moment — see the `Send`/`Sync` safety argument.
@@ -133,7 +149,7 @@ impl Thread {
             stop_event: Sema::new(0, SyncType::DEFAULT),
             stop_park: Parker::new(),
             exit_sema: Sema::new(0, SyncType::DEFAULT),
-            claimed: AtomicBool::new(false),
+            exit: AtomicU8::new(LIVE),
             cont: UnsafeCell::new(cont),
             tls: UnsafeCell::new(vec![0u8; tls_len].into_boxed_slice()),
             cpu_ns: AtomicU64::new(0),
@@ -158,8 +174,9 @@ impl Thread {
     /// reference — strong *or weak*, so no stale timeout entry either —
     /// still sees this object, which is what makes the non-atomic resets
     /// sound. `stop_event`, `exit_sema` and `stop_park` are quiescent at
-    /// retirement (exit/wait balanced their counts; unbound threads never
-    /// touch the parker) and are reused as-is.
+    /// retirement (an exit posts `exit_sema` only for a claimer, who takes
+    /// the permit before it reaps; unbound threads never touch the parker)
+    /// and are reused as-is.
     #[allow(clippy::too_many_arguments)] // Mirrors Thread::new.
     pub(crate) fn reinit(
         &mut self,
@@ -180,7 +197,7 @@ impl Thread {
         *self.pending.get_mut() = 0;
         *self.stop_requested.get_mut() = false;
         *self.stop_waiters.get_mut() = 0;
-        *self.claimed.get_mut() = false;
+        *self.exit.get_mut() = LIVE;
         *self.cont.get_mut() = Some(cont);
         let tls = self.tls.get_mut();
         if tls.len() == tls_len {
@@ -214,6 +231,14 @@ impl Thread {
             0,
             ThreadState::Runnable,
         )
+    }
+
+    /// Takes an exited, unclaimed thread for reaping (`EXITED -> REAPED`).
+    /// `false` if it has not exited, or another waiter took it first.
+    pub(crate) fn take_exited(&self) -> bool {
+        self.exit
+            .compare_exchange(EXITED, REAPED, Ordering::SeqCst, Ordering::SeqCst)
+            .is_ok()
     }
 
     pub(crate) fn state(&self) -> ThreadState {

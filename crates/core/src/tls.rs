@@ -13,7 +13,7 @@
 //! zeroed block of the frozen size.
 
 use std::marker::PhantomData;
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 use crate::runq::unpoisoned;
 
@@ -43,15 +43,14 @@ unsafe impl<T> Zeroable for *mut T {}
 // SAFETY: An array of zero-valid elements is zero-valid.
 unsafe impl<T: Zeroable, const N: usize> Zeroable for [T; N] {}
 
-struct Layout {
-    size: usize,
-    frozen: bool,
-}
+/// The layout's size while registrations may still grow it. Taken by
+/// [`Unshared::register`] and by the first create only: once [`FROZEN`] is
+/// set, creates read that instead.
+static LAYOUT: Mutex<usize> = Mutex::new(0);
 
-static LAYOUT: Mutex<Layout> = Mutex::new(Layout {
-    size: 0,
-    frozen: false,
-});
+/// The frozen layout size. Set once, under the [`LAYOUT`] lock, by the
+/// first thread creation.
+static FROZEN: OnceLock<usize> = OnceLock::new();
 
 /// Registration failed because a thread already exists.
 #[derive(Debug, PartialEq, Eq)]
@@ -94,13 +93,13 @@ impl<T: Zeroable> Unshared<T> {
     /// restriction prevents the size of thread-local storage from changing
     /// once a thread is started".
     pub fn register() -> Result<Unshared<T>, TlsFrozen> {
-        let mut layout = unpoisoned(&LAYOUT);
-        if layout.frozen {
+        let mut size = unpoisoned(&LAYOUT);
+        if FROZEN.get().is_some() {
             return Err(TlsFrozen);
         }
         let align = core::mem::align_of::<T>();
-        let offset = layout.size.next_multiple_of(align);
-        layout.size = offset + core::mem::size_of::<T>();
+        let offset = size.next_multiple_of(align);
+        *size = offset + core::mem::size_of::<T>();
         Ok(Unshared {
             offset,
             _marker: PhantomData,
@@ -135,15 +134,18 @@ impl<T: Zeroable> Unshared<T> {
 }
 
 /// Freezes the layout (first thread creation) and returns the block size.
+/// After the first call this is one read of [`FROZEN`]: no lock, no write.
 pub(crate) fn freeze_and_len() -> usize {
-    let mut layout = unpoisoned(&LAYOUT);
-    layout.frozen = true;
-    layout.size
+    if let Some(&size) = FROZEN.get() {
+        return size;
+    }
+    let size = unpoisoned(&LAYOUT);
+    *FROZEN.get_or_init(|| *size)
 }
 
 /// Whether the layout is already frozen (diagnostic).
 pub fn is_frozen() -> bool {
-    unpoisoned(&LAYOUT).frozen
+    FROZEN.get().is_some()
 }
 
 /// The paper's worked example: a per-thread `errno`.

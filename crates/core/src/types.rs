@@ -7,7 +7,8 @@ use std::fmt;
 /// "The thread IDs have meaning only within a process." Ids of threads
 /// created without [`CreateFlags::WAIT`] may be reused after the thread
 /// exits; ids of `WAIT` threads are not reused until `thread_wait` returns
-/// them.
+/// them. Ids are unique among live threads but not increasing: each LWP
+/// hands them out from its own block of consecutive ids.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ThreadId(pub u32);
 
@@ -95,7 +96,8 @@ pub enum MtError {
     AlreadyWaited(ThreadId),
     /// The operation may not target the calling thread.
     CurrentThread,
-    /// No `THREAD_WAIT` thread is outstanding for an any-wait.
+    /// No `THREAD_WAIT` thread is outstanding for an any-wait: every one
+    /// left is reaped or already claimed by a specific waiter.
     NothingToWait,
     /// A priority below zero ("the priority must be greater than or equal
     /// to zero").

@@ -5,13 +5,19 @@
 //! `mmap`, no fresh allocation), and a recycled stack must still carry
 //! its `PROT_NONE` guard page — recycling skips re-running the mapping
 //! setup, so the protection established at creation has to survive.
+//!
+//! The depot behind the magazines returns memory (`MADV_FREE`) only for
+//! stacks that stayed cold: never for the working set of a busy process,
+//! but still for the surplus a burst leaves behind once the pool is idle.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use sunos_mt::context::stack::DEFAULT_STACK_SIZE;
+use sunos_mt::sync::{Sema, SyncType};
 use sunos_mt::sys::mem::PAGE_SIZE;
-use sunos_mt::threads::{self, CreateFlags, ThreadBuilder};
+use sunos_mt::threads::{self, CreateFlags, ThreadBuilder, ThreadId};
 use sunos_mt::trace::{self, Tag};
 
 /// Trace counters and pool concurrency are process-global; take turns.
@@ -137,6 +143,107 @@ fn recycled_stack_keeps_its_guard_page() {
         guard.1 - guard.0 >= PAGE_SIZE,
         "guard vma is smaller than a page"
     );
+
+    threads::set_concurrency(0).expect("setconcurrency(0)");
+}
+
+/// The `"sched"` stat source's depot counts: `(stack_advises,
+/// stack_depot_batches)`.
+fn depot_counts() -> (u64, u64) {
+    let snap = sunos_mt::stat::snapshot();
+    let (_, sched) = snap
+        .sources
+        .iter()
+        .find(|(name, _)| *name == "sched")
+        .expect("sunmt::init registers the sched source");
+    let get = |k: &str| {
+        sched
+            .iter()
+            .find(|(n, _)| n == k)
+            .unwrap_or_else(|| panic!("sched source has no {k}"))
+            .1
+    };
+    (get("stack_advises"), get("stack_depot_batches"))
+}
+
+fn spawn_wait(f: impl FnOnce() + Send + 'static) -> ThreadId {
+    ThreadBuilder::new()
+        .flags(CreateFlags::WAIT)
+        .spawn(f)
+        .expect("spawn")
+}
+
+/// The `spawn_join` shape: 4 unbound forkers, each creating 32 children
+/// and then joining them, `rounds` times.
+fn fork_join(rounds: usize) {
+    let forkers: Vec<ThreadId> = (0..4)
+        .map(|_| {
+            spawn_wait(move || {
+                for _ in 0..rounds {
+                    let kids: Vec<ThreadId> = (0..32).map(|_| spawn_wait(|| {})).collect();
+                    for id in kids {
+                        threads::wait(Some(id)).expect("join child");
+                    }
+                }
+            })
+        })
+        .collect();
+    for id in forkers {
+        threads::wait(Some(id)).expect("join forker");
+    }
+}
+
+#[test]
+fn steady_churn_never_advises_its_working_set() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    threads::set_concurrency(2).expect("setconcurrency");
+
+    fork_join(200);
+    let (advises0, batches0) = depot_counts();
+    const ROUNDS: usize = 2_000;
+    fork_join(ROUNDS);
+    let (advises1, batches1) = depot_counts();
+    assert_eq!(
+        advises1 - advises0,
+        0,
+        "steady churn advised stacks it keeps reusing ({} exchanges)",
+        batches1 - batches0
+    );
+
+    threads::set_concurrency(0).expect("setconcurrency(0)");
+}
+
+#[test]
+fn a_burst_then_quiet_returns_its_surplus() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    threads::set_concurrency(2).expect("setconcurrency");
+    const BURST: usize = 512;
+
+    let (advises0, _) = depot_counts();
+    // All of the burst is alive at once, so it needs BURST stacks.
+    let gate = Arc::new(Sema::new(0, SyncType::DEFAULT));
+    let ids: Vec<ThreadId> = (0..BURST)
+        .map(|_| {
+            let g = Arc::clone(&gate);
+            spawn_wait(move || g.p())
+        })
+        .collect();
+    for _ in 0..BURST {
+        gate.v();
+    }
+    for id in ids {
+        threads::wait(Some(id)).expect("join");
+    }
+    // The pool is idle now; an idle LWP trims the depot within a couple
+    // of trim periods.
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while depot_counts().0 == advises0 {
+        assert!(
+            Instant::now() < deadline,
+            "an idle pool never returned the burst's surplus stacks"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
 
     threads::set_concurrency(0).expect("setconcurrency(0)");
 }
