@@ -8,17 +8,17 @@
 //! this enters the kernel except to park an LWP that has nothing to run.
 //!
 //! The pool grows three ways, all from the paper: `thread_setconcurrency`,
-//! the `THREAD_NEW_LWP` creation flag, and the `SIGWAITING` mechanism (all
-//! LWPs blocked in indefinite waits while runnable threads exist).
+//! the `THREAD_NEW_LWP` creation flag, and `SIGWAITING` (every pool LWP in
+//! a `blocking` region while runnable threads exist, [`sigwaiting`]).
 
 use std::cell::{Cell, RefCell, UnsafeCell};
 use std::collections::HashMap;
-use std::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use sunmt_context::arch::{self, MachContext};
 use sunmt_context::stack::{Stack, StackCache};
-use sunmt_lwp::{registry, Lwp, LwpState};
+use sunmt_lwp::{Lwp, LwpState};
 use sunmt_trace::gauge::{self, Gauge};
 use sunmt_trace::{probe, Tag};
 
@@ -146,9 +146,10 @@ pub(crate) struct Mt {
     /// Pool LWPs currently inside a `blocking()` region (their thread is
     /// "temporarily bound" and the LWP serves nobody else).
     pub pool_blocked: AtomicUsize,
+    /// The pool size surplus LWPs retire down to when idle: the
+    /// `set_concurrency` level (1 in automatic mode), plus one per
+    /// `NEW_LWP` create since.
     pub pool_target: AtomicUsize,
-    /// Whether the pool is in automatic (SIGWAITING-grown) mode.
-    pub pool_auto: AtomicBool,
     /// Process-wide signal dispositions (shared by all threads, as the
     /// paper requires).
     pub handlers: Mutex<HashMap<u32, Disposition>>,
@@ -159,12 +160,10 @@ pub(crate) struct Mt {
 
 static MT: OnceLock<Mt> = OnceLock::new();
 
-/// The library singleton; first use installs the blocking strategy and the
-/// `SIGWAITING` hook.
+/// The library singleton; first use installs the blocking strategy.
 pub(crate) fn mt() -> &'static Mt {
     MT.get_or_init(|| {
         sunmt_sync::strategy::install(&crate::strategy::MT_STRATEGY);
-        registry::global().set_sigwaiting_hook(sigwaiting_handler);
         sunmt_stat::register_source("sched", sched_stat_source);
         Mt {
             threads: Registry::new(default_shards()),
@@ -180,7 +179,6 @@ pub(crate) fn mt() -> &'static Mt {
             pool_count: AtomicUsize::new(0),
             pool_blocked: AtomicUsize::new(0),
             pool_target: AtomicUsize::new(1),
-            pool_auto: AtomicBool::new(true),
             handlers: Mutex::new(HashMap::new()),
             proc_pending: std::sync::atomic::AtomicU64::new(0),
         }
@@ -310,7 +308,7 @@ pub(crate) fn current_thread() -> Arc<Thread> {
         crate::tls::freeze_and_len(),
         ThreadState::Running,
     );
-    // Register the host thread as an LWP so SIGWAITING accounting sees it.
+    // Register the host thread as an LWP, so the live LWP count sees it.
     let _ = sunmt_lwp::current();
     t.dispatch_cpu0_ns
         .store(sunmt_lwp::cpu_time().as_nanos() as u64, Ordering::Relaxed);
@@ -534,12 +532,12 @@ fn sched_loop() {
         }
         // Nothing runnable. Surplus LWPs retire here — only when idle, so
         // a shrunk target never abandons queued work ("LWPs are removed
-        // from the pool" lazily).
-        let cur = m.pool_count.load(Ordering::SeqCst);
-        if cur > m.pool_target.load(Ordering::SeqCst)
-            && m.pool_count
-                .compare_exchange(cur, cur - 1, Ordering::SeqCst, Ordering::SeqCst)
-                .is_ok()
+        // from the pool" lazily). A retire that races another retries, so
+        // no surplus LWP parks.
+        let surplus = |c: usize| (c > m.pool_target.load(Ordering::SeqCst)).then(|| c - 1);
+        if m.pool_count
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, surplus)
+            .is_ok()
         {
             return;
         }
@@ -750,28 +748,51 @@ fn wake_one_idle(placement: Placement) {
         lwp.parker().unpark();
         return;
     }
-    // No idle LWP. Grow if the pool is empty, or if every pool LWP is
-    // stuck in a blocking region — otherwise the enqueued thread would
-    // starve until a blocker returned (the deadlock SIGWAITING exists to
-    // avoid).
-    let count = m.pool_count.load(Ordering::SeqCst);
-    if count == 0 || m.pool_blocked.load(Ordering::SeqCst) >= count {
+    // No idle LWP. Grow if the pool is empty; otherwise the enqueued
+    // thread waits for a pool LWP, unless every one is held by a blocking
+    // region.
+    if m.pool_count.load(Ordering::SeqCst) == 0 {
+        add_pool_lwp();
+    } else {
+        sigwaiting(m);
+    }
+}
+
+/// Every pool LWP is in a blocking region, and work is queued.
+fn all_blocked_with_work(m: &Mt) -> bool {
+    m.pool_blocked.load(Ordering::SeqCst) >= m.pool_count.load(Ordering::SeqCst)
+        && !m.runq.is_empty()
+}
+
+/// The library's `SIGWAITING`, "sent to the process when all its LWPs are
+/// waiting for some indefinite, external event", and its handler, which
+/// "cause[s] extra LWPs to be created as required to avoid deadlock".
+///
+/// `pool_blocked` falls only when an LWP runs again after its call
+/// returned, so an LWP that is ready but has no CPU yet still counts as
+/// blocked. The caller therefore gives up its CPU once before deciding,
+/// and grows only if the condition still holds. The grown LWP is surplus
+/// over `pool_target`, so it retires once it finds nothing to run.
+fn sigwaiting(m: &Mt) {
+    if !all_blocked_with_work(m) {
+        return;
+    }
+    sunmt_sys::task::sched_yield();
+    if all_blocked_with_work(m) {
+        probe!(Tag::SigwaitingPost, m.pool_count.load(Ordering::SeqCst));
         add_pool_lwp();
     }
 }
 
-/// Accounting bracket around a pool LWP entering a blocking region; grows
-/// the pool immediately when the *last* available pool LWP blocks with work
-/// queued (the library-side half of SIGWAITING).
+/// Accounting bracket around a pool LWP entering a blocking region: the
+/// last available pool LWP to block with work queued posts [`sigwaiting`].
 pub(crate) fn pool_enter_blocking() {
     if !on_pool_lwp() {
         return;
     }
     let m = mt();
-    let blocked = m.pool_blocked.fetch_add(1, Ordering::SeqCst) + 1;
-    if blocked >= m.pool_count.load(Ordering::SeqCst) && !m.runq.is_empty() {
-        add_pool_lwp();
-    }
+    m.pool_blocked.fetch_add(1, Ordering::SeqCst);
+    sigwaiting(m);
 }
 
 /// See [`pool_enter_blocking`].
@@ -1140,13 +1161,7 @@ pub(crate) fn user_unpark(addr: usize, n: usize) -> usize {
 
 pub(crate) fn set_concurrency(n: usize) {
     let m = mt();
-    let target = if n == 0 {
-        m.pool_auto.store(true, Ordering::SeqCst);
-        1
-    } else {
-        m.pool_auto.store(false, Ordering::SeqCst);
-        n.min(POOL_MAX)
-    };
+    let target = if n == 0 { 1 } else { n.min(POOL_MAX) };
     m.pool_target.store(target, Ordering::SeqCst);
     while m.pool_count.load(Ordering::SeqCst) < target {
         add_pool_lwp();
@@ -1180,23 +1195,6 @@ fn add_pool_lwp() {
         Err(_) => {
             m.pool_count.fetch_sub(1, Ordering::SeqCst);
         }
-    }
-}
-
-/// The `SIGWAITING` handler the library installs: "cause extra LWPs to be
-/// created as required to avoid deadlock".
-fn sigwaiting_handler() {
-    let m = mt();
-    probe!(Tag::SigwaitingPost, m.pool_count.load(Ordering::SeqCst));
-    // Total runnable across every shard and the injection queue: growth
-    // must trigger even when all the queued work sits on the shards of
-    // blocked LWPs.
-    let runnable = m.runq.len();
-    let idle = unpoisoned(&m.idle).len();
-    if runnable > 0 && idle == 0 {
-        let count = m.pool_count.load(Ordering::SeqCst);
-        m.pool_target.fetch_max(count + 1, Ordering::SeqCst);
-        add_pool_lwp();
     }
 }
 

@@ -25,7 +25,7 @@ use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock, Weak};
 
-use sunmt_lwp::{registry, Lwp};
+use sunmt_lwp::Lwp;
 use sunmt_sys::futex::{self, Scope};
 use sunmt_sys::time::monotonic_now;
 
@@ -214,16 +214,12 @@ fn timer_loop(q: &'static TimeoutQueue) {
         let scan_ns = next.map_or(NO_DEADLINE, ns_of);
         let prev = q.earliest_ns.fetch_min(scan_ns, Ordering::SeqCst);
         let plan_ns = scan_ns.min(prev);
-        // The timer LWP's sleep is an indefinite external wait in the
-        // registry's SIGWAITING accounting, like any poll()-shaped block.
-        registry::global().indefinite_wait(|| {
-            if plan_ns == NO_DEADLINE {
-                let _ = futex::wait(&q.generation, generation, Scope::Private);
-            } else {
-                let timeout = Duration::from_nanos(plan_ns).saturating_sub(now);
-                let _ = futex::wait_timeout(&q.generation, generation, Scope::Private, timeout);
-            }
-        });
+        if plan_ns == NO_DEADLINE {
+            let _ = futex::wait(&q.generation, generation, Scope::Private);
+        } else {
+            let timeout = Duration::from_nanos(plan_ns).saturating_sub(now);
+            let _ = futex::wait_timeout(&q.generation, generation, Scope::Private, timeout);
+        }
     }
 }
 

@@ -182,9 +182,10 @@ fn io_loop<T>(
 
 /// The fall-through wait: block this LWP in `poll(2)` until `io_fd` is
 /// ready or the deadline passes. Callers with a thread identity route it
-/// through `sunmt::blocking` so pool/SIGWAITING accounting treats it as an
-/// indefinite wait; pre-init callers get the bare system call (touching
-/// `blocking` would initialize the threads library behind their back).
+/// through `sunmt::blocking`, so a pool LWP held by it counts as blocked
+/// for `SIGWAITING` pool growth; pre-init callers get the bare system
+/// call (touching `blocking` would initialize the threads library behind
+/// their back).
 fn wait_blocking(io_fd: i32, dir: Dir, deadline: Option<Duration>) -> Result<(), Errno> {
     let events = match dir {
         Dir::Read => fd::POLLIN,

@@ -43,7 +43,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, Once, OnceLock};
 
 use sunmt::runq::unpoisoned;
-use sunmt_lwp::{registry, Lwp};
+use sunmt_lwp::Lwp;
 use sunmt_sync::strategy;
 use sunmt_sys::fd::{self, EpollEvent};
 use sunmt_sys::time::monotonic_now;
@@ -410,10 +410,8 @@ fn shard_loop(shard: &Shard) {
     let mut events = [EpollEvent { events: 0, data: 0 }; 64];
     loop {
         shard.n.epoll_waits.fetch_add(1, Ordering::Relaxed);
-        // A shard LWP's wait is the canonical "indefinite, external wait"
-        // of the paper's SIGWAITING accounting.
         let t0 = sunmt_trace::tick();
-        let n = registry::global().indefinite_wait(|| fd::epoll_wait(shard.epfd, &mut events, -1));
+        let n = fd::epoll_wait(shard.epfd, &mut events, -1);
         sunmt_trace::record_since(sunmt_trace::Hs::PollerWait, t0);
         let n = match n {
             Ok(n) => n,

@@ -17,7 +17,7 @@
 //! * per-LWP CPU-time accounting ([`cpu_time`]),
 //! * the per-LWP preempt flags a preemption tick raises
 //!   ([`raise_preempt_all`]),
-//! * the LWP registry with `SIGWAITING` detection ([`registry`]).
+//! * the count of live LWPs ([`registry`]).
 //!
 //! CPU binding is the host's own: a bound thread binds its LWP with
 //! `sunmt_sys::task::sched_setaffinity`. Scheduling classes (`priocntl`,
@@ -245,7 +245,7 @@ impl Lwp {
     /// Creates a new LWP executing `f`.
     ///
     /// The LWP is registered with the global [`registry`] before it starts,
-    /// so `SIGWAITING` accounting never undercounts the pool.
+    /// so the live count never misses a started LWP.
     pub fn spawn<F>(f: F) -> std::io::Result<Lwp>
     where
         F: FnOnce() + Send + 'static,
@@ -258,9 +258,9 @@ impl Lwp {
     where
         F: FnOnce() + Send + 'static,
     {
-        // Register from the parent so SIGWAITING accounting never
-        // undercounts; the child's `Registered` TLS cell balances it when
-        // the LWP exits (even by panic).
+        // Register from the parent so the live count includes the LWP as
+        // soon as `spawn` returns; the child's `Registered` TLS cell
+        // balances it when the LWP exits (even by panic).
         registry::global().lwp_started();
         let (tx, rx) = std::sync::mpsc::sync_channel::<Arc<LwpState>>(1);
         let spawned = std::thread::Builder::new().name(name).spawn(move || {

@@ -13,7 +13,6 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;
 
-use sunos_mt::lwp::registry;
 use sunos_mt::threads::{self, blocking, CreateFlags, ThreadBuilder};
 
 const CONNECTIONS: usize = 12;
@@ -22,7 +21,7 @@ const REQUESTS_PER_CONN: usize = 5;
 fn main() {
     threads::init();
     let start_pool = threads::concurrency();
-    let sigwaiting_before = registry::global().sigwaiting_count();
+    let grows_before = threads::stats().pool_grows;
 
     // Each "connection" is a channel; its handler thread blocks
     // indefinitely (from the library's perspective) waiting for requests.
@@ -40,8 +39,8 @@ fn main() {
                     loop {
                         // The paper's poll(): an indefinite wait on an
                         // external event, keeping the thread bound to its
-                        // LWP. `blocking` marks it so SIGWAITING accounting
-                        // sees the LWP as waiting.
+                        // LWP. `blocking` counts the LWP as blocked, so
+                        // the last one to block posts SIGWAITING.
                         let req = blocking(|| rx.recv().expect("request channel"));
                         match req {
                             Some(n) => {
@@ -76,15 +75,14 @@ fn main() {
         threads::wait(Some(id)).expect("thread_wait");
     }
 
-    let sigwaiting_after = registry::global().sigwaiting_count();
+    let grows = threads::stats().pool_grows - grows_before;
     println!(
         "{} requests over {CONNECTIONS} connections handled",
         CONNECTIONS * REQUESTS_PER_CONN
     );
     println!(
-        "LWP pool: {start_pool} -> {} (all-LWPs-waiting occurred {} times)",
-        threads::concurrency(),
-        sigwaiting_after - sigwaiting_before
+        "LWP pool: {start_pool} -> {} ({grows} LWPs grown on SIGWAITING)",
+        threads::concurrency()
     );
     println!("no request starved despite every handler blocking indefinitely: OK");
 }
