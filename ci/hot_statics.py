@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Lint: no process-wide statistics word or lock in the hot-path crates.
 
-Every `static NAME: ...Atomic...` in `crates/{core,sync,chan}/src` is a
+Every `static NAME: ...Atomic...` in `crates/{core,sync,chan,lwp}/src` is a
 cache line that any LWP may write. A statistic kept in one is written by
 every LWP that counts it, which puts a shared line on the very paths the
 library keeps in user space (dispatch, create, channel send/receive). The
@@ -23,7 +23,7 @@ import pathlib
 import re
 import sys
 
-CRATES = ("core", "sync", "chan")
+CRATES = ("core", "sync", "chan", "lwp")
 
 # (file relative to the repo root, static name) -> why it is not a statistic.
 ALLOWED = {
@@ -34,6 +34,26 @@ ALLOWED = {
     ("crates/sync/src/rwlock.rs", "NEXT"): (
         "hands out reader-slot indices: read-modify-written once per kernel "
         "thread, on its first rwlock use off the threads library's pool"
+    ),
+    ("crates/lwp/src/lib.rs", "RUN_FLAGS"): (
+        "one is-on-a-processor cell per LWP slot, read by adaptive spinners: "
+        "written only by that LWP's parker around a kernel park, and at the "
+        "LWP's exit"
+    ),
+    ("crates/lwp/src/lib.rs", "PREEMPT_FLAGS"): (
+        "one pending-preemption cell per LWP slot: written only by a "
+        "preemption tick, by a cross-LWP priority change, by the take of a "
+        "raised flag (dispatch loads before it swaps), and when a slot is "
+        "handed out or its LWP exits"
+    ),
+    ("crates/lwp/src/lib.rs", "BOOST_PRI"): (
+        "one inherited-priority cell per LWP slot: written only by a PI "
+        "boost and by the clear of a non-zero boost (dispatch loads before "
+        "it swaps), and when a slot is handed out or its LWP exits"
+    ),
+    ("crates/lwp/src/lib.rs", "NEXT_SLOT"): (
+        "hands out LWP slot indices: read-modify-written once per LWP, when "
+        "its identity is made"
     ),
 }
 

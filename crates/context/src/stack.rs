@@ -9,7 +9,7 @@
 //! "a default stack that is cached by the threads package" —
 //! [`StackCache`] is that cache.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -215,6 +215,9 @@ pub struct StackCache {
     /// LWP with nothing to trim reads only this, taking no lock and no
     /// clock reading, and writing no shared line.
     surplus: AtomicBool,
+    /// Stacks that takes asked for and did not find, less those put since
+    /// ([`Self::wanted`]). Changed only under the lock.
+    wanted: AtomicUsize,
 }
 
 impl StackCache {
@@ -230,7 +233,17 @@ impl StackCache {
                 batches: 0,
             }),
             surplus: AtomicBool::new(false),
+            wanted: AtomicUsize::new(0),
         }
+    }
+
+    /// Whether takes found the depot short of stacks that no put has made
+    /// up for since. A magazine holding more than a batch drains one early
+    /// while this reads true, so a creator whose children exit on other
+    /// LWPs (a thread off the pool, say) reuses their stacks instead of
+    /// mapping its own.
+    pub fn wanted(&self) -> bool {
+        self.wanted.load(Ordering::Relaxed) != 0
     }
 
     /// Takes a cached default stack, or maps a fresh one.
@@ -254,6 +267,12 @@ impl StackCache {
         let at = c.free.len() - n.min(c.free.len());
         let batch = c.free.split_off(at);
         c.took();
+        if batch.len() < n {
+            let short = n - batch.len();
+            let w = self.wanted.load(Ordering::Relaxed);
+            self.wanted
+                .store(w.saturating_add(short), Ordering::Relaxed);
+        }
         batch
     }
 
@@ -267,10 +286,16 @@ impl StackCache {
     pub fn put_batch(&self, stacks: impl IntoIterator<Item = Stack>) {
         let mut c = unpoisoned(&self.inner);
         c.batches += 1;
+        let before = c.free.len();
         for stack in stacks {
             if stack.is_owned() && stack.usable() == DEFAULT_STACK_SIZE {
                 c.free.push(stack);
             }
+        }
+        let w = self.wanted.load(Ordering::Relaxed);
+        if w != 0 {
+            let put = c.free.len() - before;
+            self.wanted.store(w.saturating_sub(put), Ordering::Relaxed);
         }
         // Only a put can create surplus.
         if c.surplus() && !self.surplus.load(Ordering::Relaxed) {
@@ -436,6 +461,24 @@ mod tests {
         let cache = StackCache::new();
         cache.put(s);
         assert!(cache.is_empty());
+    }
+
+    #[test]
+    fn a_short_take_is_wanted_until_puts_make_it_up() {
+        let cache = StackCache::new();
+        assert!(!cache.wanted());
+        cache.prime(3).expect("prime");
+        // A take of 8 finds 3: the 5 it missed are wanted.
+        let got = cache.take_batch(8);
+        assert_eq!(got.len(), 3);
+        assert!(cache.wanted());
+        let fresh: Vec<Stack> = (0..4)
+            .map(|_| Stack::new(DEFAULT_STACK_SIZE).expect("map"))
+            .collect();
+        cache.put_batch(fresh);
+        assert!(cache.wanted(), "4 of the 5 made up");
+        cache.put_batch(got);
+        assert!(!cache.wanted());
     }
 
     #[test]

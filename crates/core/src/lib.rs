@@ -120,6 +120,20 @@ mod tests {
     use std::time::Duration;
 
     #[test]
+    fn per_lwp_written_structures_keep_their_cache_lines() {
+        use std::mem::align_of;
+        // What an LWP writes per child or per dispatch must not share a
+        // cache line with what another LWP writes; these alignments are
+        // the padding that guarantees it.
+        assert!(align_of::<thread::Thread>() >= 64, "Thread");
+        assert!(
+            align_of::<runq::Shard<(i32, u64)>>() >= 64,
+            "run-queue Shard"
+        );
+        assert!(align_of::<sched::RegistryShard>() >= 64, "RegistryShard");
+    }
+
+    #[test]
     fn unbound_thread_runs_and_is_waited() {
         let ran = Arc::new(AtomicU32::new(0));
         let r = Arc::clone(&ran);

@@ -7,7 +7,13 @@
 //! storage. A steady-state `thread_create`/`thread_exit` pair then touches
 //! no lock, maps no memory and allocates nothing: it pops a warm stack and
 //! a retired [`Thread`] from the magazine, re-initializes the latter in
-//! place, and the matching exit pushes both back.
+//! place, and the matching exit pushes both back. That holds only while a
+//! magazine covers the LWP's create/exit working set — for a fork/join,
+//! every child its forkers keep in flight (Bonwick & Adams, "Magazines and
+//! Vmem", USENIX 2001) — so [`MAG_CAP`] is sized for that set, and the
+//! scheduler keeps a busy LWP's threads on it (the run queue's fairness
+//! tick steals only from a stalled shard) so they retire where they were
+//! made.
 //!
 //! Magazines overflow and refill a batch at a time against the global
 //! depots (the [`StackCache`] for stacks, `Mt::thread_depot` for thread
@@ -29,13 +35,19 @@ use crate::runq::unpoisoned;
 use crate::sched::Mt;
 use crate::thread::Thread;
 
-/// Magazine capacity per resource. Small on purpose: the magazine only
-/// needs to cover the create/exit churn between depot exchanges, and every
-/// cached stack pins 128 KiB.
-const MAG_CAP: usize = 16;
+/// Magazine capacity per resource. A magazine pays only while it covers
+/// the working set it serves: a fork/join keeps its children in flight, so
+/// an LWP running two forkers of 32 children each retires 64 of them
+/// between creates, and a smaller magazine overflows to the depot and
+/// refills from it every few children. Every cached stack pins up to
+/// 128 KiB, but only stacks that an exit already left here: an idle LWP
+/// holds what its last burst left, not more.
+const MAG_CAP: usize = 64;
 
 /// How many objects move between a magazine and its depot on an overflow
-/// drain or an empty refill.
+/// drain or an empty refill. Small against [`MAG_CAP`], so a magazine that
+/// overflowed keeps most of its working set and one that refilled does
+/// not drain the depot other LWPs refill from.
 const MAG_BATCH: usize = 8;
 
 #[derive(Default)]
@@ -76,8 +88,9 @@ pub(crate) fn take_stack(depot: &StackCache) -> Result<Stack, sunmt_sys::Errno> 
 }
 
 /// Returns an exited thread's stack. Default-sized library stacks go into
-/// the magazine (draining the coldest batch to the depot on overflow);
-/// anything else goes straight to the depot, which unmaps or releases it.
+/// the magazine (draining the coldest batch to the depot on overflow, or
+/// early while creators find the depot short); anything else goes
+/// straight to the depot, which unmaps or releases it.
 pub(crate) fn put_stack(depot: &StackCache, stack: Stack) {
     if !stack.is_owned() || stack.usable() != DEFAULT_STACK_SIZE {
         depot.put(stack);
@@ -86,7 +99,7 @@ pub(crate) fn put_stack(depot: &StackCache, stack: Stack) {
     let overflow = MAGAZINE.with(|m| {
         let mut m = m.borrow_mut();
         m.stacks.push(stack);
-        if m.stacks.len() > MAG_CAP {
+        if m.stacks.len() > MAG_CAP || (m.stacks.len() > MAG_BATCH && depot.wanted()) {
             Some(m.stacks.drain(..MAG_BATCH).collect::<Vec<Stack>>())
         } else {
             None

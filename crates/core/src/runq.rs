@@ -28,11 +28,15 @@ pub const LEVELS: usize = 64;
 pub const SHARD_CAP: usize = 256;
 
 /// Pop fairness interval: every Nth pop on a shard services the injection
-/// queue (and failing that, a steal) *before* the shard's own queue.
-/// Without this, an owner whose shard never empties — e.g. one thread in a
-/// yield loop, re-queued to its own shard on every dispatch — would starve
-/// injected wakeups and orphaned shards forever; with it, cross-context
-/// work is delayed by at most `FAIR_EVERY - 1` dispatches.
+/// queue, and failing that steals from a *stalled* shard, *before* the
+/// shard's own queue. Without this, an owner whose shard never empties —
+/// e.g. one thread in a yield loop, re-queued to its own shard on every
+/// dispatch — would starve injected wakeups and orphaned shards forever.
+/// With it, injected work is delayed by at most `FAIR_EVERY - 1`
+/// dispatches, and work on a shard whose owner stopped popping (it sits in
+/// a `blocking()` region, or is gone) by at most two such rounds. A shard
+/// whose owner keeps popping is not stolen from here: its work stays with
+/// the LWP whose magazines and caches already hold it.
 pub const FAIR_EVERY: usize = 61;
 
 /// Locks `m`, ignoring poison.
@@ -188,16 +192,26 @@ impl<T: RunItem> Default for RunQueue<T> {
 }
 
 /// One LWP's local run queue plus the metadata other LWPs read without the
-/// lock: the length and the advertised top priority.
-struct Shard<T> {
+/// lock: the length and the advertised top priority. On cache lines of its
+/// own: the owner writes `ticks` on every pop and `len`/`top`/`pushes` on
+/// every push, and none of that may share a line with a neighbour's lock.
+#[repr(align(64))]
+pub(crate) struct Shard<T> {
     q: Mutex<RunQueue<T>>,
     len: AtomicUsize,
     /// [`RunQueue::top_level`] of `q`, republished under the shard lock on
     /// every mutation. Thieves scan these to pick a victim without
     /// touching any lock.
     top: AtomicI32,
-    /// Pops served from this shard, for the [`FAIR_EVERY`] rotation.
+    /// Pops served from this shard, for the [`FAIR_EVERY`] rotation. It is
+    /// also the owner's progress signal: a shard whose `ticks` did not move
+    /// between two fairness ticks of a thief has an owner that stopped
+    /// popping.
     ticks: AtomicUsize,
+    /// The `ticks` of every shard as this shard's owner saw them at its
+    /// previous fairness tick, indexed by shard. Written only by the LWPs
+    /// this shard is home to, once per [`FAIR_EVERY`] pops.
+    seen: Box<[AtomicUsize]>,
     /// Owner pushes accepted by this shard (spills excluded). This and the
     /// two counts below change only under the shard lock, so they are
     /// plain load+store cells on a line that the lock already owns.
@@ -223,12 +237,13 @@ struct Inject<T> {
 }
 
 impl<T: RunItem> Shard<T> {
-    fn new() -> Shard<T> {
+    fn new(shards: usize) -> Shard<T> {
         Shard {
             q: Mutex::new(RunQueue::new()),
             len: AtomicUsize::new(0),
             top: AtomicI32::new(-1),
             ticks: AtomicUsize::new(0),
+            seen: (0..shards).map(|_| AtomicUsize::new(0)).collect(),
             pushes: AtomicU64::new(0),
             pops: AtomicU64::new(0),
             stolen: AtomicU64::new(0),
@@ -288,8 +303,9 @@ pub enum Placement {
 impl<T: RunItem> ShardedRunQueue<T> {
     /// Creates a queue with `shards` shards (at least one).
     pub fn new(shards: usize) -> ShardedRunQueue<T> {
+        let n = shards.max(1);
         ShardedRunQueue {
-            shards: (0..shards.max(1)).map(|_| Shard::new()).collect(),
+            shards: (0..n).map(|_| Shard::new(n)).collect(),
             inject: Mutex::new(Inject {
                 q: RunQueue::new(),
                 pushes: 0,
@@ -352,8 +368,9 @@ impl<T: RunItem> ShardedRunQueue<T> {
 
     /// Dequeues the next item for the LWP whose home shard is `shard`:
     /// own shard first, then the injection queue, then a steal — except
-    /// every [`FAIR_EVERY`]th pop, which services injection (then a
-    /// steal) first so a busy own shard cannot starve the other paths.
+    /// every [`FAIR_EVERY`]th pop, which services injection, then a steal
+    /// from a stalled shard, first, so a busy own shard cannot starve work
+    /// that no other LWP will run.
     pub fn pop(&self, shard: usize) -> Option<T> {
         let s = &self.shards[shard % self.shards.len()];
         let tick = s.ticks.fetch_add(1, Ordering::Relaxed);
@@ -361,7 +378,7 @@ impl<T: RunItem> ShardedRunQueue<T> {
             if let Some(t) = self.pop_inject() {
                 return Some(t);
             }
-            if let Some(t) = self.steal(shard) {
+            if let Some(t) = self.steal_stalled(shard) {
                 return Some(t);
             }
         }
@@ -448,21 +465,54 @@ impl<T: RunItem> ShardedRunQueue<T> {
                 }
             }
             let (_, victim) = best?;
-            let s = &self.shards[victim];
-            let mut q = unpoisoned(&s.q);
-            let t = q.pop();
-            s.len.store(q.len(), Ordering::Release);
-            s.top.store(q.top_level(), Ordering::Release);
-            if t.is_some() {
-                bump(&s.stolen);
-            }
-            drop(q);
-            if let Some(t) = t {
-                probe!(Tag::RunqSteal, t.trace_id(), victim);
+            if let Some(t) = self.take_from(victim) {
                 return Some(t);
             }
         }
         None
+    }
+
+    /// The fairness tick's steal, for the LWP on shard `me`: takes one item
+    /// from the highest-advertising shard whose owner made no pop since
+    /// `me`'s previous fairness tick (its `ticks` did not move). An owner
+    /// that keeps popping keeps its work, so a busy pair of LWPs never
+    /// trade threads — and with them the stacks and thread objects their
+    /// magazines hold — on this path. A shard whose owner sits in a
+    /// `blocking()` region or is gone is drained within two fairness
+    /// ticks: the first records its `ticks`, the next finds them unmoved.
+    fn steal_stalled(&self, me: usize) -> Option<T> {
+        let me = me % self.shards.len();
+        let seen = &self.shards[me].seen;
+        let mut best: Option<(i32, usize)> = None;
+        for (i, s) in self.shards.iter().enumerate() {
+            if i == me {
+                continue;
+            }
+            let ticks = s.ticks.load(Ordering::Relaxed);
+            let stalled = seen[i].load(Ordering::Relaxed) == ticks;
+            seen[i].store(ticks, Ordering::Relaxed);
+            let top = s.top.load(Ordering::Acquire);
+            if stalled && top >= 0 && best.is_none_or(|(bt, _)| top > bt) {
+                best = Some((top, i));
+            }
+        }
+        self.take_from(best?.1)
+    }
+
+    /// Steals `victim`'s highest-priority item, if it still has one.
+    fn take_from(&self, victim: usize) -> Option<T> {
+        let s = &self.shards[victim];
+        let mut q = unpoisoned(&s.q);
+        let t = q.pop();
+        s.len.store(q.len(), Ordering::Release);
+        s.top.store(q.top_level(), Ordering::Release);
+        if t.is_some() {
+            bump(&s.stolen);
+        }
+        drop(q);
+        let t = t?;
+        probe!(Tag::RunqSteal, t.trace_id(), victim);
+        Some(t)
     }
 
     /// Removes a specific item wherever it is queued; returns whether it
@@ -718,6 +768,47 @@ mod tests {
             q.push(0, t);
         }
         panic!("injected item starved for {FAIR_EVERY} dispatches");
+    }
+
+    #[test]
+    fn fairness_tick_steals_from_a_stalled_shard() {
+        let q = ShardedRunQueue::new(2);
+        // Shard 1's owner never pops (it is blocked, or gone) while shard
+        // 0's owner runs a yield loop: the orphaned item must come out
+        // within two fairness rounds.
+        q.push(1, (1, 999));
+        q.push(0, (1, 1));
+        for _ in 0..2 * FAIR_EVERY {
+            let t = q.pop(0).expect("own shard non-empty");
+            if t.1 == 999 {
+                assert_eq!(q.steal_count(), 1);
+                return;
+            }
+            q.push(0, t);
+        }
+        panic!(
+            "stalled shard's item starved for {} dispatches",
+            2 * FAIR_EVERY
+        );
+    }
+
+    #[test]
+    fn fairness_tick_leaves_a_popping_owner_its_work() {
+        let q = ShardedRunQueue::new(2);
+        // Both owners run a yield loop and keep a second item queued: each
+        // pops between the other's fairness ticks, so neither ever steals.
+        for shard in 0..2 {
+            q.push(shard, (1, shard as u64));
+            q.push(shard, (1, 10 + shard as u64));
+        }
+        for _ in 0..10 * FAIR_EVERY {
+            for shard in 0..2 {
+                let t = q.pop(shard).expect("own shard non-empty");
+                assert_eq!(t.1 % 10, shard as u64, "shard {shard} took another's item");
+                q.push(shard, t);
+            }
+        }
+        assert_eq!(q.steal_count(), 0);
     }
 
     #[test]

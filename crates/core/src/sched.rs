@@ -55,14 +55,23 @@ pub(crate) enum Action {
     Exit,
 }
 
-/// Consecutive thread ids an LWP takes from `Mt::next_id` at a time. The
-/// registry shard is chosen by id block, so the threads one LWP creates
-/// share a shard, and two LWPs creating at once rarely do.
+/// Consecutive thread ids an LWP takes at a time. The registry shard is
+/// chosen by id block, and an LWP takes its blocks from the registry shard
+/// that matches its home run-queue shard, so the threads one LWP creates
+/// share a shard and two pool LWPs creating at once never do (while there
+/// are no more LWPs than processors).
 const ID_BLOCK: u32 = 64;
 
-/// One registry shard, on a cache line of its own.
+/// One registry shard and the id blocks it hands out, on a cache line of
+/// its own.
 #[repr(align(64))]
-struct RegistryShard(Mutex<HashMap<u32, Arc<Thread>>>);
+pub(crate) struct RegistryShard {
+    map: Mutex<HashMap<u32, Arc<Thread>>>,
+    /// Id blocks handed out from this shard so far. Shard `i` of `n` hands
+    /// out the blocks whose index is `i` modulo `n`, so the ids of its
+    /// blocks land in it.
+    blocks: AtomicU32,
+}
 
 /// Every live thread, and every exited `THREAD_WAIT` thread not yet
 /// reaped, by id: one locked map per processor (rounded up to a power of
@@ -75,14 +84,28 @@ impl Registry {
     fn new(processors: usize) -> Registry {
         Registry {
             shards: (0..processors.next_power_of_two())
-                .map(|_| RegistryShard(Mutex::new(HashMap::new())))
+                .map(|_| RegistryShard {
+                    map: Mutex::new(HashMap::new()),
+                    blocks: AtomicU32::new(0),
+                })
                 .collect(),
         }
     }
 
     fn shard(&self, id: ThreadId) -> MutexGuard<'_, HashMap<u32, Arc<Thread>>> {
         let i = (id.0 / ID_BLOCK) as usize & (self.shards.len() - 1);
-        unpoisoned(&self.shards[i].0)
+        unpoisoned(&self.shards[i].map)
+    }
+
+    /// The first id of a fresh block of [`ID_BLOCK`] ids, all of which land
+    /// in the registry shard that `home` (a run-queue shard) maps to.
+    fn claim_block(&self, home: usize) -> u32 {
+        let n = self.shards.len() as u32;
+        let i = home as u32 & (n - 1);
+        let k = self.shards[i as usize]
+            .blocks
+            .fetch_add(1, Ordering::Relaxed);
+        k.wrapping_mul(n).wrapping_add(i).wrapping_mul(ID_BLOCK)
     }
 
     fn insert(&self, t: &Arc<Thread>) {
@@ -99,7 +122,7 @@ impl Registry {
 
     /// Registered threads, counted shard by shard.
     fn len(&self) -> usize {
-        self.shards.iter().map(|s| unpoisoned(&s.0).len()).sum()
+        self.shards.iter().map(|s| unpoisoned(&s.map).len()).sum()
     }
 
     /// Every registered thread, collected shard by shard (so not one
@@ -107,7 +130,7 @@ impl Registry {
     pub(crate) fn all(&self) -> Vec<Arc<Thread>> {
         let mut out = Vec::new();
         for s in self.shards.iter() {
-            out.extend(unpoisoned(&s.0).values().cloned());
+            out.extend(unpoisoned(&s.map).values().cloned());
         }
         out
     }
@@ -140,8 +163,6 @@ pub(crate) struct Mt {
     /// Retired unbound thread objects awaiting reuse — the global depot
     /// behind the per-LWP thread magazines ([`crate::magazine`]).
     pub thread_depot: Mutex<Vec<Arc<Thread>>>,
-    /// The next unhanded id block ([`ID_BLOCK`] ids per LWP refill).
-    next_id: AtomicU32,
     pub pool_count: AtomicUsize,
     /// Pool LWPs currently inside a `blocking()` region (their thread is
     /// "temporarily bound" and the LWP serves nobody else).
@@ -175,7 +196,6 @@ pub(crate) fn mt() -> &'static Mt {
             idle_count: AtomicUsize::new(0),
             stacks: StackCache::new(),
             thread_depot: Mutex::new(Vec::new()),
-            next_id: AtomicU32::new(0),
             pool_count: AtomicUsize::new(0),
             pool_blocked: AtomicUsize::new(0),
             pool_target: AtomicUsize::new(1),
@@ -353,13 +373,14 @@ thread_local! {
 }
 
 /// A fresh thread id from the calling LWP's block, which it refills
-/// [`ID_BLOCK`] ids at a time from `next_id`: one shared write per 64
-/// creates, not one per create. Id 0 is never handed out.
+/// [`ID_BLOCK`] ids at a time from the registry shard matching its home
+/// run-queue shard (shard 0 off the pool): one write per 64 creates, on a
+/// line no other pool LWP writes. Id 0 is never handed out.
 fn alloc_id(m: &Mt) -> ThreadId {
     NEXT_ID.with(|next| {
         let mut id = next.get();
         if id % ID_BLOCK == 0 {
-            id = m.next_id.fetch_add(ID_BLOCK, Ordering::Relaxed).max(1);
+            id = m.threads.claim_block(my_shard().unwrap_or(0)).max(1);
         }
         next.set(id.wrapping_add(1));
         ThreadId(id)
@@ -987,7 +1008,7 @@ pub(crate) fn wait_any() -> Result<ThreadId> {
         let seen = m.anywait.load(Ordering::SeqCst);
         let mut live = false;
         for shard in m.threads.shards.iter() {
-            for t in unpoisoned(&shard.0).values() {
+            for t in unpoisoned(&shard.map).values() {
                 if !t.flags.contains(CreateFlags::WAIT) || Arc::ptr_eq(t, &me) {
                     continue;
                 }

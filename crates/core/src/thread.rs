@@ -37,6 +37,12 @@ pub(crate) const EXITED: u8 = 2;
 pub(crate) const REAPED: u8 = CLAIMED | EXITED;
 
 /// The in-memory representation of one thread.
+///
+/// On cache lines of its own: an LWP writes its running thread's state,
+/// clocks and exit claim on every dispatch, and the thread objects made in
+/// one burst sit next to each other in memory, where a neighbour may be
+/// running on another LWP.
+#[repr(align(64))]
 pub(crate) struct Thread {
     pub(crate) id: ThreadId,
     pub(crate) flags: CreateFlags,

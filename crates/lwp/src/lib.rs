@@ -195,11 +195,19 @@ pub fn boost_of(hint: u32) -> i32 {
 
 /// Strips the inherited priority from the LWP behind `hint`, returning the
 /// boost that was in effect (0 = there was none).
+///
+/// Every dispatch calls this, and the slots of all LWPs are packed into
+/// one array, so it loads first and writes only a non-zero boost, as
+/// [`LwpState::take_preempt`] does with its flag.
 pub fn boost_clear(hint: u32) -> i32 {
     if hint == 0 {
         return 0;
     }
-    BOOST_PRI[(hint as usize - 1) % RUN_SLOTS].swap(0, Ordering::AcqRel)
+    let slot = &BOOST_PRI[(hint as usize - 1) % RUN_SLOTS];
+    if slot.load(Ordering::Relaxed) == 0 {
+        return 0;
+    }
+    slot.swap(0, Ordering::AcqRel)
 }
 
 /// The calling LWP's state.

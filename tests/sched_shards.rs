@@ -12,8 +12,11 @@
 //! every quiescent point.
 
 use std::collections::HashSet;
+use std::io::{Read, Write};
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 use sunmt::runq::{Placement, RunQueue, ShardedRunQueue, SHARD_CAP};
 use sunmt::{CreateFlags, ThreadBuilder};
@@ -249,6 +252,74 @@ fn injected_work_is_not_starved_by_a_yield_loop() {
     }
     stop.store(1, Ordering::SeqCst);
     sunmt::wait(Some(spinner)).expect("wait spinner");
+}
+
+#[test]
+fn a_blocked_owners_queued_work_is_run_by_a_busy_lwp() {
+    let _serial = LIBRARY.lock().unwrap_or_else(|e| e.into_inner());
+    // Regression: thread A, on LWP X, creates W, which is queued on X's
+    // shard, and then blocks in the kernel on a socket that only W writes.
+    // LWP Y runs a yield loop, so its own shard never empties and its pops
+    // never reach the ordinary steal; one pool LWP of two is blocked, so
+    // SIGWAITING grows nothing. Only the fairness tick's steal from a
+    // stalled shard runs W.
+    sunmt::set_concurrency(2).expect("set_concurrency");
+    let stop = Arc::new(AtomicU64::new(0));
+    let spinner_lwp = Arc::new(AtomicU64::new(0));
+    let (s, lwp) = (Arc::clone(&stop), Arc::clone(&spinner_lwp));
+    let spinner = ThreadBuilder::new()
+        .flags(CreateFlags::WAIT)
+        .spawn(move || {
+            while s.load(Ordering::SeqCst) == 0 {
+                lwp.store(u64::from(sunmt_sys::task::gettid()), Ordering::SeqCst);
+                sunmt::yield_now();
+            }
+        })
+        .expect("spawn spinner");
+    while spinner_lwp.load(Ordering::SeqCst) == 0 {
+        std::thread::yield_now();
+    }
+
+    let (mut rx, tx) = UnixStream::pair().expect("socketpair");
+    let unwedge = tx.try_clone().expect("clone socket");
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let lwp = Arc::clone(&spinner_lwp);
+    let a = ThreadBuilder::new()
+        .flags(CreateFlags::WAIT)
+        .spawn(move || {
+            // Get off the spinner's LWP: a yield wakes the idle one, which
+            // steals whichever of the two it finds first.
+            let on_spinner = || u64::from(sunmt_sys::task::gettid()) == lwp.load(Ordering::SeqCst);
+            for _ in 0..1_000 {
+                if !on_spinner() {
+                    break;
+                }
+                sunmt::yield_now();
+            }
+            let mut tx = tx;
+            let w = ThreadBuilder::new()
+                .flags(CreateFlags::WAIT)
+                .spawn(move || {
+                    let _ = tx.write_all(&[1]);
+                })
+                .expect("spawn writer");
+            let mut byte = [0u8];
+            sunmt::blocking(|| rx.read_exact(&mut byte)).expect("read");
+            sunmt::wait(Some(w)).expect("wait writer");
+            let _ = done_tx.send(());
+        })
+        .expect("spawn reader");
+
+    let outcome = done_rx.recv_timeout(Duration::from_secs(10));
+    stop.store(1, Ordering::SeqCst);
+    if outcome.is_err() {
+        // Unwedge the reader so the process can wind down, then fail.
+        let _ = (&unwedge).write_all(&[1]);
+        panic!("work queued behind a blocked LWP never ran beside a yield loop");
+    }
+    sunmt::wait(Some(a)).expect("wait reader");
+    sunmt::wait(Some(spinner)).expect("wait spinner");
+    sunmt::set_concurrency(0).expect("set_concurrency(0)");
 }
 
 #[test]

@@ -23,7 +23,12 @@ use sunos_mt::trace::{self, Tag};
 /// Trace counters and pool concurrency are process-global; take turns.
 static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-const WARMUP: usize = 32;
+/// Creates made one at a time before the probes. The creating thread is
+/// not a pool LWP, so it takes stacks from the depot while the exits fill
+/// the one pool LWP's magazine; the warm-up must exceed the magazine's
+/// capacity plus one batch (64 + 8) for that magazine to overflow to the
+/// depot, where the probes' creates can find a warm-up stack.
+const WARMUP: usize = 160;
 const PROBES: usize = 8;
 
 /// Create-and-join one unbound thread, returning the address of a stack
